@@ -247,6 +247,55 @@ class TestTrajectories:
         assert a.outcomes == b.outcomes
 
 
+# Per-step (vertex 0..V-1, leakage) means of trajectory_run under RATES,
+# search variant, exact uniform init, seed 3.  Every trajectory jump moves
+# a probability by at least 1/n_traj, so a change in any branch choice or
+# in the RNG draw order breaks these pins by far more than 1e-12.
+GOLDEN_CYCLE4 = [  # 4-cycle, marked 2, n_traj=200, 4 steps
+    (0.25, 0.25, 0.25, 0.25, 0.0),
+    (0.24999999943730042, 0.07322331036694163, 0.4267767292669748,
+     0.24999996092878315, 1.7573397503444657e-31),
+    (0.036611659727499815, 0.2316941880751234, 0.6584708600685573,
+     0.07322329212881937, 5.024433413035148e-31),
+    (0.25157040353647353, 0.25836775174130094, 0.25836770208213156,
+     0.2316941426400941, 7.233054425054493e-31),
+    (0.24757807745873636, 0.23684714297288467, 0.25349890705132166,
+     0.25707587251705744, 0.005000000000000011),
+]
+GOLDEN_TORUS4 = [  # 4x4 torus, marked 3, n_traj=64, 2 steps
+    (0.0625,) * 16 + (0.0,),
+    (0.06152343130996899, 0.06152343124073084, 0.06152343124073085,
+     0.20554925359356588, 0.06152343133864832, 0.061523431379207065,
+     0.06152343124073091, 0.061523431240730904, 0.018019799863262652,
+     0.06152344057896059, 0.06152343137920715, 0.061523431338648564,
+     0.009009903345452434, 0.061523431379207065, 0.061523431240730925,
+     0.013514858290216768, 0.015624999999999993),
+    (0.060546856740212235, 0.06054685669152877, 0.017733767460796447,
+     0.2675833657986012, 0.06054685652289312, 0.013300333906251162,
+     0.008866887047694776, 0.0605468567913163, 0.03046362025373126,
+     0.021786894613895772, 0.0605468566209685, 0.06054685647471154,
+     0.03793690268737549, 0.06054685648469029, 0.060546856643347156,
+     0.08670337526198599, 0.03125000000000001),
+]
+
+
+class TestTrajectoryGolden:
+    @pytest.mark.parametrize("kind,marked,n_traj,golden", [
+        ("cycle", 2, 200, GOLDEN_CYCLE4),
+        ("torus", 3, 64, GOLDEN_TORUS4),
+    ])
+    def test_pinned_per_step_outputs(self, kind, marked, n_traj, golden):
+        lat = Lattice(kind, 4)
+        op = build_step_operator(lat, AngleSchedule(marked=marked), "search")
+        init = search_initializer(lat, "exact")
+        dists = trajectory_run(init, op, RATES, n_traj=n_traj, seed=3,
+                               steps=len(golden) - 1, record_steps=True)
+        V = lat.vertex_count
+        got = np.array([[d.get(v) for v in range(V)] + [d.get("leakage")]
+                        for d in dists])
+        assert np.abs(got - np.array(golden)).max() < 1e-12
+
+
 class TestDegradedRatio:
     def test_noise_never_amplifies_the_peak(self, calibrated_noise):
         # exact distributions: the noisy success probability stays at or
