@@ -46,9 +46,8 @@ def _cmd_run(args) -> int:
         paths = run_experiment(args.config, output_dir=args.output_dir,
                                workers=args.workers)
     except ConfigError as exc:
-        print(f"error: invalid config {args.config}:", file=sys.stderr)
-        for p in exc.messages:
-            print(f"  {p}", file=sys.stderr)
+        print(f"error: invalid config {args.config}: {'; '.join(exc.messages)}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)

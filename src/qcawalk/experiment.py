@@ -29,7 +29,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .lattice import Lattice
+from .lattice import Lattice, tessellations_for
 from .metrics import (
     hellinger_fidelity,
     inverse_fit,
@@ -40,7 +40,13 @@ from .metrics import (
 )
 from .noise import NoiseModel, calibrate_rates
 from .states import Distribution
-from .walks import InitSpec, WalkBackend, WalkConfig, run_walk
+from .walks import (
+    InitSpec,
+    WalkBackend,
+    WalkConfig,
+    run_walk,
+    search_initializer_gates,
+)
 
 #: Environment variable bounding the number of concurrent sweep workers.
 WORKERS_ENV = "QCAWALK_WORKERS"
@@ -50,7 +56,11 @@ _DEFAULT_MARKED = {"cycle": 2}  # torus default is vertex (3, 0)
 
 
 class ConfigError(ValueError):
-    """Config failed schema validation; ``messages`` lists the violations."""
+    """Config failed validation; ``messages`` lists the violations.
+
+    Raised for schema violations and for values the schema cannot express
+    (an odd lattice size, an out-of-range vertex).
+    """
 
     def __init__(self, messages):
         self.messages = list(messages)
@@ -136,7 +146,13 @@ def _default_marked(lattice: Lattice) -> int:
 
 
 def _point_config(cfg: dict, size: int, index: int) -> dict:
-    """Resolve one sweep point: concrete size, marked vertex, run seed."""
+    """Resolve one sweep point: concrete size, marked vertex, run seed.
+
+    The point's walk config and tessellation cover are built here, so an
+    odd or too-small size, or an out-of-range site or marked vertex --
+    values the schema cannot express -- raise :class:`ConfigError` before
+    calibration and before any point runs.
+    """
     point = json.loads(json.dumps(cfg))
     point["lattice"]["N"] = size
     lattice = Lattice(point["lattice"]["kind"], size)
@@ -149,6 +165,13 @@ def _point_config(cfg: dict, size: int, index: int) -> dict:
     point["run_seed"] = int(seq.generate_state(1, dtype=np.uint32)[0])
     point["point_index"] = index
     del point["sweep"]
+    try:
+        resolved = _walk_config(point, "statevector", None)
+        tessellations_for(lattice)
+        if resolved.init.kind == "search_uniform" and resolved.initializer_mode == "literal":
+            search_initializer_gates(lattice.vertex_count)
+    except ValueError as exc:
+        raise ConfigError([f"lattice N={size}: {exc}"]) from exc
     return point
 
 
@@ -281,9 +304,9 @@ def run_experiment(source, output_dir=None, workers: int | None = None) -> list:
     are independent of the worker count.
     """
     cfg = load_config(source)
-    noise = resolve_noise(cfg["noise"])
     sizes = cfg["sweep"]["sizes"] if cfg["sweep"] else [cfg["lattice"]["N"]]
     points = [_point_config(cfg, size, i) for i, size in enumerate(sizes)]
+    noise = resolve_noise(cfg["noise"])
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
     workers = max(1, workers)

@@ -15,9 +15,15 @@ single-qubit rotations for a fixed time, RZ is instantaneous and noiseless.
 
 Two noisy backends consume those channels:
 
-* ``evolve_density`` applies the per-gate Kraus maps to a full density
-  matrix (practical up to the configured qubit cap); qubits that sit idle
-  for part of a layer decay under the pure dissipator for the gap.
+* ``evolve_density`` applies the per-gate Kraus maps to a density matrix;
+  qubits that sit idle for part of a layer decay under the pure
+  dissipator for the gap.  The walks start in span{vacuum, one-hot} and
+  the channels never raise the excitation number, so ``run_walk`` passes
+  a :class:`SectorDensity`, the (V+1) x (V+1) block on that span: each
+  channel is lowered to a 3x3 (or 2x2) block on the touched indices plus
+  a scalar elsewhere, and a gate costs O(V^2).  A dense
+  :class:`DensityMatrix` is evolved on the full 2^n x 2^n matrix; that
+  path is the independent reference the sector path is tested against.
 * ``trajectory_run`` unravels the same channels stochastically: for every
   gate interval a Kraus branch is sampled with probability |K_m psi|^2,
   so the trajectory average reproduces the density evolution with no
@@ -46,7 +52,9 @@ from .states import (
     TRAJECTORY_STREAM,
     DensityMatrix,
     Distribution,
+    SectorDensity,
     StateVector,
+    sector_basis,
 )
 
 _SM = np.array([[0, 1], [0, 0]], dtype=complex)  # sigma_minus = |0><1|
@@ -67,6 +75,9 @@ DEFAULT_FIDELITY_TARGETS = {
 }
 
 _RAISING_TOL = 1e-10
+
+#: Gates that keep a state inside span{vacuum, one-hot states}.
+_SECTOR_GATES = frozenset({"XY", "RZ"})
 
 
 @dataclass(frozen=True)
@@ -290,19 +301,13 @@ def _layer_schedule(gates: tuple, noise: NoiseModel, n: int):
     return busy, layer_t
 
 
-def evolve_density(rho: DensityMatrix, step: StepOperator, noise: NoiseModel,
-                   channel_cache: dict | None = None) -> DensityMatrix:
-    """One noisy step on the density backend.
+def _step_channels(step: StepOperator, noise: NoiseModel, n: int, cache: dict):
+    """Yield (cache key, targets, channel) for one step in application order.
 
-    Gate channels are applied in layer order; within a layer every qubit
-    is exposed for the layer's full duration, gates first and the pure
+    Gate channels come in layer order; within a layer every qubit is
+    exposed for the layer's full duration, gates first and the pure
     dissipator for whatever gap remains (if ``noise.idle_decay``).
     """
-    n = rho.n_qubits
-    if step.n_qubits != n:
-        raise ValueError("step operator register size mismatch")
-    cache = channel_cache if channel_cache is not None else {}
-    arr = rho.entries.copy()
     for _tess, gates in step.layers:
         for g in gates:
             # channels are target-local, so one entry per (gate, angle, arity)
@@ -310,7 +315,7 @@ def evolve_density(rho: DensityMatrix, step: StepOperator, noise: NoiseModel,
             ch = cache.get(key)
             if ch is None:
                 ch = cache[key] = noisy_gate_channel(g, noise)
-            arr = _apply_kraus_to_density(arr, ch.kraus, g.targets, n)
+            yield key, g.targets, ch
         if noise.idle_decay and not noise.is_noiseless:
             busy, layer_t = _layer_schedule(gates, noise, n)
             for q in range(n):
@@ -320,8 +325,85 @@ def evolve_density(rho: DensityMatrix, step: StepOperator, noise: NoiseModel,
                     ch = cache.get(key)
                     if ch is None:
                         ch = cache[key] = idle_channel(gap, noise)
-                    arr = _apply_kraus_to_density(arr, ch.kraus, (q,), n)
+                    yield key, (q,), ch
+
+
+def evolve_density(rho: DensityMatrix | SectorDensity, step: StepOperator,
+                   noise: NoiseModel, channel_cache: dict | None = None):
+    """One noisy step on the density backend; returns the same representation.
+
+    A :class:`SectorDensity` is evolved on its (V+1) x (V+1) block: each
+    channel acts as a 3x3 (two-qubit) or 2x2 (one-qubit) block on
+    (vacuum, touched one-hots) and as a scalar on every other index, so a
+    gate costs O(V^2) and no 2^V array is formed; RZ is a diagonal phase.
+    Only XY and RZ gates keep the state in that block, so any other gate
+    raises ``ValueError``.  A :class:`DensityMatrix` is evolved densely on
+    the full 2^n x 2^n matrix; that path is the reference the sector path
+    is tested against.  Both share ``channel_cache``.
+    """
+    n = rho.n_qubits
+    if step.n_qubits != n:
+        raise ValueError("step operator register size mismatch")
+    cache = channel_cache if channel_cache is not None else {}
+    if isinstance(rho, SectorDensity):
+        return _evolve_sector_density(rho, step, noise, cache)
+    arr = rho.entries.copy()
+    for _key, targets, ch in _step_channels(step, noise, n, cache):
+        arr = _apply_kraus_to_density(arr, ch.kraus, targets, n)
     return DensityMatrix(n, arr)
+
+
+def _sector_lowering(kraus: tuple):
+    """Lower a sector-preserving channel to (T, C, s) on the (V+1) block.
+
+    With S the touched indices (vacuum, e_b, e_a) -- or (vacuum, e_q) for
+    one qubit -- and R every other index, each Kraus operator acts as a
+    block B_m on S and as the scalar k00_m on R.  Hence
+    vec(rho_SS) -> T vec(rho_SS) with T = sum B_m (x) conj(B_m),
+    rho_SR -> C rho_SR with C = sum conj(k00_m) B_m, and
+    rho_RR -> s rho_RR with s = sum |k00_m|^2.
+    """
+    if kraus[0].shape[0] == 4:
+        blocks = [np.array([[k00, k0b, k0a], [0, blk[0, 0], blk[0, 1]],
+                            [0, blk[1, 0], blk[1, 1]]])
+                  for k00, k0b, k0a, blk in _sector_branches_2q(kraus)]
+    else:
+        blocks = [np.array([[k00, k01], [0, k11]])
+                  for k00, k01, k11 in _sector_branches_1q(kraus)]
+    T = sum(np.kron(b, b.conj()) for b in blocks)
+    C = sum(np.conj(b[0, 0]) * b for b in blocks)
+    s = float(sum(abs(b[0, 0]) ** 2 for b in blocks))
+    return T, C, s
+
+
+def _evolve_sector_density(rho: SectorDensity, step: StepOperator, noise: NoiseModel,
+                           cache: dict) -> SectorDensity:
+    foreign = step.gate_names() - _SECTOR_GATES
+    if foreign:
+        raise ValueError(f"gates {sorted(foreign)} leave span{{vacuum, one-hot}}; "
+                         "evolve a DensityMatrix instead")
+    arr = rho.entries.copy()
+    for key, targets, ch in _step_channels(step, noise, rho.n_qubits, cache):
+        if key[0] == "RZ" and len(ch.kraus) == 1:
+            k = ch.kraus[0]
+            phase = k[1, 1] * np.conj(k[0, 0])
+            q = targets[0] + 1
+            arr[q, :] *= phase
+            arr[:, q] *= np.conj(phase)
+            continue
+        # a distinct key, so a dense evolution sharing the cache still
+        # finds the GateChannel under the plain one
+        lowered = cache.get(("sector",) + key)
+        if lowered is None:
+            lowered = cache[("sector",) + key] = _sector_lowering(ch.kraus)
+        T, C, s = lowered
+        idx = [0] + [q + 1 for q in reversed(targets)]  # (vacuum, e_b, e_a)
+        rows, cols = arr[idx, :], arr[:, idx]
+        arr *= s
+        arr[idx, :] = C @ rows
+        arr[:, idx] = cols @ C.conj().T
+        arr[np.ix_(idx, idx)] = (T @ rows[:, idx].reshape(-1)).reshape(len(idx), len(idx))
+    return SectorDensity(rho.n_qubits, arr)
 
 
 def average_gate_fidelity(channel: GateChannel) -> float:
@@ -336,12 +418,10 @@ def average_gate_fidelity(channel: GateChannel) -> float:
 
 def _sector_compatible(init: StateVector, step: StepOperator) -> bool:
     """True when the run stays inside span{vacuum, one-hot states}."""
-    if not step.gate_names() <= {"XY", "RZ"}:
+    if not step.gate_names() <= _SECTOR_GATES:
         return False
-    n = init.n_qubits
-    keep = np.zeros(2**n, dtype=bool)
-    keep[0] = True
-    keep[np.left_shift(1, np.arange(n))] = True
+    keep = np.zeros(2**init.n_qubits, dtype=bool)
+    keep[sector_basis(init.n_qubits)] = True
     return float(np.abs(init.amplitudes[~keep]).max(initial=0.0)) < 1e-12
 
 
@@ -445,9 +525,7 @@ def _trajectories_sector(init: StateVector, step: StepOperator, noise: NoiseMode
     V = init.n_qubits
     rng = np.random.default_rng(np.random.SeedSequence([seed, TRAJECTORY_STREAM]))
     psi = np.zeros((n_traj, V + 1), dtype=complex)
-    psi[:, 0] = init.amplitudes[0]
-    onehots = np.left_shift(1, np.arange(V))
-    psi[:, 1:] = init.amplitudes[onehots][None, :]
+    psi[:] = init.amplitudes[sector_basis(V)]
     norms = np.sqrt(np.sum(np.abs(psi) ** 2, axis=1))
     psi /= norms[:, None]
 

@@ -1,4 +1,5 @@
-"""Dense complex state representations and basis-index arithmetic.
+"""State representations (dense vectors and densities, and the density
+restricted to the one-particle sector) and basis-index arithmetic.
 
 The register encodes one lattice vertex per qubit: vertex ``v`` occupied
 means qubit ``v`` is |1>.  Basis indices are little-endian, i.e. bit ``k``
@@ -66,28 +67,13 @@ class StateVector:
         return f"StateVector(n_qubits={self.n_qubits})"
 
 
-class DensityMatrix:
-    """Mixed state of an ``n_qubits`` register as a dense 2^n x 2^n matrix."""
+class _MixedState:
+    """Checks shared by the two density representations."""
 
     __slots__ = ("n_qubits", "entries")
 
-    def __init__(self, n_qubits: int, entries: np.ndarray):
-        entries = np.asarray(entries, dtype=complex)
-        dim = 2**n_qubits
-        if entries.shape != (dim, dim):
-            raise ValueError(
-                f"density matrix has shape {entries.shape}, expected {(dim, dim)}"
-            )
-        self.n_qubits = n_qubits
-        self.entries = entries
-
-    @classmethod
-    def from_statevector(cls, state: StateVector) -> "DensityMatrix":
-        amp = state.amplitudes
-        return cls(state.n_qubits, np.outer(amp, amp.conj()))
-
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.n_qubits, self.entries.copy())
+    def copy(self):
+        return type(self)(self.n_qubits, self.entries.copy())
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.entries)))
@@ -113,7 +99,67 @@ class DensityMatrix:
             raise ValueError(f"density matrix has eigenvalue {self.min_eigenvalue():.3e}")
 
     def __repr__(self) -> str:
-        return f"DensityMatrix(n_qubits={self.n_qubits})"
+        return f"{type(self).__name__}(n_qubits={self.n_qubits})"
+
+
+class DensityMatrix(_MixedState):
+    """Mixed state of an ``n_qubits`` register as a dense 2^n x 2^n matrix."""
+
+    __slots__ = ()
+
+    def __init__(self, n_qubits: int, entries: np.ndarray):
+        entries = np.asarray(entries, dtype=complex)
+        dim = 2**n_qubits
+        if entries.shape != (dim, dim):
+            raise ValueError(
+                f"density matrix has shape {entries.shape}, expected {(dim, dim)}"
+            )
+        self.n_qubits = n_qubits
+        self.entries = entries
+
+    @classmethod
+    def from_statevector(cls, state: StateVector) -> "DensityMatrix":
+        amp = state.amplitudes
+        return cls(state.n_qubits, np.outer(amp, amp.conj()))
+
+
+def sector_basis(n_qubits: int) -> np.ndarray:
+    """Register basis indices spanning {vacuum, one-hot}: 0, then 1 << v."""
+    return np.concatenate([[0], np.left_shift(1, np.arange(n_qubits))])
+
+
+class SectorDensity(_MixedState):
+    """Mixed state confined to span{vacuum, one-hot} of an ``n_qubits`` register.
+
+    ``entries`` is (n+1) x (n+1): index 0 is the vacuum, index v+1 the
+    one-hot state of vertex v, i.e. the dense matrix restricted to
+    :func:`sector_basis`.  XY/RZ gates and excitation-lowering
+    dissipators never leave this block, so it evolves exactly.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, n_qubits: int, entries: np.ndarray):
+        entries = np.asarray(entries, dtype=complex)
+        dim = n_qubits + 1
+        if entries.shape != (dim, dim):
+            raise ValueError(
+                f"sector density has shape {entries.shape}, expected {(dim, dim)}"
+            )
+        self.n_qubits = n_qubits
+        self.entries = entries
+
+    @classmethod
+    def from_statevector(cls, state: StateVector) -> "SectorDensity":
+        """Restrict a pure state to the sector; raise if it has weight outside."""
+        keep = sector_basis(state.n_qubits)
+        outside = np.ones(state.amplitudes.shape, dtype=bool)
+        outside[keep] = False
+        if float(np.abs(state.amplitudes[outside]).max(initial=0.0)) >= 1e-12:
+            raise ValueError("state has weight outside span{vacuum, one-hot}; "
+                             "use DensityMatrix instead")
+        amp = state.amplitudes[keep]
+        return cls(state.n_qubits, np.outer(amp, amp.conj()))
 
 
 @dataclass

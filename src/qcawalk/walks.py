@@ -35,9 +35,11 @@ from .states import (
     LEAKAGE,
     SHOT_STREAM,
     Distribution,
+    SectorDensity,
     StateVector,
     onehot_index,
     sample_counts,
+    sector_basis,
     sector_project,
 )
 
@@ -299,17 +301,16 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
                 f"density backend capped at {config.density_cap} qubits "
                 f"(requested {V}); use the trajectories backend instead"
             )
-        from .states import DensityMatrix
-
         model = noise if noise is not None else NoiseModel()
-        rho = DensityMatrix.from_statevector(state)
+        rho = SectorDensity.from_statevector(state)
+        labels = sector_basis(V)
         cache: dict = {}
         for t in range(config.steps + 1):
             dist = _density_distribution(rho, V)
             per_step.append(_record_step(dist, config.shots, config.seed, t))
             leakage.append(dist.get(LEAKAGE))
             if full_steps is not None:
-                full_steps.append(_full_distribution(rho.diagonal_probabilities()))
+                full_steps.append(_full_distribution(rho.diagonal_probabilities(), labels))
             if t < config.steps:
                 rho = evolve_density(rho, step_op, model, channel_cache=cache)
     else:  # trajectories
@@ -346,19 +347,25 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
     return WalkResult(per_step, leakage, meta, full_steps)
 
 
-def _full_distribution(probs: np.ndarray) -> Distribution:
-    """Raw basis-index distribution, zero entries pruned."""
+def _full_distribution(probs: np.ndarray, labels=None) -> Distribution:
+    """Raw basis-index distribution, zero entries pruned.
+
+    ``labels[i]`` is the basis index of ``probs[i]`` (default: ``i``).
+    """
     probs = np.maximum(probs, 0.0)
     total = probs.sum()
     nz = np.nonzero(probs > 1e-15)[0]
-    return Distribution({int(i): float(probs[i] / total) for i in nz})
+    labels = range(len(probs)) if labels is None else labels
+    return Distribution({int(labels[i]): float(probs[i] / total) for i in nz})
 
 
 def _density_distribution(rho, V: int) -> Distribution:
     """Aggregate the diagonal of rho into vertex probabilities + leakage."""
     diag = np.maximum(rho.diagonal_probabilities(), 0.0)
-    idx = np.left_shift(1, np.arange(V))
-    vertex = diag[idx]
+    if isinstance(rho, SectorDensity):
+        vertex = diag[1:V + 1]
+    else:
+        vertex = diag[np.left_shift(1, np.arange(V))]
     leak = max(float(diag.sum() - vertex.sum()), 0.0)
     total = float(vertex.sum()) + leak
     outcomes = {v: float(vertex[v]) / total for v in range(V)}

@@ -222,6 +222,36 @@ class TestCli:
         rc = main(["run", self._write(tmp_path, minimal_config(seed=-4))])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("overrides,size", [
+        ({"walk": {"variant": "walk", "steps": 1,
+                   "init": {"kind": "single", "site": 9}}}, 4),
+        ({"walk": {"variant": "search", "steps": 1, "marked": 5},
+          "sweep": {"sizes": [6, 4]}}, 4),
+        ({"sweep": {"sizes": [6, 7]}}, 7),
+        ({"lattice": {"kind": "torus", "N": 2}}, 2),
+        ({"lattice": {"kind": "cycle", "N": 6},
+          "walk": {"variant": "search", "steps": 1, "initializer_mode": "literal"}}, 6),
+    ], ids=["site", "marked", "odd_sweep_size", "size_below_4", "literal_init_size"])
+    def test_run_unexpressible_config_fails_fast(self, tmp_path, capsys, monkeypatch,
+                                                 overrides, size):
+        # rejected before calibration and before any sweep point runs
+        import qcawalk.experiment as experiment
+
+        def never(*_args):
+            raise AssertionError("ran past config resolution")
+
+        monkeypatch.setattr(experiment, "resolve_noise", never)
+        monkeypatch.setattr(experiment, "execute_point", never)
+        out = tmp_path / "out"
+        cfg = minimal_config(noise="calibrate", **overrides)
+        rc = main(["run", self._write(tmp_path, cfg), "--output-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"N={size}" in err
+        assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_calibrate_json_output(self, capsys):
         rc = main(["calibrate", "--json", "--grid-points", "5"])
         assert rc == EXIT_OK

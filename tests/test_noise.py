@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcawalk import (
     AngleSchedule,
@@ -12,6 +14,7 @@ from qcawalk import (
     InitSpec,
     Lattice,
     NoiseModel,
+    SectorDensity,
     WalkBackend,
     WalkConfig,
     average_gate_fidelity,
@@ -26,9 +29,11 @@ from qcawalk import (
     qw_init,
     run_walk,
     search_initializer,
+    sector_basis,
     trajectory_run,
 )
 from qcawalk.noise import _jump_operators, _liouvillian
+from qcawalk.walks import initial_state
 
 RATES = NoiseModel(relaxation_rate=3e4, dephasing_rate=2e3)
 
@@ -170,6 +175,63 @@ class TestEvolveDensity:
         # and switching idle decay off leaves the idle qubit untouched
         out2 = evolve_density(rho, op, replace(model, idle_decay=False))
         assert out2.entries[0b100, 0b100].real == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSectorDensity:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        N=st.sampled_from([4, 6, 8]),
+        variant=st.sampled_from(["walk", "search"]),
+        init_kind=st.sampled_from(["single", "symmetric", "search_uniform"]),
+        site=st.integers(0, 7),
+        marked=st.integers(0, 7),
+        K=st.floats(0.0, 1e5),
+        delta=st.floats(0.0, 1e5),
+        idle_decay=st.booleans(),
+        steps=st.integers(1, 4),
+    )
+    def test_matches_dense_reference(self, N, variant, init_kind, site, marked,
+                                     K, delta, idle_decay, steps):
+        lat = Lattice("cycle", N)
+        marked = marked % N if variant == "search" else None
+        cfg = WalkConfig(lat, steps=steps, init=InitSpec(init_kind, site % N),
+                         marked=marked)
+        op = build_step_operator(lat, AngleSchedule(marked=marked), variant)
+        model = NoiseModel(relaxation_rate=K, dephasing_rate=delta, idle_decay=idle_decay)
+        init = initial_state(cfg)
+        sector = SectorDensity.from_statevector(init)
+        dense = DensityMatrix.from_statevector(init)
+        keep = sector_basis(N)
+        outside = np.ones(2**N, dtype=bool)
+        outside[keep] = False
+        cache = {}  # shared by both representations, in turn
+        for _ in range(steps):
+            sector = evolve_density(sector, op, model, channel_cache=cache)
+            dense = evolve_density(dense, op, model, channel_cache=cache)
+            assert np.abs(sector.entries - dense.entries[np.ix_(keep, keep)]).max() < 1e-12
+            assert dense.diagonal_probabilities()[outside].sum() <= 1e-12
+            assert sector.trace() == pytest.approx(1.0, abs=1e-12)
+            assert sector.hermiticity_defect() < 1e-12
+            assert sector.min_eigenvalue() >= -1e-12
+
+    def test_rx_step_raises(self):
+        from qcawalk.gates import StepOperator
+        from qcawalk.lattice import Tessellation
+
+        tess = Tessellation("only", ((0, 1),))
+        op = StepOperator(((tess, (GateSpec("XY", math.pi / 4, (0, 1)),
+                                   GateSpec("RX", math.pi / 2, (2,)))),), 3)
+        rho = SectorDensity(3, np.diag([0, 1, 0, 0]).astype(complex))
+        with pytest.raises(ValueError, match="RX"):
+            evolve_density(rho, op, RATES)
+
+    def test_out_of_sector_state_rejected(self):
+        from qcawalk import StateVector
+
+        amps = np.zeros(16, dtype=complex)
+        amps[0b0011] = 1.0
+        with pytest.raises(ValueError, match="outside"):
+            SectorDensity.from_statevector(StateVector(4, amps))
 
 
 class TestTrajectories:

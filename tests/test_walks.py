@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from qcawalk import (
     AngleSchedule,
     InitSpec,
     Lattice,
+    NoiseModel,
     ResourceLimitError,
     WalkBackend,
     WalkConfig,
@@ -198,6 +201,23 @@ class TestRunWalk:
         with pytest.raises(ResourceLimitError, match="trajectories"):
             run_walk(cfg)
 
+    def test_density_runs_a_register_too_big_for_a_dense_matrix(self):
+        # V = 16: the dense 2^16 x 2^16 matrix would need 68 GB; the sector
+        # density is 17 x 17.  Idle decay fills every layer, so each qubit
+        # relaxes for t x 4 layers x the iSWAP time and the leaked mass
+        # follows 1 - exp(-K T(t)) exactly.
+        model = NoiseModel(relaxation_rate=3.5e4, dephasing_rate=1e3)
+        lat = Lattice("torus", 4)
+        cfg = WalkConfig(lat, steps=8, init=InitSpec("search_uniform"),
+                         marked=lat.vertex_id(3, 0), seed=3,
+                         backend=WalkBackend("density"), density_cap=16)
+        res = run_walk(cfg, noise=model)
+        t_layer = (math.pi / 2) / model.coupling
+        want = [1 - math.exp(-model.relaxation_rate * t * 4 * t_layer)
+                for t in range(9)]
+        assert np.abs(np.array(res.leakage_per_step) - want).max() < 1e-12
+        assert res.metadata["wall_time_s"] < 5.0  # about 0.05 s on 2 cores
+
     def test_density_noise_off_matches_statevector(self):
         lat = Lattice("cycle", 4)
         sv = run_walk(WalkConfig(lat, steps=6, init=InitSpec("single", 1), seed=7))
@@ -215,15 +235,17 @@ class TestRunWalk:
             assert ea.counts == eb.counts
 
     def test_full_distribution_recording(self):
-        cfg = WalkConfig(Lattice("cycle", 4), steps=2, init=InitSpec("single", 0),
-                         seed=1, full_distributions=True)
-        res = run_walk(cfg)
-        assert res.full_per_step is not None
-        for full, compact in zip(res.full_per_step, res.exact):
-            # one-hot labels carry the same mass as the vertex labels
-            for v in range(4):
-                assert full.outcomes.get(1 << v, 0.0) == pytest.approx(
-                    compact.get(v), abs=1e-12)
+        for backend in ("statevector", "density"):
+            cfg = WalkConfig(Lattice("cycle", 4), steps=2, init=InitSpec("single", 0),
+                             seed=1, full_distributions=True,
+                             backend=WalkBackend(backend))
+            res = run_walk(cfg)
+            assert res.full_per_step is not None
+            for full, compact in zip(res.full_per_step, res.exact):
+                # one-hot labels carry the same mass as the vertex labels
+                for v in range(4):
+                    assert full.outcomes.get(1 << v, 0.0) == pytest.approx(
+                        compact.get(v), abs=1e-12)
 
     def test_full_distributions_unsupported_on_trajectories(self):
         cfg = WalkConfig(Lattice("cycle", 4), steps=1,
