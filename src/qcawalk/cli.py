@@ -12,6 +12,7 @@ from .experiment import (
     ConfigError,
     emit_report,
     load_config,
+    resolve_workers,
     run_experiment,
     validate_config,
 )
@@ -43,8 +44,13 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     try:
+        workers = resolve_workers(args.workers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    try:
         paths = run_experiment(args.config, output_dir=args.output_dir,
-                               workers=args.workers)
+                               workers=workers)
     except ConfigError as exc:
         print(f"error: invalid config {args.config}: {'; '.join(exc.messages)}",
               file=sys.stderr)
@@ -101,8 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config", help="path to a JSON experiment config")
     p_run.add_argument("--output-dir", default=None, help="override the output directory")
-    p_run.add_argument("--workers", type=int, default=None,
-                       help="concurrent sweep workers (default: $QCAWALK_WORKERS or 1)")
+    p_run.add_argument("--workers", default=None,
+                       help="concurrent sweep workers, an integer >= 1 "
+                            "(default: $QCAWALK_WORKERS or 1)")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="schema-check a config without running it")

@@ -290,6 +290,25 @@ def execute_point(point: dict, noise: NoiseModel | None) -> dict:
     return {"payload": payload, "meta": meta}
 
 
+def resolve_workers(workers=None) -> int:
+    """Concurrent sweep workers: ``workers`` if given, else the
+    QCAWALK_WORKERS env var, else 1.
+
+    Raises ``ValueError`` unless the value is an integer >= 1.
+    """
+    if workers is None:
+        name, raw = WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")
+    else:
+        name, raw = "workers", workers
+    try:
+        value = int(raw)
+    except (TypeError, ValueError):
+        value = 0
+    if value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {raw!r}")
+    return value
+
+
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(text)
@@ -306,10 +325,8 @@ def run_experiment(source, output_dir=None, workers: int | None = None) -> list:
     cfg = load_config(source)
     sizes = cfg["sweep"]["sizes"] if cfg["sweep"] else [cfg["lattice"]["N"]]
     points = [_point_config(cfg, size, i) for i, size in enumerate(sizes)]
+    workers = resolve_workers(workers)
     noise = resolve_noise(cfg["noise"])
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    workers = max(1, workers)
 
     if workers == 1 or len(points) == 1:
         records = [execute_point(p, noise) for p in points]

@@ -16,17 +16,27 @@ cover order (T0 then T1; T00, T01, T10, T11).  The plain walk uses
 XY(pi/4) on every pair.  The search step uses XY(pi/4) on pairs incident
 to the marked vertex and RZ(-pi/2) x RZ(-pi/2) . XY(pi/2) (iSWAP first,
 then the phase corrections on both qubits) everywhere else.
+
+``StepOperator.apply`` has two kernels.  On a dense :class:`StateVector`
+it applies gate by gate to the 2^n amplitudes (the reference).  On a
+:class:`SectorVector` it uses a lowering computed once per operator:
+every layer is a perfect matching (staggered tessellation model), so it
+becomes the 2x2 central blocks of its XY gates on (e_b, e_a) plus one
+phase vector holding its RZ gates, and a layer costs a few O(V) array
+operations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .lattice import Lattice, Tessellation, tessellations_for
-from .states import StateVector
+from .states import SectorVector, StateVector
 
 PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -41,6 +51,9 @@ MARKED_ANGLE = math.pi / 4
 UNMARKED_ANGLE = math.pi / 2
 #: Phase correction applied to both qubits of an unmarked search pair.
 SEARCH_RZ_ANGLE = -math.pi / 2
+
+#: Gates that keep a state inside span{vacuum, one-hot states}.
+SECTOR_GATES = frozenset({"XY", "RZ"})
 
 # dimensionless generators G with gate(theta) = expm(-i * theta * G)
 _XY_GENERATOR = -(np.kron(PAULI["X"], PAULI["X"]) + np.kron(PAULI["Y"], PAULI["Y"])) / 2
@@ -177,6 +190,79 @@ def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
     return apply_two_qubit(state, gate.matrix(), *gate.targets)
 
 
+class SectorStage(NamedTuple):
+    """Disjoint XY gates followed by a diagonal phase, on (n+1) sector indices.
+
+    ``blocks[k]`` is the central 2x2 block of pair k's gate, acting on the
+    amplitudes at ``(b[k], a[k])`` -- the local basis order |01>, |10>
+    of :func:`apply_two_qubit`.  ``phase`` (None when the stage has no RZ)
+    multiplies every index afterwards.
+    """
+
+    b: np.ndarray
+    a: np.ndarray
+    blocks: np.ndarray
+    phase: np.ndarray | None
+
+
+def lower_to_sector(gates, n_qubits: int) -> list:
+    """Lower a gate sequence to :class:`SectorStage` s on span{vacuum, one-hot}.
+
+    An XY gate leaves the vacuum and every one-hot state off its pair
+    alone and mixes (e_b, e_a) by its central block.  RZ(theta) on q
+    multiplies e_q by exp(i theta/2) and every other index by
+    exp(-i theta/2).  A stage closes when an XY gate touches a qubit the
+    stage already touched, so gate order is kept; a tessellation layer
+    (a matching, RZ after XY) is one stage.  Any other gate leaves the
+    span and raises ``ValueError``.
+    """
+    groups, touched = [[]], set()
+    for g in gates:
+        if g.name not in SECTOR_GATES:
+            raise ValueError(f"gate {g.name} leaves span{{vacuum, one-hot}}; "
+                             "apply it to a StateVector instead")
+        if not all(0 <= q < n_qubits for q in g.targets):
+            raise ValueError(f"qubits {g.targets} out of range for {n_qubits} qubits")
+        if g.name == "XY" and touched.intersection(g.targets):
+            groups.append([])
+            touched = set()
+        groups[-1].append(g)
+        touched.update(g.targets)
+    matrices = {}  # (name, theta) -> matrix; a step repeats a few angles
+
+    def matrix(g: GateSpec) -> np.ndarray:
+        m = matrices.get((g.name, g.theta))
+        if m is None:
+            m = matrices[g.name, g.theta] = g.matrix()
+        return m
+
+    stages = []
+    for group in filter(None, groups):
+        xy = [g for g in group if g.name == "XY"]
+        rz = [(g.targets[0], matrix(g)) for g in group if g.name == "RZ"]
+        idx = np.array([g.targets for g in xy], dtype=np.intp).reshape(-1, 2) + 1
+        blocks = np.array([matrix(g)[1:3, 1:3] for g in xy], dtype=complex)
+        phase = None
+        if rz:
+            phase = np.full(n_qubits + 1, np.prod([m[0, 0] for _q, m in rz]), dtype=complex)
+            for q, m in rz:
+                phase[q + 1] *= m[1, 1] / m[0, 0]
+        stages.append(SectorStage(idx[:, 1], idx[:, 0], blocks.reshape(-1, 2, 2), phase))
+    return stages
+
+
+def apply_sector_stages(state: SectorVector, stages) -> SectorVector:
+    """Apply lowered stages to ``state`` in place; a stage costs O(n)."""
+    psi = state.amplitudes
+    for b, a, blocks, phase in stages:
+        amp_b, amp_a = psi[b], psi[a]
+        psi[b] = blocks[:, 0, 0] * amp_b + blocks[:, 0, 1] * amp_a
+        psi[a] = blocks[:, 1, 0] * amp_b + blocks[:, 1, 1] * amp_a
+        if phase is not None:
+            psi *= phase
+    return state
+
+
 @dataclass
 class AngleSchedule:
     """Per-pair angle assignment for the step operator.
@@ -207,11 +293,28 @@ class StepOperator:
     n_qubits: int
     variant: str = "walk"
 
-    def apply(self, state: StateVector) -> StateVector:
+    def apply(self, state: StateVector | SectorVector):
+        """Apply one step to ``state`` in place and return it.
+
+        A :class:`SectorVector` runs on the cached sector lowering (XY/RZ
+        gates only, else ``ValueError``); a :class:`StateVector` runs gate
+        by gate on the dense amplitudes.
+        """
+        if isinstance(state, SectorVector):
+            if state.n_qubits != self.n_qubits:
+                raise ValueError(f"state has {state.n_qubits} qubits, "
+                                 f"step operator {self.n_qubits}")
+            return apply_sector_stages(state, self.sector_stages)
         for _tess, gates in self.layers:
             for g in gates:
                 apply_gate(state, g)
         return state
+
+    @cached_property
+    def sector_stages(self) -> list:
+        """The step lowered by :func:`lower_to_sector`, computed on first use."""
+        return lower_to_sector((g for _t, gates in self.layers for g in gates),
+                               self.n_qubits)
 
     def two_qubit_gate_count(self) -> int:
         return sum(1 for _t, gates in self.layers for g in gates if g.n_targets == 2)

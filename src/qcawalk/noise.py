@@ -31,7 +31,7 @@ Two noisy backends consume those channels:
   one-particle sector and the step uses only number-conserving gates
   (always true for these walks), trajectories run in an exact
   (V+1)-dimensional invariant subspace, which keeps registers of 16+
-  qubits cheap.
+  qubits cheap; ``run_walk`` passes a :class:`SectorVector` directly.
 
 Rates are not published for the emulated processor; ``calibrate_rates``
 infers (K, delta) from the native gate-set's average fidelities.
@@ -46,13 +46,14 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import least_squares
 
-from .gates import GateSpec, StepOperator
+from .gates import SECTOR_GATES, GateSpec, StepOperator
 from .states import (
     LEAKAGE,
     TRAJECTORY_STREAM,
     DensityMatrix,
     Distribution,
     SectorDensity,
+    SectorVector,
     StateVector,
     sector_basis,
 )
@@ -75,9 +76,6 @@ DEFAULT_FIDELITY_TARGETS = {
 }
 
 _RAISING_TOL = 1e-10
-
-#: Gates that keep a state inside span{vacuum, one-hot states}.
-_SECTOR_GATES = frozenset({"XY", "RZ"})
 
 
 @dataclass(frozen=True)
@@ -378,7 +376,7 @@ def _sector_lowering(kraus: tuple):
 
 def _evolve_sector_density(rho: SectorDensity, step: StepOperator, noise: NoiseModel,
                            cache: dict) -> SectorDensity:
-    foreign = step.gate_names() - _SECTOR_GATES
+    foreign = step.gate_names() - SECTOR_GATES
     if foreign:
         raise ValueError(f"gates {sorted(foreign)} leave span{{vacuum, one-hot}}; "
                          "evolve a DensityMatrix instead")
@@ -418,7 +416,7 @@ def average_gate_fidelity(channel: GateChannel) -> float:
 
 def _sector_compatible(init: StateVector, step: StepOperator) -> bool:
     """True when the run stays inside span{vacuum, one-hot states}."""
-    if not step.gate_names() <= _SECTOR_GATES:
+    if not step.gate_names() <= SECTOR_GATES:
         return False
     keep = np.zeros(2**init.n_qubits, dtype=bool)
     keep[sector_basis(init.n_qubits)] = True
@@ -520,12 +518,12 @@ def _mean_sector_distribution(psi: np.ndarray, V: int) -> Distribution:
     return Distribution({k: v / total for k, v in outcomes.items()})
 
 
-def _trajectories_sector(init: StateVector, step: StepOperator, noise: NoiseModel,
+def _trajectories_sector(init: SectorVector, step: StepOperator, noise: NoiseModel,
                          n_traj: int, seed, steps: int) -> list:
     V = init.n_qubits
     rng = np.random.default_rng(np.random.SeedSequence([seed, TRAJECTORY_STREAM]))
     psi = np.zeros((n_traj, V + 1), dtype=complex)
-    psi[:] = init.amplitudes[sector_basis(V)]
+    psi[:] = init.amplitudes
     norms = np.sqrt(np.sum(np.abs(psi) ** 2, axis=1))
     psi /= norms[:, None]
 
@@ -638,7 +636,7 @@ def _trajectories_full(init: StateVector, step: StepOperator, noise: NoiseModel,
     return out
 
 
-def trajectory_run(init: StateVector, step: StepOperator, noise: NoiseModel,
+def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: NoiseModel,
                    n_traj: int, seed: int, steps: int = 1,
                    record_steps: bool = False, force_full: bool = False):
     """Average vertex+leakage distribution over stochastic trajectories.
@@ -648,13 +646,28 @@ def trajectory_run(init: StateVector, step: StepOperator, noise: NoiseModel,
     mean converges to the density-matrix evolution.  Deterministic under
     (seed, n_traj).  Returns the final Distribution, or the per-step list
     (including step 0) when ``record_steps`` is set.
+
+    A :class:`SectorVector` always runs in the (V+1)-dimensional sector
+    (XY/RZ steps only, else ``ValueError``); a :class:`StateVector` does
+    when it lies in that span and ``force_full`` is unset, and otherwise
+    runs on the dense 2^n reference path.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if not force_full and _sector_compatible(init, step):
+    if isinstance(init, SectorVector):
+        foreign = step.gate_names() - SECTOR_GATES
+        if foreign:
+            raise ValueError(f"gates {sorted(foreign)} leave span{{vacuum, one-hot}}; "
+                             "pass a StateVector instead")
+        if force_full:
+            raise ValueError("force_full needs a StateVector")
         dists = _trajectories_sector(init, step, noise, n_traj, seed, steps)
+    elif not force_full and _sector_compatible(init, step):
+        keep = sector_basis(init.n_qubits)
+        dists = _trajectories_sector(SectorVector(init.n_qubits, init.amplitudes[keep]),
+                                     step, noise, n_traj, seed, steps)
     else:
         dists = _trajectories_full(init, step, noise, n_traj, seed, steps)
     return dists if record_steps else dists[-1]

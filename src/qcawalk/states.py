@@ -1,5 +1,5 @@
-"""State representations (dense vectors and densities, and the density
-restricted to the one-particle sector) and basis-index arithmetic.
+"""State representations (dense vectors and densities, and the vector and
+density restricted to the one-particle sector) and basis-index arithmetic.
 
 The register encodes one lattice vertex per qubit: vertex ``v`` occupied
 means qubit ``v`` is |1>.  Basis indices are little-endian, i.e. bit ``k``
@@ -32,30 +32,36 @@ SHOT_STREAM = 0
 TRAJECTORY_STREAM = 1
 
 
-class StateVector:
-    """Pure state of an ``n_qubits`` register as a dense amplitude array."""
+class _PureState:
+    """Amplitude array of an ``n_qubits`` register, shared by the two pure
+    representations; index 0 is the vacuum in both."""
 
     __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray):
         amplitudes = np.asarray(amplitudes, dtype=complex)
-        if amplitudes.shape != (2**n_qubits,):
+        dim = self.dimension(n_qubits)
+        if amplitudes.shape != (dim,):
             raise ValueError(
                 f"amplitude array has shape {amplitudes.shape}, "
-                f"expected ({2**n_qubits},) for {n_qubits} qubits"
+                f"expected ({dim},) for {n_qubits} qubits"
             )
         self.n_qubits = n_qubits
         self.amplitudes = amplitudes
 
+    @staticmethod
+    def dimension(n_qubits: int) -> int:
+        raise NotImplementedError
+
     @classmethod
-    def vacuum(cls, n_qubits: int) -> "StateVector":
+    def vacuum(cls, n_qubits: int):
         """All-qubits-|0> state."""
-        amp = np.zeros(2**n_qubits, dtype=complex)
+        amp = np.zeros(cls.dimension(n_qubits), dtype=complex)
         amp[0] = 1.0
         return cls(n_qubits, amp)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
+    def copy(self):
+        return type(self)(self.n_qubits, self.amplitudes.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -64,7 +70,33 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
     def __repr__(self) -> str:
-        return f"StateVector(n_qubits={self.n_qubits})"
+        return f"{type(self).__name__}(n_qubits={self.n_qubits})"
+
+
+class StateVector(_PureState):
+    """Pure state of an ``n_qubits`` register as a dense amplitude array."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def dimension(n_qubits: int) -> int:
+        return 2**n_qubits
+
+
+class SectorVector(_PureState):
+    """Pure state confined to span{vacuum, one-hot} of an ``n_qubits`` register.
+
+    ``amplitudes`` has n+1 entries with the index convention of
+    :class:`SectorDensity`: index 0 is the vacuum, index v+1 the one-hot
+    state of vertex v.  XY and RZ gates never leave this span, so the
+    ideal walk evolves exactly on it.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def dimension(n_qubits: int) -> int:
+        return n_qubits + 1
 
 
 class _MixedState:
@@ -150,8 +182,11 @@ class SectorDensity(_MixedState):
         self.entries = entries
 
     @classmethod
-    def from_statevector(cls, state: StateVector) -> "SectorDensity":
+    def from_statevector(cls, state: StateVector | SectorVector) -> "SectorDensity":
         """Restrict a pure state to the sector; raise if it has weight outside."""
+        if isinstance(state, SectorVector):
+            amp = state.amplitudes
+            return cls(state.n_qubits, np.outer(amp, amp.conj()))
         keep = sector_basis(state.n_qubits)
         outside = np.ones(state.amplitudes.shape, dtype=bool)
         outside[keep] = False
@@ -256,13 +291,20 @@ def onehot_vertex(index: int, n_qubits: int) -> int:
     return index.bit_length() - 1
 
 
-def sector_project(state: StateVector, vertex_count: int) -> SectorState:
+def sector_project(state: StateVector | SectorVector, vertex_count: int) -> SectorState:
     """Project a register state onto the one-particle sector.
 
-    Leakage (norm outside the sector) is reported, never raised.
+    Leakage (norm outside the sector) is reported, never raised.  For a
+    :class:`SectorVector` it is summed from the amplitudes outside the
+    first ``vertex_count`` one-hot states (just the vacuum when they cover
+    the register) rather than as a difference of norms.
     """
     if vertex_count > state.n_qubits:
         raise ValueError("vertex count exceeds register size")
+    if isinstance(state, SectorVector):
+        probs = state.probabilities()
+        leakage = float(probs[0] + probs[vertex_count + 1:].sum())
+        return SectorState(vertex_count, state.amplitudes[1:vertex_count + 1].copy(), leakage)
     idx = np.left_shift(1, np.arange(vertex_count))
     amps = state.amplitudes[idx].copy()
     total = float(np.vdot(state.amplitudes, state.amplitudes).real)

@@ -3,7 +3,12 @@
 ``run_walk`` evolves a register by repeated application of the step
 operator on one of three backends (pure statevector, density matrix,
 quantum trajectories) and records exact and sampled vertex distributions
-at every step, including step 0.
+at every step, including step 0.  All three start from the same
+:class:`SectorVector` (``initial_sector_state``): the initial state
+prepared directly on span{vacuum, one-hot}, where the ideal backend then
+stays, so no 2^V array is formed.  The dense ``qw_init``,
+``search_initializer`` and ``initial_state`` prepare the same states on
+the full register, as the reference the sector path is tested against.
 
 ``sector_oracle`` is a deliberately independent realisation of the same
 dynamics: each tessellation layer is written directly as a V x V matrix on
@@ -28,7 +33,9 @@ from .gates import (
     GateSpec,
     StepOperator,
     apply_gate,
+    apply_sector_stages,
     build_step_operator,
+    lower_to_sector,
 )
 from .lattice import Lattice, tessellations_for
 from .states import (
@@ -36,10 +43,10 @@ from .states import (
     SHOT_STREAM,
     Distribution,
     SectorDensity,
+    SectorVector,
     StateVector,
     onehot_index,
     sample_counts,
-    sector_basis,
     sector_project,
 )
 
@@ -138,18 +145,23 @@ def qw_init(lattice: Lattice, site: int, symmetric: bool = False) -> StateVector
     RZ(-pi/2), giving (|site> + |site+1>)/sqrt(2) up to a global phase;
     both sites then carry probability 1/2.
     """
-    V = lattice.vertex_count
-    if not 0 <= site < V:
+    state = StateVector.vacuum(lattice.vertex_count)
+    for g in _walk_init_gates(lattice, site, symmetric):
+        apply_gate(state, g)
+    return state
+
+
+def _walk_init_gates(lattice: Lattice, site: int, symmetric: bool) -> list[GateSpec]:
+    if not 0 <= site < lattice.vertex_count:
         raise ValueError(f"init site {site} out of range")
-    state = StateVector.vacuum(V)
-    apply_gate(state, GateSpec("RX", math.pi, (site,)))
+    gates = [GateSpec("RX", math.pi, (site,))]
     if symmetric:
         partner = lattice.right_neighbor(site)
-        apply_gate(state, GateSpec("XY", WALK_ANGLE, (site, partner)))
         # phase correction on the newly occupied qubit lines the two
         # amplitudes up to (|site> + |partner>)/sqrt(2) modulo global phase
-        apply_gate(state, GateSpec("RZ", SEARCH_RZ_ANGLE, (partner,)))
-    return state
+        gates += [GateSpec("XY", WALK_ANGLE, (site, partner)),
+                  GateSpec("RZ", SEARCH_RZ_ANGLE, (partner,))]
+    return gates
 
 
 def search_initializer_gates(vertex_count: int) -> list[GateSpec]:
@@ -244,12 +256,37 @@ def sector_oracle(lattice: Lattice, schedule: AngleSchedule,
 
 
 def initial_state(config: WalkConfig) -> StateVector:
+    """The configured initial state on the dense 2^V register (reference)."""
     init = config.init
     if init.kind == "single":
         return qw_init(config.lattice, init.site, symmetric=False)
     if init.kind == "symmetric":
         return qw_init(config.lattice, init.site, symmetric=True)
     return search_initializer(config.lattice, config.initializer_mode)
+
+
+def initial_sector_state(config: WalkConfig) -> SectorVector:
+    """The state of :func:`initial_state`, prepared on span{vacuum, one-hot}.
+
+    The uniform ``exact`` start is written directly.  Every other start
+    is the same gate sequence as the dense preparation: its leading RX
+    acts on the vacuum, leaving the gate's first column on (vacuum, e_q);
+    the XY/RZ gates after it run through :func:`lower_to_sector`.
+    """
+    V = config.lattice.vertex_count
+    init = config.init
+    if init.kind == "search_uniform":
+        if config.initializer_mode == "exact":
+            amps = np.full(V + 1, 1 / math.sqrt(V), dtype=complex)
+            amps[0] = 0.0
+            return SectorVector(V, amps)
+        gates = search_initializer_gates(V)
+    else:
+        gates = _walk_init_gates(config.lattice, init.site, init.kind == "symmetric")
+    rx, *rest = gates
+    state = SectorVector(V, np.zeros(V + 1, dtype=complex))
+    state.amplitudes[[0, rx.targets[0] + 1]] = rx.matrix()[:, 0]
+    return apply_sector_stages(state, lower_to_sector(rest, V))
 
 
 def _shot_seed(seed: int, step: int) -> np.random.SeedSequence:
@@ -274,7 +311,7 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
     V = lattice.vertex_count
     schedule = AngleSchedule(marked=config.marked)
     step_op = build_step_operator(lattice, schedule, config.variant)
-    state = initial_state(config)
+    state = initial_sector_state(config)
 
     backend = config.backend.kind
     per_step: list = []
@@ -303,14 +340,13 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
             )
         model = noise if noise is not None else NoiseModel()
         rho = SectorDensity.from_statevector(state)
-        labels = sector_basis(V)
         cache: dict = {}
         for t in range(config.steps + 1):
             dist = _density_distribution(rho, V)
             per_step.append(_record_step(dist, config.shots, config.seed, t))
             leakage.append(dist.get(LEAKAGE))
             if full_steps is not None:
-                full_steps.append(_full_distribution(rho.diagonal_probabilities(), labels))
+                full_steps.append(_full_distribution(rho.diagonal_probabilities()))
             if t < config.steps:
                 rho = evolve_density(rho, step_op, model, channel_cache=cache)
     else:  # trajectories
@@ -347,16 +383,14 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
     return WalkResult(per_step, leakage, meta, full_steps)
 
 
-def _full_distribution(probs: np.ndarray, labels=None) -> Distribution:
-    """Raw basis-index distribution, zero entries pruned.
-
-    ``labels[i]`` is the basis index of ``probs[i]`` (default: ``i``).
-    """
+def _full_distribution(probs: np.ndarray) -> Distribution:
+    """Raw basis-index distribution of (V+1) sector probabilities, zero
+    entries pruned: index 0 is the vacuum (label 0), index v+1 the one-hot
+    label ``1 << v``."""
     probs = np.maximum(probs, 0.0)
     total = probs.sum()
     nz = np.nonzero(probs > 1e-15)[0]
-    labels = range(len(probs)) if labels is None else labels
-    return Distribution({int(labels[i]): float(probs[i] / total) for i in nz})
+    return Distribution({(1 << (int(i) - 1) if i else 0): float(probs[i] / total) for i in nz})
 
 
 def _density_distribution(rho, V: int) -> Distribution:

@@ -128,6 +128,12 @@ class TestRunExperiment:
             pb = payload_text(json.loads(Path(b).read_text()))
             assert pa == pb
 
+    @pytest.mark.parametrize("workers", [0, -2, "two"])
+    def test_bad_worker_count_rejected(self, tmp_path, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(minimal_config(), output_dir=tmp_path, workers=workers)
+        assert list(tmp_path.iterdir()) == []
+
     def test_noisy_run_emits_comparison_series(self, tmp_path):
         cfg = minimal_config(
             backends=["statevector", "density"],
@@ -251,6 +257,36 @@ class TestCli:
         assert f"N={size}" in err
         assert not out.exists()
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("env,flag", [
+        ("two", None), ("0", None), (None, "two"), (None, "0"), (None, "-3"),
+    ], ids=["env_not_integer", "env_zero", "flag_not_integer", "flag_zero",
+            "flag_negative"])
+    def test_run_bad_worker_count_fails_fast(self, tmp_path, capsys, monkeypatch,
+                                             env, flag):
+        # rejected before calibration and before any sweep point runs
+        import qcawalk.experiment as experiment
+
+        def never(*_args):
+            raise AssertionError("ran past the worker-count check")
+
+        monkeypatch.setattr(experiment, "resolve_noise", never)
+        monkeypatch.setattr(experiment, "execute_point", never)
+        if env is None:
+            monkeypatch.delenv(experiment.WORKERS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(experiment.WORKERS_ENV, env)
+        out = tmp_path / "out"
+        argv = ["run", self._write(tmp_path, minimal_config(noise="calibrate")),
+                "--output-dir", str(out)]
+        if flag is not None:
+            argv += ["--workers", flag]
+        rc = main(argv)
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert repr(env if flag is None else flag) in err
+        assert not out.exists()
 
     def test_calibrate_json_output(self, capsys):
         rc = main(["calibrate", "--json", "--grid-points", "5"])

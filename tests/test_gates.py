@@ -2,15 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcawalk import (
     AngleSchedule,
     GateSpec,
     Lattice,
+    SectorVector,
     StateVector,
+    StepOperator,
+    Tessellation,
     apply_two_qubit,
     build_step_operator,
     pauli_rotation,
+    sector_basis,
+    tessellations_for,
     xy_gate,
 )
 
@@ -186,3 +193,67 @@ class TestStepOperator:
         thetas = {g.targets: g.theta for _t, gates in op.layers for g in gates}
         assert thetas[(0, 1)] == 0.3
         assert thetas[(2, 3)] == math.pi / 4
+
+
+def _random_sector_pair(n: int, seed: int):
+    """A random normalised state on span{vacuum, one-hot}, as a dense
+    StateVector and as the SectorVector holding the same amplitudes."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    amps /= np.linalg.norm(amps)
+    dense = np.zeros(2**n, dtype=complex)
+    dense[sector_basis(n)] = amps
+    return StateVector(n, dense), SectorVector(n, amps)
+
+
+class TestSectorKernel:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        shape=st.sampled_from([("cycle", 4), ("cycle", 6), ("cycle", 8),
+                               ("cycle", 10), ("torus", 4)]),
+        variant=st.sampled_from(["walk", "search"]),
+        marked=st.integers(0, 15),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_matches_dense_reference(self, shape, variant, marked, seed, steps, data):
+        lat = Lattice(*shape)
+        V = lat.vertex_count
+        pairs = [p for tess in tessellations_for(lat) for p in tess.pairs]
+        overrides = data.draw(st.dictionaries(
+            st.sampled_from(pairs), st.floats(-math.pi, math.pi), max_size=4))
+        schedule = AngleSchedule(overrides=overrides,
+                                 marked=marked % V if variant == "search" else None)
+        op = build_step_operator(lat, schedule, variant)
+        dense, sector = _random_sector_pair(V, seed)
+        keep = sector_basis(V)
+        for _ in range(steps):
+            assert op.apply(sector) is sector
+            op.apply(dense)
+            assert np.abs(sector.amplitudes - dense.amplitudes[keep]).max() < 1e-12
+
+    def test_gate_order_within_a_layer_is_kept(self):
+        # an RZ before an XY on the same qubit, and two XY gates sharing
+        # qubit 1, in one layer
+        gates = (GateSpec("RZ", 0.3, (0,)), GateSpec("XY", 0.7, (0, 1)),
+                 GateSpec("XY", 0.4, (1, 2)), GateSpec("RZ", 1.1, (2,)),
+                 GateSpec("RZ", -0.5, (2,)))
+        op = StepOperator(((Tessellation("mixed", ((0, 1), (1, 2))), gates),), 3)
+        dense, sector = _random_sector_pair(3, 11)
+        op.apply(dense)
+        op.apply(sector)
+        assert len(op.sector_stages) == 3
+        assert np.abs(sector.amplitudes - dense.amplitudes[sector_basis(3)]).max() < 1e-14
+
+    def test_rx_step_raises(self):
+        tess = Tessellation("only", ((0, 1),))
+        op = StepOperator(((tess, (GateSpec("XY", math.pi / 4, (0, 1)),
+                                   GateSpec("RX", math.pi / 2, (2,)))),), 3)
+        with pytest.raises(ValueError, match="RX"):
+            op.apply(SectorVector.vacuum(3))
+
+    def test_register_size_mismatch_raises(self):
+        op = build_step_operator(Lattice("cycle", 4), AngleSchedule(), "walk")
+        with pytest.raises(ValueError, match="qubits"):
+            op.apply(SectorVector.vacuum(6))

@@ -15,6 +15,7 @@ from qcawalk import (
     Lattice,
     NoiseModel,
     SectorDensity,
+    SectorVector,
     WalkBackend,
     WalkConfig,
     average_gate_fidelity,
@@ -356,6 +357,40 @@ class TestTrajectoryGolden:
         got = np.array([[d.get(v) for v in range(V)] + [d.get("leakage")]
                         for d in dists])
         assert np.abs(got - np.array(golden)).max() < 1e-12
+
+
+class TestTrajectorySectorStart:
+    """run_walk starts trajectories from the SectorVector prepared in the
+    sector; the RNG draws are the ones a dense initial state gives."""
+
+    @pytest.mark.parametrize("N,init,marked", [(4, "search_uniform", 2),
+                                               (8, "symmetric", None)])
+    def test_run_walk_matches_dense_start(self, N, init, marked):
+        lat = Lattice("cycle", N)
+        cfg = WalkConfig(lat, steps=4, init=InitSpec(init, 1), marked=marked, seed=3,
+                         backend=WalkBackend("trajectories", 200))
+        res = run_walk(cfg, noise=RATES)
+        op = build_step_operator(lat, AngleSchedule(marked=marked), cfg.variant)
+        ref = trajectory_run(initial_state(cfg), op, RATES, n_traj=200, seed=3,
+                             steps=cfg.steps, record_steps=True)
+        labels = list(range(N)) + ["leakage"]
+        got = np.array([[d.get(k) for k in labels] for d in res.exact])
+        want = np.array([[d.get(k) for k in labels] for d in ref])
+        assert np.abs(got - want).max() < 1e-12
+        assert want[1:, -1].max() > 0  # some trajectories did jump
+
+    def test_sector_vector_rejects_foreign_gates_and_full_path(self):
+        from qcawalk.gates import StepOperator
+        from qcawalk.lattice import Tessellation
+
+        op = StepOperator(((Tessellation("only", ((0, 1),)),
+                            (GateSpec("RX", math.pi / 2, (0,)),)),), 2)
+        with pytest.raises(ValueError, match="RX"):
+            trajectory_run(SectorVector.vacuum(2), op, RATES, n_traj=2, seed=0)
+        walk = build_step_operator(Lattice("cycle", 4), AngleSchedule(), "walk")
+        with pytest.raises(ValueError, match="force_full"):
+            trajectory_run(SectorVector.vacuum(4), walk, RATES, n_traj=2, seed=0,
+                           force_full=True)
 
 
 class TestDegradedRatio:

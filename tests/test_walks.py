@@ -19,8 +19,10 @@ from qcawalk import (
     search_initializer_gates,
     sector_oracle,
     sector_project,
+    sector_basis,
     success_probability,
 )
+from qcawalk.walks import initial_sector_state, initial_state
 
 
 class TestQwInit:
@@ -257,3 +259,65 @@ class TestRunWalk:
     def test_marked_validation(self):
         with pytest.raises(ValueError):
             WalkConfig(Lattice("cycle", 4), steps=1, marked=7)
+
+
+class TestInitialSectorState:
+    @pytest.mark.parametrize("kind,N", [("cycle", 4), ("cycle", 8), ("torus", 4)])
+    @pytest.mark.parametrize("init", ["single", "symmetric", "search_uniform"])
+    @pytest.mark.parametrize("mode", ["exact", "literal"])
+    def test_matches_dense_preparation(self, kind, N, init, mode):
+        lat = Lattice(kind, N)
+        cfg = WalkConfig(lat, steps=1, init=InitSpec(init, N - 1), initializer_mode=mode)
+        sector = initial_sector_state(cfg)
+        dense = initial_state(cfg)
+        keep = sector_basis(lat.vertex_count)
+        assert np.abs(sector.amplitudes - dense.amplitudes[keep]).max() <= 1e-15
+
+
+class TestLargeRegisters:
+    """Ideal and trajectory runs on registers no dense 2^V array could hold."""
+
+    def test_16x16_torus_search_matches_oracle(self):
+        lat = Lattice("torus", 16)
+        schedule = AngleSchedule(marked=lat.vertex_id(3, 0))
+        cfg = WalkConfig(lat, steps=5, init=InitSpec("search_uniform"),
+                         marked=schedule.marked, seed=2)
+        m = sector_oracle(lat, schedule, "search")
+        op = build_step_operator(lat, schedule, "search")
+        state = initial_sector_state(cfg)
+        vec = state.amplitudes[1:].copy()
+        res = run_walk(cfg)
+        for t in range(cfg.steps + 1):
+            if t:
+                op.apply(state)
+                vec = m @ vec
+            assert np.abs(state.amplitudes[1:] - vec).max() < 1e-12
+            got = [res.exact[t].get(v) for v in range(lat.vertex_count)]
+            assert np.abs(np.array(got) - np.abs(vec) ** 2).max() < 1e-12
+
+    def test_64x64_torus_search_runs_without_leakage(self):
+        lat = Lattice("torus", 64)  # V = 4096
+        cfg = WalkConfig(lat, steps=3, init=InitSpec("search_uniform"),
+                         marked=lat.vertex_id(3, 0), seed=4)
+        res = run_walk(cfg)
+        assert len(res.exact) == 4
+        assert res.leakage_per_step == [0.0] * 4
+        # the marked vertex gains amplitude from the first step on
+        assert res.exact[1].get(cfg.marked) > res.exact[0].get(cfg.marked)
+
+    def test_8x8_torus_trajectory_leakage_follows_relaxation(self):
+        # every qubit relaxes for t x 4 layers x the iSWAP time, so the
+        # leaked fraction of the 400 trajectories is binomial around
+        # 1 - exp(-K T(t))
+        model = NoiseModel(relaxation_rate=3.5e4, dephasing_rate=1e3)
+        lat = Lattice("torus", 8)
+        n_traj = 400
+        cfg = WalkConfig(lat, steps=3, init=InitSpec("search_uniform"),
+                         marked=lat.vertex_id(3, 0), seed=6,
+                         backend=WalkBackend("trajectories", n_traj))
+        res = run_walk(cfg, noise=model)
+        t_layer = (math.pi / 2) / model.coupling
+        for t, leak in enumerate(res.leakage_per_step):
+            want = 1 - math.exp(-model.relaxation_rate * t * 4 * t_layer)
+            se = math.sqrt(want * (1 - want) / n_traj)
+            assert abs(leak - want) <= 5 * se + 1e-12
