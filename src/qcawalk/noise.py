@@ -24,17 +24,26 @@ Two noisy backends consume those channels:
   a scalar elsewhere, and a gate costs O(V^2).  A dense
   :class:`DensityMatrix` is evolved on the full 2^n x 2^n matrix; that
   path is the independent reference the sector path is tested against.
-* ``trajectory_run`` unravels the same channels stochastically: for every
-  gate interval a Kraus branch is sampled with probability |K_m psi|^2,
-  so the trajectory average reproduces the density evolution with no
-  time-discretisation bias.  When the initial state lives in the
-  one-particle sector and the step uses only number-conserving gates
-  (always true for these walks), trajectories run in an exact
-  (V+1)-dimensional invariant subspace, which keeps registers of 16+
-  qubits cheap; ``run_walk`` passes a :class:`SectorVector` directly.
+* ``trajectory_run`` unravels the same channels stochastically (the
+  Monte Carlo wave-function method): for every gate interval a Kraus
+  branch is sampled with probability |K_m psi|^2, so the trajectory
+  average reproduces the density evolution with no time-discretisation
+  bias.  When the initial state lives in the one-particle sector and the
+  step uses only number-conserving gates (always true for these walks),
+  trajectories run in that exact (V+1)-dimensional invariant subspace;
+  ``run_walk`` passes a :class:`SectorVector` directly.  There each
+  channel is lowered to the same blocks as the density path, and a gate
+  reads and writes only the 2-3 amplitudes it touches: the branch
+  probabilities come from each block's precomputed Gram matrix, and the
+  factor k00/sqrt(p) on every other amplitude is carried in one complex
+  scale per trajectory, folded in once per step.  A gate costs
+  O(n_traj * branches), whatever V is.
 
 Rates are not published for the emulated processor; ``calibrate_rates``
-infers (K, delta) from the native gate-set's average fidelities.
+infers (K, delta) from the native gate-set's average fidelities.  It
+builds each calibration gate's Liouvillian once per call, in three parts
+that the rates scale, so a fidelity is one matrix exponential and one
+trace against the ideal superoperator; no Kraus operators are formed.
 """
 
 from __future__ import annotations
@@ -55,6 +64,7 @@ from .states import (
     SectorDensity,
     SectorVector,
     StateVector,
+    require_count,
     sector_basis,
 )
 
@@ -351,6 +361,27 @@ def evolve_density(rho: DensityMatrix | SectorDensity, step: StepOperator,
     return DensityMatrix(n, arr)
 
 
+def _sector_blocks(kraus: tuple) -> np.ndarray:
+    """Restrict a sector-preserving channel's Kraus operators to blocks.
+
+    Returns the (M, d, d) stack of each operator on the touched indices S:
+    d = 3 with S = (vacuum, e_b, e_a) for a two-qubit channel (local
+    basis |q_a q_b>: 0 = |00>, 1 = |01>, 2 = |10>), d = 2 with
+    S = (vacuum, e_q) for one qubit.  On every other sector index the
+    operator is the scalar k00 = B[0, 0].  Raising entries must vanish for
+    the sector to be invariant; the dissipators only lower, so they do.
+    """
+    k = np.array(kraus)
+    excitations = np.array([bin(i).count("1") for i in range(k.shape[1])])
+    raising = excitations[:, None] > excitations[None, :]
+    if np.abs(k[:, raising]).max() > _RAISING_TOL:
+        raise RuntimeError("channel raises excitation number; sector path invalid")
+    d = 3 if k.shape[1] == 4 else 2
+    blocks = k[:, :d, :d].copy()
+    blocks[:, 1:, 0] = 0.0
+    return blocks
+
+
 def _sector_lowering(kraus: tuple):
     """Lower a sector-preserving channel to (T, C, s) on the (V+1) block.
 
@@ -361,17 +392,16 @@ def _sector_lowering(kraus: tuple):
     rho_SR -> C rho_SR with C = sum conj(k00_m) B_m, and
     rho_RR -> s rho_RR with s = sum |k00_m|^2.
     """
-    if kraus[0].shape[0] == 4:
-        blocks = [np.array([[k00, k0b, k0a], [0, blk[0, 0], blk[0, 1]],
-                            [0, blk[1, 0], blk[1, 1]]])
-                  for k00, k0b, k0a, blk in _sector_branches_2q(kraus)]
-    else:
-        blocks = [np.array([[k00, k01], [0, k11]])
-                  for k00, k01, k11 in _sector_branches_1q(kraus)]
+    blocks = _sector_blocks(kraus)
     T = sum(np.kron(b, b.conj()) for b in blocks)
     C = sum(np.conj(b[0, 0]) * b for b in blocks)
     s = float(sum(abs(b[0, 0]) ** 2 for b in blocks))
     return T, C, s
+
+
+def _sector_indices(targets: tuple) -> list:
+    """Sector indices a channel on ``targets`` touches: (vacuum, e_b, e_a)."""
+    return [0] + [q + 1 for q in reversed(targets)]
 
 
 def _evolve_sector_density(rho: SectorDensity, step: StepOperator, noise: NoiseModel,
@@ -395,7 +425,7 @@ def _evolve_sector_density(rho: SectorDensity, step: StepOperator, noise: NoiseM
         if lowered is None:
             lowered = cache[("sector",) + key] = _sector_lowering(ch.kraus)
         T, C, s = lowered
-        idx = [0] + [q + 1 for q in reversed(targets)]  # (vacuum, e_b, e_a)
+        idx = _sector_indices(targets)
         rows, cols = arr[idx, :], arr[:, idx]
         arr *= s
         arr[idx, :] = C @ rows
@@ -423,95 +453,84 @@ def _sector_compatible(init: StateVector, step: StepOperator) -> bool:
     return float(np.abs(init.amplitudes[~keep]).max(initial=0.0)) < 1e-12
 
 
-def _sector_branches_2q(kraus: tuple):
-    """Restrict two-qubit Kraus operators to the <=1-excitation subspace.
-
-    Local basis order |q_a q_b>: 0=|00>, 1=|01> (excitation at b),
-    2=|10> (excitation at a).  Raising entries must vanish for the
-    sector to be invariant; the dissipators only lower, so they do.
-    """
-    branches = []
-    for k in kraus:
-        raising = max(abs(k[1, 0]), abs(k[2, 0]), abs(k[3, 0]), abs(k[3, 1]), abs(k[3, 2]))
-        if raising > _RAISING_TOL:
-            raise RuntimeError("channel raises excitation number; sector path invalid")
-        branches.append((k[0, 0], k[0, 1], k[0, 2],
-                         np.array([[k[1, 1], k[1, 2]], [k[2, 1], k[2, 2]]])))
-    return branches
-
-
-def _sector_branches_1q(kraus: tuple):
-    branches = []
-    for k in kraus:
-        if abs(k[1, 0]) > _RAISING_TOL:
-            raise RuntimeError("channel raises excitation number; sector path invalid")
-        branches.append((k[0, 0], k[0, 1], k[1, 1]))
-    return branches
-
-
 def _choose_branches(probs: np.ndarray, rng) -> np.ndarray:
-    cum = np.cumsum(probs, axis=0)
+    # np.cumsum(probs, axis=0), one row at a time: the same sums, faster
+    cum = probs.copy()
+    for m in range(1, len(cum)):
+        cum[m] += cum[m - 1]
     u = rng.random(probs.shape[1]) * cum[-1]
     return np.minimum((u[None, :] >= cum).sum(axis=0), probs.shape[0] - 1)
 
 
-def _sector_apply_2q(psi: np.ndarray, branches, a: int, b: int, rng) -> None:
-    sa, sb, svac = a + 1, b + 1, 0
-    amp_a, amp_b, amp_v = psi[:, sa], psi[:, sb], psi[:, svac]
-    vertex_tot = np.sum(np.abs(psi[:, 1:]) ** 2, axis=1)
-    spect = vertex_tot - np.abs(amp_a) ** 2 - np.abs(amp_b) ** 2
-    probs = np.empty((len(branches), psi.shape[0]))
-    news = []
-    for i, (k00, k0b, k0a, blk) in enumerate(branches):
-        new_b = blk[0, 0] * amp_b + blk[0, 1] * amp_a
-        new_a = blk[1, 0] * amp_b + blk[1, 1] * amp_a
-        new_v = k00 * amp_v + k0b * amp_b + k0a * amp_a
-        news.append((new_v, new_b, new_a, k00))
-        probs[i] = (np.abs(new_a) ** 2 + np.abs(new_b) ** 2 + np.abs(new_v) ** 2
-                    + np.abs(k00) ** 2 * spect)
+#: Index pairs i < j of a 2x2 or 3x3 sector block.
+_PAIRS = {d: np.triu_indices(d, 1) for d in (2, 3)}
+
+
+def _branch_weights(blocks: np.ndarray) -> np.ndarray:
+    """Branch probabilities as a real linear map of the touched amplitudes.
+
+    A normalised state whose touched amplitudes are x takes branch m with
+    probability p_m = x^dag G_m x + |k00_m|^2 (1 - |x|^2), where
+    G_m = B_m^dag B_m.  Over the features of ``_branch_features``
+    (|x_i|^2, then Re and Im of conj(x_i) x_j for i < j, then 1) that is
+    p = W f; returns W, one row per branch.
+    """
+    gram = np.einsum("mki,mkj->mij", blocks.conj(), blocks)
+    k00_sq = np.abs(blocks[:, 0, 0]) ** 2
+    i, j = _PAIRS[blocks.shape[1]]
+    return np.concatenate([np.diagonal(gram, axis1=1, axis2=2).real - k00_sq[:, None],
+                           2 * gram[:, i, j].real, -2 * gram[:, i, j].imag,
+                           k00_sq[:, None]], axis=1)
+
+
+def _branch_features(x: np.ndarray) -> np.ndarray:
+    """Features of touched amplitudes x, one column per trajectory."""
+    i, j = _PAIRS[x.shape[0]]
+    cross = x[i].conj() * x[j]
+    return np.concatenate([x.real ** 2 + x.imag ** 2, cross.real, cross.imag,
+                           np.ones((1, x.shape[1]))])
+
+
+def _sector_jump(psi: np.ndarray, scale: np.ndarray, idx: list, blocks: np.ndarray,
+                 weights: np.ndarray, rng) -> None:
+    """Sample one Kraus branch per trajectory for a channel on sector ``idx``.
+
+    Trajectory r is the normalised state scale[r] * psi[:, r].  Only the
+    touched rows are read and written: the chosen branch's block acts on
+    them, and its k00 / sqrt(p) on all others goes into ``scale``.  A
+    scale below 1e-100 -- after a jump branch with k00 ~ 0 -- is folded
+    into its column before it underflows.
+    """
+    x = psi[idx] * scale
+    probs = weights @ _branch_features(x)
+    np.maximum(probs, 0.0, out=probs)
     choice = _choose_branches(probs, rng)
-    for i, (new_v, new_b, new_a, k00) in enumerate(news):
-        mask = choice == i
-        if not mask.any():
-            continue
-        psi[mask] *= k00
-        psi[mask, svac] = new_v[mask]
-        psi[mask, sb] = new_b[mask]
-        psi[mask, sa] = new_a[mask]
-    norms = np.sqrt(np.sum(np.abs(psi) ** 2, axis=1))
-    psi /= norms[:, None]
+    # nearly every trajectory takes the same (no-jump) branch: apply it to
+    # all as one small matrix product, then redo the others
+    top = np.bincount(choice).argmax()
+    new = blocks[top] @ x
+    other = np.flatnonzero(choice != top)
+    if other.size:
+        new[:, other] = np.einsum("rij,jr->ir", blocks[choice[other]], x[:, other])
+    inv_norm = 1.0 / np.sqrt(np.take_along_axis(probs, choice[None], 0)[0])
+    new *= inv_norm
+    scale *= blocks[choice, 0, 0] * inv_norm
+    fold = np.abs(scale) < 1e-100
+    if fold.any():
+        psi[:, fold] *= scale[fold]
+        scale[fold] = 1.0
+    psi[idx] = new * (1.0 / scale)
 
 
-def _sector_apply_1q(psi: np.ndarray, branches, q: int, rng) -> None:
-    sq = q + 1
-    amp_q, amp_v = psi[:, sq], psi[:, 0]
-    rest = np.sum(np.abs(psi) ** 2, axis=1) - np.abs(amp_q) ** 2 - np.abs(amp_v) ** 2
-    probs = np.empty((len(branches), psi.shape[0]))
-    news = []
-    for i, (k00, k01, k11) in enumerate(branches):
-        new_v = k00 * amp_v + k01 * amp_q
-        new_q = k11 * amp_q
-        news.append((new_v, new_q, k00))
-        probs[i] = np.abs(new_v) ** 2 + np.abs(new_q) ** 2 + np.abs(k00) ** 2 * rest
-    choice = _choose_branches(probs, rng)
-    for i, (new_v, new_q, k00) in enumerate(news):
-        mask = choice == i
-        if not mask.any():
-            continue
-        psi[mask] *= k00
-        psi[mask, 0] = new_v[mask]
-        psi[mask, sq] = new_q[mask]
-    norms = np.sqrt(np.sum(np.abs(psi) ** 2, axis=1))
-    psi /= norms[:, None]
-
-
-def _sector_rz(psi: np.ndarray, theta: float, q: int) -> None:
-    psi *= np.exp(-1j * theta / 2)
-    psi[:, q + 1] *= np.exp(1j * theta)
+def _normalise_trajectories(psi: np.ndarray, scale: np.ndarray) -> None:
+    """Fold each trajectory's scale into its column and renormalise it."""
+    psi *= scale
+    scale[:] = 1.0
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
 
 
 def _mean_sector_distribution(psi: np.ndarray, V: int) -> Distribution:
-    probs = np.mean(np.abs(psi) ** 2, axis=0)
+    probs = np.mean(np.abs(psi) ** 2, axis=1)
     outcomes = {v: float(probs[v + 1]) for v in range(V)}
     outcomes[LEAKAGE] = float(probs[0])
     total = sum(outcomes.values())
@@ -522,42 +541,29 @@ def _trajectories_sector(init: SectorVector, step: StepOperator, noise: NoiseMod
                          n_traj: int, seed, steps: int) -> list:
     V = init.n_qubits
     rng = np.random.default_rng(np.random.SeedSequence([seed, TRAJECTORY_STREAM]))
-    psi = np.zeros((n_traj, V + 1), dtype=complex)
-    psi[:] = init.amplitudes
-    norms = np.sqrt(np.sum(np.abs(psi) ** 2, axis=1))
-    psi /= norms[:, None]
+    # one column per trajectory, so a gate's touched indices are whole rows
+    psi = np.zeros((V + 1, n_traj), dtype=complex)
+    psi[:] = init.amplitudes[:, None]
+    scale = np.ones(n_traj, dtype=complex)
+    _normalise_trajectories(psi, scale)
 
-    branch_cache: dict = {}
-
-    def branches_for(gate: GateSpec):
-        key = (gate.name, gate.theta, gate.n_targets, gate.duration)
-        br = branch_cache.get(key)
-        if br is None:
-            ch = noisy_gate_channel(gate, noise)
-            br = _sector_branches_2q(ch.kraus) if gate.n_targets == 2 else _sector_branches_1q(ch.kraus)
-            branch_cache[key] = br
-        return br
-
-    idle_cache: dict = {}
+    channels: dict = {}
+    lowered: dict = {}
     out = [_mean_sector_distribution(psi, V)]
     for _t in range(steps):
-        for _tess, gates in step.layers:
-            for g in gates:
-                if g.name == "RZ":
-                    _sector_rz(psi, g.theta, g.targets[0])
-                elif g.n_targets == 2:
-                    _sector_apply_2q(psi, branches_for(g), g.targets[0], g.targets[1], rng)
-                else:
-                    _sector_apply_1q(psi, branches_for(g), g.targets[0], rng)
-            if noise.idle_decay and not noise.is_noiseless:
-                busy, layer_t = _layer_schedule(gates, noise, V)
-                for q in range(V):
-                    gap = layer_t - busy[q]
-                    if gap > 1e-18:
-                        br = idle_cache.get(gap)
-                        if br is None:
-                            br = idle_cache[gap] = _sector_branches_1q(idle_channel(gap, noise).kraus)
-                        _sector_apply_1q(psi, br, q, rng)
+        for key, targets, ch in _step_channels(step, noise, V, channels):
+            idx = _sector_indices(targets)
+            if key[0] == "RZ":
+                k = ch.kraus[0]
+                scale *= k[0, 0]
+                psi[idx[1]] *= k[1, 1] * np.conj(k[0, 0])
+                continue
+            low = lowered.get(key)
+            if low is None:
+                blocks = _sector_blocks(ch.kraus)
+                low = lowered[key] = (blocks, _branch_weights(blocks))
+            _sector_jump(psi, scale, idx, *low, rng)
+        _normalise_trajectories(psi, scale)
         out.append(_mean_sector_distribution(psi, V))
     return out
 
@@ -652,10 +658,8 @@ def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: 
     when it lies in that span and ``force_full`` is unset, and otherwise
     runs on the dense 2^n reference path.
     """
-    if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    n_traj = require_count("n_traj", n_traj, 1)
+    steps = require_count("steps", steps, 0)
     if isinstance(init, SectorVector):
         foreign = step.gate_names() - SECTOR_GATES
         if foreign:
@@ -712,13 +716,47 @@ class CalibrationResult:
         return "\n".join(lines)
 
 
-def _gate_fidelities(rates: tuple, targets: dict, template: NoiseModel) -> dict:
-    model = replace(template, relaxation_rate=float(rates[0]), dephasing_rate=float(rates[1]))
-    out = {}
-    for key in targets:
+def _fidelity_evaluator(keys, template: NoiseModel):
+    """Return f(K, delta) -> {key: average gate fidelity} for calibration gates.
+
+    The Liouvillian is linear in the rates, L = L_H + K L_K + delta L_delta,
+    so each gate's three parts are built once here; an evaluation is then
+    one ``expm`` per gate and F_pro = Tr(S_U^dag S) / d^2, with
+    S_U = conj(U) (x) U the ideal superoperator (``np.vdot`` conjugates
+    it).  Zero rates and zero durations give the ideal channel's fidelity,
+    as ``noisy_gate_channel`` does.  Agrees with
+    ``average_gate_fidelity(noisy_gate_channel(...))`` to rounding.
+    """
+    parts = {}
+    for key in keys:
         spec = _CALIBRATION_GATES[key]
-        out[key] = average_gate_fidelity(noisy_gate_channel(spec, model))
-    return out
+        u = spec.matrix()
+        d = u.shape[0]
+        ideal = average_gate_fidelity(GateChannel(u, (u,)))
+        t = template.duration_of(spec)
+        if t == 0.0:
+            parts[key] = (ideal, None)
+            continue
+        zero = np.zeros((d, d), dtype=complex)
+        n = spec.n_targets
+        parts[key] = (ideal, (t, d, _liouvillian((spec.theta / t) * spec.generator(), []),
+                              _liouvillian(zero, _jump_operators(n, 1.0, 0.0)),
+                              _liouvillian(zero, _jump_operators(n, 0.0, 1.0)),
+                              np.kron(u.conj(), u)))
+
+    def fidelities(relaxation: float, dephasing: float) -> dict:
+        out = {}
+        for key, (ideal, lowered) in parts.items():
+            if lowered is None or (relaxation == 0.0 and dephasing == 0.0):
+                out[key] = ideal
+                continue
+            t, d, l_h, l_k, l_d, s_u = lowered
+            s = expm((l_h + relaxation * l_k + dephasing * l_d) * t)
+            f_pro = float(np.vdot(s_u, s).real) / d**2
+            out[key] = (d * f_pro + 1.0) / (d + 1.0)
+        return out
+
+    return fidelities
 
 
 def calibrate_rates(targets: dict | None = None,
@@ -744,9 +782,10 @@ def calibrate_rates(targets: dict | None = None,
         raise ValueError("targets must include the two XY gates")
     template = template if template is not None else NoiseModel()
     gamma = template.coupling
+    fidelities = _fidelity_evaluator(targets, template)
 
     def residual_vec(x):
-        fids = _gate_fidelities((x[0] * gamma, x[1] * gamma), targets, template)
+        fids = fidelities(x[0] * gamma, x[1] * gamma)
         return [fids[k] - targets[k] for k in sorted(targets)]
 
     def ssr_of(x):
@@ -785,7 +824,6 @@ def calibrate_rates(targets: dict | None = None,
 
     model = replace(template, relaxation_rate=best_x[0] * gamma,
                     dephasing_rate=best_x[1] * gamma)
-    achieved = _gate_fidelities((model.relaxation_rate, model.dephasing_rate),
-                                targets, template)
+    achieved = fidelities(model.relaxation_rate, model.dephasing_rate)
     residuals = {k: achieved[k] - targets[k] for k in targets}
     return CalibrationResult(model, achieved, residuals, ssr_of(best_x))

@@ -155,6 +155,16 @@ class DensityMatrix(_MixedState):
         return cls(state.n_qubits, np.outer(amp, amp.conj()))
 
 
+def require_count(name: str, value, minimum: int) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` unless it is an
+    integer (a bool is not) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return int(value)
+
+
 def sector_basis(n_qubits: int) -> np.ndarray:
     """Register basis indices spanning {vacuum, one-hot}: 0, then 1 << v."""
     return np.concatenate([[0], np.left_shift(1, np.arange(n_qubits))])

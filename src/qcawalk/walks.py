@@ -46,6 +46,7 @@ from .states import (
     SectorVector,
     StateVector,
     onehot_index,
+    require_count,
     sample_counts,
     sector_project,
 )
@@ -76,8 +77,7 @@ class WalkBackend:
     def __post_init__(self):
         if self.kind not in ("statevector", "density", "trajectories"):
             raise ValueError(f"unknown backend {self.kind!r}")
-        if self.n_trajectories < 1:
-            raise ValueError("n_trajectories must be >= 1")
+        require_count("n_trajectories", self.n_trajectories, 1)
 
 
 @dataclass
@@ -96,8 +96,7 @@ class WalkConfig:
     full_distributions: bool = False  # record raw basis-index probabilities too
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+        require_count("steps", self.steps, 0)
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
         if self.marked is not None and not 0 <= self.marked < self.lattice.vertex_count:

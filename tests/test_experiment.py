@@ -237,7 +237,10 @@ class TestCli:
         ({"lattice": {"kind": "torus", "N": 2}}, 2),
         ({"lattice": {"kind": "cycle", "N": 6},
           "walk": {"variant": "search", "steps": 1, "initializer_mode": "literal"}}, 6),
-    ], ids=["site", "marked", "odd_sweep_size", "size_below_4", "literal_init_size"])
+        ({"backends": ["statevector", "trajectories"], "n_trajectories": 40.0}, 4),
+        ({"walk": {"variant": "walk", "steps": 2.0}}, 4),
+    ], ids=["site", "marked", "odd_sweep_size", "size_below_4", "literal_init_size",
+            "float_n_trajectories", "float_steps"])
     def test_run_unexpressible_config_fails_fast(self, tmp_path, capsys, monkeypatch,
                                                  overrides, size):
         # rejected before calibration and before any sweep point runs

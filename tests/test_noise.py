@@ -33,7 +33,13 @@ from qcawalk import (
     sector_basis,
     trajectory_run,
 )
-from qcawalk.noise import _jump_operators, _liouvillian
+from qcawalk.noise import (
+    _CALIBRATION_GATES,
+    DEFAULT_COUPLING,
+    _fidelity_evaluator,
+    _jump_operators,
+    _liouvillian,
+)
 from qcawalk.walks import initial_state
 
 RATES = NoiseModel(relaxation_rate=3e4, dephasing_rate=2e3)
@@ -393,6 +399,80 @@ class TestTrajectorySectorStart:
                            force_full=True)
 
 
+class TestTrajectoryExactReference:
+    """Trajectory means against the exact sector density, step by step.
+
+    A trajectory's probability of any one outcome lies in [0, 1], so its
+    variance is at most p (1 - p) for mean p; every vertex and the leakage
+    must sit within 5 standard errors of the density value."""
+
+    @pytest.mark.parametrize("kind,N,init,marked,cap", [
+        ("cycle", 4, "search_uniform", 2, 12),
+        ("cycle", 8, "symmetric", None, 12),
+        ("torus", 4, "search_uniform", 3, 16),
+    ], ids=["cycle4_search", "cycle8_walk", "torus4_search"])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_within_five_standard_errors(self, kind, N, init, marked, cap, seed):
+        n_traj = 2000
+        lat = Lattice(kind, N)
+
+        def run(backend):
+            cfg = WalkConfig(lat, steps=6, init=InitSpec(init, 1), marked=marked,
+                             seed=seed, backend=backend, density_cap=cap)
+            labels = list(range(lat.vertex_count)) + ["leakage"]
+            return np.array([[d.get(k) for k in labels]
+                             for d in run_walk(cfg, noise=RATES).exact])
+
+        exact = run(WalkBackend("density"))
+        sampled = run(WalkBackend("trajectories", n_traj))
+        bound = np.maximum(5 * np.sqrt(exact * (1 - exact) / n_traj), 1e-12)
+        assert np.all(np.abs(sampled - exact) <= bound)
+        assert exact[1:, -1].min() > 0  # the jump branches ran
+
+
+class TestTrajectoryKernelEdges:
+    """Pinned runs where jump branches with k00 ~ 0 dominate (their scale
+    is folded into the row) and where only dephasing acts."""
+
+    @pytest.mark.parametrize("model,leakage", [
+        (NoiseModel(relaxation_rate=1e9), [0, 1, 1, 1, 1]),
+        (NoiseModel(relaxation_rate=3e7, dephasing_rate=3e7),
+         [0, 0.956666666667, 0.996666666667, 1, 1]),
+        (NoiseModel(dephasing_rate=1e8), [0, 0, 0, 0, 0]),
+    ], ids=["relaxation_1e9", "both_3e7", "dephasing_1e8"])
+    def test_strong_noise_pinned(self, model, leakage):
+        lat = Lattice("cycle", 8)
+        op = build_step_operator(lat, AngleSchedule(marked=2), "search")
+        dists = trajectory_run(search_initializer(lat, "exact"), op, model, n_traj=300,
+                               seed=5, steps=4, record_steps=True)
+        got = [d.get("leakage") for d in dists]
+        assert np.abs(np.array(got) - leakage).max() < 1e-12
+        if model.relaxation_rate == 0.0:
+            assert dists[-1].get(2) == pytest.approx(0.086999339504, abs=1e-12)
+
+    @pytest.mark.parametrize("model", [RATES, NoiseModel(relaxation_rate=1e9)])
+    def test_single_trajectory(self, model):
+        lat = Lattice("cycle", 8)
+        op = build_step_operator(lat, AngleSchedule(marked=2), "search")
+        dists = trajectory_run(search_initializer(lat, "exact"), op, model, n_traj=1,
+                               seed=5, steps=4, record_steps=True)
+        for d in dists:
+            values = np.array(list(d.outcomes.values()))
+            assert np.all(np.isfinite(values))
+            assert values.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"n_traj": 2.0}, "n_traj"), ({"n_traj": True}, "n_traj"),
+        ({"steps": 2.5}, "steps"), ({"steps": True}, "steps"),
+    ])
+    def test_non_integer_sizes_rejected(self, kwargs, name):
+        lat = Lattice("cycle", 4)
+        op = build_step_operator(lat, AngleSchedule(), "walk")
+        args = {"n_traj": 2, "steps": 1, **kwargs}
+        with pytest.raises(ValueError, match=name):
+            trajectory_run(qw_init(lat, 0), op, RATES, seed=0, **args)
+
+
 class TestDegradedRatio:
     def test_noise_never_amplifies_the_peak(self, calibrated_noise):
         # exact distributions: the noisy success probability stays at or
@@ -469,6 +549,34 @@ class TestCalibration:
     def test_unknown_gate_rejected(self):
         with pytest.raises(ValueError):
             calibrate_rates({"sqrt_iswap": 0.9, "iswap": 0.9, "cnot": 0.9})
+
+
+class TestCalibrationPins:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        K=st.floats(0.0, 1e6),
+        delta=st.floats(0.0, 1e6),
+        coupling=st.sampled_from([DEFAULT_COUPLING, 2 * math.pi * 1e6,
+                                  2 * math.pi * 2e7]),
+    )
+    def test_cached_liouvillian_fidelity_matches_kraus_channel(self, K, delta, coupling):
+        template = NoiseModel(coupling=coupling)
+        got = _fidelity_evaluator(list(_CALIBRATION_GATES), template)(K, delta)
+        model = replace(template, relaxation_rate=K, dephasing_rate=delta)
+        for key, spec in _CALIBRATION_GATES.items():
+            want = average_gate_fidelity(noisy_gate_channel(spec, model))
+            assert abs(got[key] - want) < 1e-13
+
+    def test_default_fit_pinned(self, calibration):
+        assert calibration.model.relaxation_rate == pytest.approx(35142.84528761483,
+                                                                  rel=1e-9)
+        assert calibration.model.dephasing_rate == pytest.approx(0.0030420019902574727,
+                                                                 rel=1e-6)
+        want = {"rx": 4.1432249049289105e-05, "ry": 4.1432249049289105e-05, "rz": 0.0,
+                "iswap": -0.00010417154501995984, "sqrt_iswap": 0.0001975287581071905}
+        assert calibration.residuals.keys() == want.keys()
+        for key, value in want.items():
+            assert abs(calibration.residuals[key] - value) < 1e-12
 
 
 class TestNoiseModel:

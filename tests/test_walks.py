@@ -260,6 +260,13 @@ class TestRunWalk:
         with pytest.raises(ValueError):
             WalkConfig(Lattice("cycle", 4), steps=1, marked=7)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    def test_non_integer_sizes_rejected(self, value):
+        with pytest.raises(ValueError, match="n_trajectories"):
+            WalkBackend("trajectories", value)
+        with pytest.raises(ValueError, match="steps"):
+            WalkConfig(Lattice("cycle", 4), steps=value)
+
 
 class TestInitialSectorState:
     @pytest.mark.parametrize("kind,N", [("cycle", 4), ("cycle", 8), ("torus", 4)])
