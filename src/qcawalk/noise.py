@@ -32,12 +32,10 @@ Two noisy backends consume those channels:
   step uses only number-conserving gates (always true for these walks),
   trajectories run in that exact (V+1)-dimensional invariant subspace;
   ``run_walk`` passes a :class:`SectorVector` directly.  There each
-  channel is lowered to the same blocks as the density path, and a gate
-  reads and writes only the 2-3 amplitudes it touches: the branch
-  probabilities come from each block's precomputed Gram matrix, and the
-  factor k00/sqrt(p) on every other amplitude is carried in one complex
-  scale per trajectory, folded in once per step.  A gate costs
-  O(n_traj * branches), whatever V is.
+  channel is lowered to the same blocks as the density path; a gate
+  reads the 2-3 amplitudes it touches, gets every branch from one matrix
+  product, and scales the rest of each trajectory by its branch's
+  scalar.  Trajectories are renormalised once per step.
 
 Rates are not published for the emulated processor; ``calibrate_rates``
 infers (K, delta) from the native gate-set's average fidelities.  It
@@ -454,79 +452,30 @@ def _sector_compatible(init: StateVector, step: StepOperator) -> bool:
 
 
 def _choose_branches(probs: np.ndarray, rng) -> np.ndarray:
-    # np.cumsum(probs, axis=0), one row at a time: the same sums, faster
-    cum = probs.copy()
-    for m in range(1, len(cum)):
-        cum[m] += cum[m - 1]
+    cum = np.cumsum(probs, axis=0)
     u = rng.random(probs.shape[1]) * cum[-1]
     return np.minimum((u[None, :] >= cum).sum(axis=0), probs.shape[0] - 1)
 
 
-#: Index pairs i < j of a 2x2 or 3x3 sector block.
-_PAIRS = {d: np.triu_indices(d, 1) for d in (2, 3)}
-
-
-def _branch_weights(blocks: np.ndarray) -> np.ndarray:
-    """Branch probabilities as a real linear map of the touched amplitudes.
-
-    A normalised state whose touched amplitudes are x takes branch m with
-    probability p_m = x^dag G_m x + |k00_m|^2 (1 - |x|^2), where
-    G_m = B_m^dag B_m.  Over the features of ``_branch_features``
-    (|x_i|^2, then Re and Im of conj(x_i) x_j for i < j, then 1) that is
-    p = W f; returns W, one row per branch.
-    """
-    gram = np.einsum("mki,mkj->mij", blocks.conj(), blocks)
-    k00_sq = np.abs(blocks[:, 0, 0]) ** 2
-    i, j = _PAIRS[blocks.shape[1]]
-    return np.concatenate([np.diagonal(gram, axis1=1, axis2=2).real - k00_sq[:, None],
-                           2 * gram[:, i, j].real, -2 * gram[:, i, j].imag,
-                           k00_sq[:, None]], axis=1)
-
-
-def _branch_features(x: np.ndarray) -> np.ndarray:
-    """Features of touched amplitudes x, one column per trajectory."""
-    i, j = _PAIRS[x.shape[0]]
-    cross = x[i].conj() * x[j]
-    return np.concatenate([x.real ** 2 + x.imag ** 2, cross.real, cross.imag,
-                           np.ones((1, x.shape[1]))])
-
-
-def _sector_jump(psi: np.ndarray, scale: np.ndarray, idx: list, blocks: np.ndarray,
-                 weights: np.ndarray, rng) -> None:
+def _sector_jump(psi: np.ndarray, idx: list, blocks: np.ndarray, rng) -> None:
     """Sample one Kraus branch per trajectory for a channel on sector ``idx``.
 
-    Trajectory r is the normalised state scale[r] * psi[:, r].  Only the
-    touched rows are read and written: the chosen branch's block acts on
-    them, and its k00 / sqrt(p) on all others goes into ``scale``.  A
-    scale below 1e-100 -- after a jump branch with k00 ~ 0 -- is folded
-    into its column before it underflows.
+    Each column of ``psi`` is a normalised trajectory with touched
+    amplitudes x = psi[idx].  Branch m maps x to B_m x and every other
+    amplitude to k00_m times itself, so it is taken with probability
+    p_m = |B_m x|^2 + |k00_m|^2 (1 - |x|^2).  All branches come from one
+    matrix product; the chosen one is written back divided by sqrt(p).
     """
-    x = psi[idx] * scale
-    probs = weights @ _branch_features(x)
-    np.maximum(probs, 0.0, out=probs)
+    x = psi[idx]
+    m, d, _ = blocks.shape
+    y = (blocks.reshape(m * d, d) @ x).reshape(m, d, -1)
+    rest = np.maximum(1.0 - np.sum(np.abs(x) ** 2, axis=0), 0.0)
+    probs = np.sum(np.abs(y) ** 2, axis=1) + np.abs(blocks[:, 0, 0])[:, None] ** 2 * rest
     choice = _choose_branches(probs, rng)
-    # nearly every trajectory takes the same (no-jump) branch: apply it to
-    # all as one small matrix product, then redo the others
-    top = np.bincount(choice).argmax()
-    new = blocks[top] @ x
-    other = np.flatnonzero(choice != top)
-    if other.size:
-        new[:, other] = np.einsum("rij,jr->ir", blocks[choice[other]], x[:, other])
-    inv_norm = 1.0 / np.sqrt(np.take_along_axis(probs, choice[None], 0)[0])
-    new *= inv_norm
-    scale *= blocks[choice, 0, 0] * inv_norm
-    fold = np.abs(scale) < 1e-100
-    if fold.any():
-        psi[:, fold] *= scale[fold]
-        scale[fold] = 1.0
-    psi[idx] = new * (1.0 / scale)
-
-
-def _normalise_trajectories(psi: np.ndarray, scale: np.ndarray) -> None:
-    """Fold each trajectory's scale into its column and renormalise it."""
-    psi *= scale
-    scale[:] = 1.0
-    psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
+    cols = np.arange(psi.shape[1])
+    inv_norm = 1.0 / np.sqrt(probs[choice, cols])
+    psi *= blocks[choice, 0, 0] * inv_norm
+    psi[idx] = y[choice, :, cols].T * inv_norm
 
 
 def _mean_sector_distribution(psi: np.ndarray, V: int) -> Distribution:
@@ -544,8 +493,7 @@ def _trajectories_sector(init: SectorVector, step: StepOperator, noise: NoiseMod
     # one column per trajectory, so a gate's touched indices are whole rows
     psi = np.zeros((V + 1, n_traj), dtype=complex)
     psi[:] = init.amplitudes[:, None]
-    scale = np.ones(n_traj, dtype=complex)
-    _normalise_trajectories(psi, scale)
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
 
     channels: dict = {}
     lowered: dict = {}
@@ -553,17 +501,15 @@ def _trajectories_sector(init: SectorVector, step: StepOperator, noise: NoiseMod
     for _t in range(steps):
         for key, targets, ch in _step_channels(step, noise, V, channels):
             idx = _sector_indices(targets)
-            if key[0] == "RZ":
+            if key[0] == "RZ" and len(ch.kraus) == 1:
                 k = ch.kraus[0]
-                scale *= k[0, 0]
                 psi[idx[1]] *= k[1, 1] * np.conj(k[0, 0])
                 continue
-            low = lowered.get(key)
-            if low is None:
-                blocks = _sector_blocks(ch.kraus)
-                low = lowered[key] = (blocks, _branch_weights(blocks))
-            _sector_jump(psi, scale, idx, *low, rng)
-        _normalise_trajectories(psi, scale)
+            blocks = lowered.get(key)
+            if blocks is None:
+                blocks = lowered[key] = _sector_blocks(ch.kraus)
+            _sector_jump(psi, idx, blocks, rng)
+        psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
         out.append(_mean_sector_distribution(psi, V))
     return out
 

@@ -429,10 +429,40 @@ class TestTrajectoryExactReference:
         assert np.all(np.abs(sampled - exact) <= bound)
         assert exact[1:, -1].min() > 0  # the jump branches ran
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rz_with_duration_is_sampled(self, seed):
+        # an RZ given a duration is a noisy channel with several Kraus
+        # operators, so it must be sampled like any other gate
+        from qcawalk.gates import StepOperator
+        from qcawalk.lattice import Tessellation
+
+        n_traj = 2000
+        even = Tessellation("even", ((0, 1), (2, 3)))
+        odd = Tessellation("odd", ((1, 2), (3, 0)))
+        op = StepOperator((
+            (even, (GateSpec("XY", math.pi / 4, (0, 1)), GateSpec("XY", math.pi / 4, (2, 3)),
+                    GateSpec("RZ", 0.7, (1,), duration=1e-8),
+                    GateSpec("RZ", -1.1, (2,), duration=1e-8))),
+            (odd, (GateSpec("XY", math.pi / 4, (1, 2)), GateSpec("XY", math.pi / 4, (3, 0)))),
+        ), 4)
+        assert len(noisy_gate_channel(op.layers[0][1][2], RATES).kraus) > 1
+        init = SectorVector(4, np.array([0, 1, 1j, 0, 0]) / math.sqrt(2))
+        sampled = trajectory_run(init, op, RATES, n_traj=n_traj, seed=seed, steps=6,
+                                 record_steps=True)
+        rho = SectorDensity.from_statevector(init)
+        cache: dict = {}
+        for t, dist in enumerate(sampled):
+            if t:
+                rho = evolve_density(rho, op, RATES, channel_cache=cache)
+            exact = rho.diagonal_probabilities()
+            got = np.array([dist.get("leakage")] + [dist.get(v) for v in range(4)])
+            bound = np.maximum(5 * np.sqrt(exact * (1 - exact) / n_traj), 1e-12)
+            assert np.all(np.abs(got - exact) <= bound)
+
 
 class TestTrajectoryKernelEdges:
-    """Pinned runs where jump branches with k00 ~ 0 dominate (their scale
-    is folded into the row) and where only dephasing acts."""
+    """Pinned runs where jump branches with k00 ~ 0 dominate and where
+    only dephasing acts."""
 
     @pytest.mark.parametrize("model,leakage", [
         (NoiseModel(relaxation_rate=1e9), [0, 1, 1, 1, 1]),
