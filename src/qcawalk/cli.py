@@ -81,7 +81,11 @@ def _cmd_calibrate(args) -> int:
     if args.coupling is not None:
         from .noise import NoiseModel
 
-        kwargs["template"] = NoiseModel(coupling=args.coupling)
+        try:
+            kwargs["template"] = NoiseModel(coupling=args.coupling)
+        except ValueError as exc:
+            print(f"error: --coupling: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     result = calibrate_rates(grid_points=args.grid_points, **kwargs)
     if args.json:
         print(json.dumps({

@@ -81,12 +81,20 @@ def run_record_schema() -> dict:
 
 
 def validate_config(raw: dict) -> list:
-    """Schema diagnostics for a raw config dict ([] when valid)."""
+    """Schema diagnostics for a raw config dict ([] when valid), plus the
+    :class:`NoiseModel` checks on explicit noise values, which reject the
+    ``NaN`` and ``Infinity`` that Python's ``json`` parses and the schema
+    admits."""
     validator = jsonschema.Draft202012Validator(config_schema())
     out = []
     for err in sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path)):
         where = "/".join(str(p) for p in err.absolute_path) or "<root>"
         out.append(f"{where}: {err.message}")
+    if not out and isinstance(raw.get("noise"), dict):
+        try:
+            NoiseModel.from_dict(raw["noise"])
+        except ValueError as exc:
+            out.append(f"noise: {exc}")
     return out
 
 
@@ -122,7 +130,6 @@ def _apply_defaults(raw: dict) -> dict:
     cfg.setdefault("seed", 0)
     cfg.setdefault("backends", ["statevector"])
     cfg.setdefault("n_trajectories", 2000)
-    cfg.setdefault("density_cap", 12)
     cfg.setdefault("noise", None)
     cfg.setdefault("sweep", None)
     output = cfg.setdefault("output", {})
@@ -197,7 +204,6 @@ def _walk_config(point: dict, backend: str, noise: NoiseModel | None) -> WalkCon
         seed=point["run_seed"],
         backend=WalkBackend(backend, point["n_trajectories"]),
         initializer_mode=walk["initializer_mode"],
-        density_cap=point["density_cap"],
     )
 
 

@@ -28,14 +28,14 @@ Two noisy backends consume those channels:
   Monte Carlo wave-function method): for every gate interval a Kraus
   branch is sampled with probability |K_m psi|^2, so the trajectory
   average reproduces the density evolution with no time-discretisation
-  bias.  When the initial state lives in the one-particle sector and the
-  step uses only number-conserving gates (always true for these walks),
-  trajectories run in that exact (V+1)-dimensional invariant subspace;
-  ``run_walk`` passes a :class:`SectorVector` directly.  There each
-  channel is lowered to the same blocks as the density path; a gate
-  reads the 2-3 amplitudes it touches, gets every branch from one matrix
-  product, and scales the rest of each trajectory by its branch's
-  scalar.  Trajectories are renormalised once per step.
+  bias.  Trajectories run only in the (V+1)-dimensional sector, which
+  the XY/RZ steps of these walks never leave; ``run_walk`` passes a
+  :class:`SectorVector` directly.  Each channel is lowered to the same
+  blocks as the density path; a gate reads the 2-3 amplitudes it
+  touches, gets every branch from one matrix product, and scales the
+  rest of each trajectory by its branch's scalar.  Trajectories are
+  renormalised once per step.  They have no dense counterpart: the
+  exact sector density is their reference.
 
 Rates are not published for the emulated processor; ``calibrate_rates``
 infers (K, delta) from the native gate-set's average fidelities.  It
@@ -63,7 +63,6 @@ from .states import (
     SectorVector,
     StateVector,
     require_count,
-    sector_basis,
 )
 
 _SM = np.array([[0, 1], [0, 0]], dtype=complex)  # sigma_minus = |0><1|
@@ -104,6 +103,9 @@ class NoiseModel:
     idle_decay: bool = True
 
     def __post_init__(self):
+        # NaN passes every comparison below, so finiteness is checked first
+        for name in ("relaxation_rate", "dephasing_rate", "coupling"):
+            _require_finite(name, getattr(self, name))
         if self.relaxation_rate < 0 or self.dephasing_rate < 0:
             raise ValueError("rates must be non-negative")
         if self.coupling <= 0:
@@ -112,6 +114,7 @@ class NoiseModel:
             object.__setattr__(
                 self, "single_qubit_duration", (math.pi / 4) / self.coupling / 5.0
             )
+        _require_finite("single_qubit_duration", self.single_qubit_duration)
         if self.single_qubit_duration <= 0:
             raise ValueError("single-qubit duration must be positive")
 
@@ -141,6 +144,11 @@ class NoiseModel:
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseModel":
         return cls(**data)
+
+
+def _require_finite(name: str, value) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _kron_at(op: np.ndarray, k: int, n: int) -> np.ndarray:
@@ -442,15 +450,6 @@ def average_gate_fidelity(channel: GateChannel) -> float:
 # quantum-trajectory backend
 
 
-def _sector_compatible(init: StateVector, step: StepOperator) -> bool:
-    """True when the run stays inside span{vacuum, one-hot states}."""
-    if not step.gate_names() <= SECTOR_GATES:
-        return False
-    keep = np.zeros(2**init.n_qubits, dtype=bool)
-    keep[sector_basis(init.n_qubits)] = True
-    return float(np.abs(init.amplitudes[~keep]).max(initial=0.0)) < 1e-12
-
-
 def _choose_branches(probs: np.ndarray, rng) -> np.ndarray:
     cum = np.cumsum(probs, axis=0)
     u = rng.random(probs.shape[1]) * cum[-1]
@@ -514,83 +513,9 @@ def _trajectories_sector(init: SectorVector, step: StepOperator, noise: NoiseMod
     return out
 
 
-def _apply_kraus_to_state(amp: np.ndarray, k: np.ndarray, targets: tuple, n: int) -> np.ndarray:
-    axes = [n - 1 - q for q in targets]
-    dim = 2 ** len(targets)
-    t = np.moveaxis(amp.reshape([2] * n), axes, range(len(targets)))
-    t = (k @ t.reshape(dim, -1)).reshape([2] * n)
-    return np.moveaxis(t, range(len(targets)), axes).reshape(-1)
-
-
-def _full_branch_step(amp: np.ndarray, kraus: tuple, targets: tuple, n: int, rng) -> np.ndarray:
-    candidates = [_apply_kraus_to_state(amp, k, targets, n) for k in kraus]
-    probs = np.array([float(np.vdot(c, c).real) for c in candidates])
-    total = probs.sum()
-    u = rng.random() * total
-    idx = min(int(np.searchsorted(np.cumsum(probs), u, side="right")), len(kraus) - 1)
-    chosen = candidates[idx]
-    return chosen / np.sqrt(probs[idx])
-
-
-def _accumulate_sector_probs(amp: np.ndarray, V: int) -> np.ndarray:
-    probs = np.abs(amp) ** 2
-    onehots = np.left_shift(1, np.arange(V))
-    vertex = probs[onehots]
-    leak = max(float(probs.sum() - vertex.sum()), 0.0)
-    return np.concatenate([vertex, [leak]])
-
-
-def _trajectories_full(init: StateVector, step: StepOperator, noise: NoiseModel,
-                       n_traj: int, seed, steps: int) -> list:
-    n = init.n_qubits
-    V = step.n_qubits
-    channel_cache: dict = {}
-
-    def channel_for(gate: GateSpec) -> GateChannel:
-        key = (gate.name, gate.theta, gate.n_targets, gate.duration)
-        ch = channel_cache.get(key)
-        if ch is None:
-            ch = channel_cache[key] = noisy_gate_channel(gate, noise)
-        return ch
-
-    idle_cache: dict = {}
-    acc = np.zeros((steps + 1, V + 1))
-    for k in range(n_traj):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, TRAJECTORY_STREAM, k]))
-        amp = init.amplitudes.copy()
-        amp /= np.linalg.norm(amp)
-        acc[0] += _accumulate_sector_probs(amp, V)
-        for t in range(steps):
-            for _tess, gates in step.layers:
-                for g in gates:
-                    ch = channel_for(g)
-                    if len(ch.kraus) == 1:
-                        amp = _apply_kraus_to_state(amp, ch.kraus[0], g.targets, n)
-                    else:
-                        amp = _full_branch_step(amp, ch.kraus, g.targets, n, rng)
-                if noise.idle_decay and not noise.is_noiseless:
-                    busy, layer_t = _layer_schedule(gates, noise, n)
-                    for q in range(n):
-                        gap = layer_t - busy[q]
-                        if gap > 1e-18:
-                            ich = idle_cache.get(gap)
-                            if ich is None:
-                                ich = idle_cache[gap] = idle_channel(gap, noise)
-                            amp = _full_branch_step(amp, ich.kraus, (q,), n, rng)
-            acc[t + 1] += _accumulate_sector_probs(amp, V)
-    acc /= n_traj
-    out = []
-    for row in acc:
-        outcomes = {v: float(row[v]) for v in range(V)}
-        outcomes[LEAKAGE] = float(row[V])
-        total = sum(outcomes.values())
-        out.append(Distribution({k2: v / total for k2, v in outcomes.items()}))
-    return out
-
-
 def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: NoiseModel,
                    n_traj: int, seed: int, steps: int = 1,
-                   record_steps: bool = False, force_full: bool = False):
+                   record_steps: bool = False):
     """Average vertex+leakage distribution over stochastic trajectories.
 
     One Kraus branch of the exact per-gate channel is sampled per gate
@@ -599,27 +524,20 @@ def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: 
     (seed, n_traj).  Returns the final Distribution, or the per-step list
     (including step 0) when ``record_steps`` is set.
 
-    A :class:`SectorVector` always runs in the (V+1)-dimensional sector
-    (XY/RZ steps only, else ``ValueError``); a :class:`StateVector` does
-    when it lies in that span and ``force_full`` is unset, and otherwise
-    runs on the dense 2^n reference path.
+    Trajectories run in the (V+1)-dimensional sector only.  A
+    :class:`StateVector` is restricted to it by
+    :meth:`SectorVector.from_statevector`, which raises ``ValueError`` if
+    the state has weight outside; a step with gates other than XY/RZ
+    raises ``ValueError`` too.
     """
     n_traj = require_count("n_traj", n_traj, 1)
     steps = require_count("steps", steps, 0)
-    if isinstance(init, SectorVector):
-        foreign = step.gate_names() - SECTOR_GATES
-        if foreign:
-            raise ValueError(f"gates {sorted(foreign)} leave span{{vacuum, one-hot}}; "
-                             "pass a StateVector instead")
-        if force_full:
-            raise ValueError("force_full needs a StateVector")
-        dists = _trajectories_sector(init, step, noise, n_traj, seed, steps)
-    elif not force_full and _sector_compatible(init, step):
-        keep = sector_basis(init.n_qubits)
-        dists = _trajectories_sector(SectorVector(init.n_qubits, init.amplitudes[keep]),
-                                     step, noise, n_traj, seed, steps)
-    else:
-        dists = _trajectories_full(init, step, noise, n_traj, seed, steps)
+    foreign = step.gate_names() - SECTOR_GATES
+    if foreign:
+        raise ValueError(f"gates {sorted(foreign)} leave span{{vacuum, one-hot}}")
+    if isinstance(init, StateVector):
+        init = SectorVector.from_statevector(init)
+    dists = _trajectories_sector(init, step, noise, n_traj, seed, steps)
     return dists if record_steps else dists[-1]
 
 

@@ -26,8 +26,8 @@ PROB_CLAMP = 1e-15
 
 #: Child-seed stream tags.  All randomness flows from one root seed:
 #: shot sampling at step t draws from SeedSequence([seed, SHOT_STREAM, t]),
-#: trajectory k from SeedSequence([seed, TRAJECTORY_STREAM, k]) (the
-#: vectorised trajectory path uses SeedSequence([seed, TRAJECTORY_STREAM])).
+#: and all trajectories of a run share one generator seeded with
+#: SeedSequence([seed, TRAJECTORY_STREAM]).
 SHOT_STREAM = 0
 TRAJECTORY_STREAM = 1
 
@@ -97,6 +97,16 @@ class SectorVector(_PureState):
     @staticmethod
     def dimension(n_qubits: int) -> int:
         return n_qubits + 1
+
+    @classmethod
+    def from_statevector(cls, state: StateVector) -> "SectorVector":
+        """Restrict a dense state to the sector; raise if it has weight outside."""
+        keep = sector_basis(state.n_qubits)
+        outside = np.ones(state.amplitudes.shape, dtype=bool)
+        outside[keep] = False
+        if float(np.abs(state.amplitudes[outside]).max(initial=0.0)) >= 1e-12:
+            raise ValueError("state has weight outside span{vacuum, one-hot}")
+        return cls(state.n_qubits, state.amplitudes[keep])
 
 
 class _MixedState:
@@ -193,17 +203,11 @@ class SectorDensity(_MixedState):
 
     @classmethod
     def from_statevector(cls, state: StateVector | SectorVector) -> "SectorDensity":
-        """Restrict a pure state to the sector; raise if it has weight outside."""
-        if isinstance(state, SectorVector):
-            amp = state.amplitudes
-            return cls(state.n_qubits, np.outer(amp, amp.conj()))
-        keep = sector_basis(state.n_qubits)
-        outside = np.ones(state.amplitudes.shape, dtype=bool)
-        outside[keep] = False
-        if float(np.abs(state.amplitudes[outside]).max(initial=0.0)) >= 1e-12:
-            raise ValueError("state has weight outside span{vacuum, one-hot}; "
-                             "use DensityMatrix instead")
-        amp = state.amplitudes[keep]
+        """Outer product of a pure state restricted to the sector, as
+        :meth:`SectorVector.from_statevector` restricts it."""
+        if isinstance(state, StateVector):
+            state = SectorVector.from_statevector(state)
+        amp = state.amplitudes
         return cls(state.n_qubits, np.outer(amp, amp.conj()))
 
 
@@ -338,8 +342,7 @@ def sample_counts(dist, shots: int, seed) -> Distribution:
     ``numpy.random.SeedSequence``).  Probabilities below
     :data:`PROB_CLAMP` are clamped to zero before drawing.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    shots = require_count("shots", shots, 1)
     outcomes = _as_outcome_probs(dist)
     labels = canonical_labels(outcomes)
     probs = np.array([outcomes[l] for l in labels], dtype=float)

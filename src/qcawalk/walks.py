@@ -52,8 +52,13 @@ from .states import (
 )
 
 
+#: Largest (V+1) x (V+1) complex density block the density backend
+#: allocates: V <= 4095, e.g. a 32x32 torus (16.8 MB), but not a 64x64 one.
+DENSITY_MAX_BYTES = 256 * 2**20
+
+
 class ResourceLimitError(RuntimeError):
-    """Raised when a backend would exceed its configured size cap."""
+    """Raised when a backend would exceed its size bound."""
 
 
 @dataclass
@@ -67,6 +72,7 @@ class InitSpec:
     def __post_init__(self):
         if self.kind not in ("single", "symmetric", "search_uniform"):
             raise ValueError(f"unknown init kind {self.kind!r}")
+        require_count("site", self.site, 0)
 
 
 @dataclass
@@ -92,15 +98,14 @@ class WalkConfig:
     seed: int = 0
     backend: WalkBackend = field(default_factory=WalkBackend)
     initializer_mode: str = "exact"  # for search_uniform init: "exact" | "literal"
-    density_cap: int = 12
-    full_distributions: bool = False  # record raw basis-index probabilities too
 
     def __post_init__(self):
         require_count("steps", self.steps, 0)
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if self.marked is not None and not 0 <= self.marked < self.lattice.vertex_count:
-            raise ValueError(f"marked vertex {self.marked} out of range")
+        require_count("shots", self.shots, 1)
+        if self.marked is not None:
+            require_count("marked", self.marked, 0)
+            if self.marked >= self.lattice.vertex_count:
+                raise ValueError(f"marked vertex {self.marked} out of range")
         if self.init.kind != "search_uniform" and not 0 <= self.init.site < self.lattice.vertex_count:
             raise ValueError(f"init site {self.init.site} out of range")
         if self.initializer_mode not in ("exact", "literal"):
@@ -113,18 +118,11 @@ class WalkConfig:
 
 @dataclass
 class WalkResult:
-    """Per-step (exact, empirical) distributions and leakage series.
-
-    ``full_per_step`` holds raw basis-index distributions (labels are
-    basis indices, not vertices) when the run asked for them; it lets
-    fidelities be computed over full bitstrings instead of the
-    vertex+leakage compression.
-    """
+    """Per-step (exact, empirical) distributions and leakage series."""
 
     per_step: list  # [(Distribution exact, Distribution empirical), ...]
     leakage_per_step: list
     metadata: dict
-    full_per_step: list | None = None
 
     @property
     def exact(self) -> list:
@@ -308,16 +306,19 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
     t_start = time.perf_counter()
     lattice = config.lattice
     V = lattice.vertex_count
+    backend = config.backend.kind
+    density_bytes = (V + 1) ** 2 * 16
+    if backend == "density" and density_bytes > DENSITY_MAX_BYTES:
+        raise ResourceLimitError(
+            f"density backend needs {density_bytes} bytes for {V} qubits, above its "
+            f"bound of {DENSITY_MAX_BYTES} bytes; use the trajectories backend instead"
+        )
     schedule = AngleSchedule(marked=config.marked)
     step_op = build_step_operator(lattice, schedule, config.variant)
     state = initial_sector_state(config)
 
-    backend = config.backend.kind
     per_step: list = []
     leakage: list = []
-    full_steps: list | None = [] if config.full_distributions else None
-    if full_steps is not None and backend == "trajectories":
-        raise ValueError("full basis-index recording is not available on the trajectories backend")
 
     if backend == "statevector":
         for t in range(config.steps + 1):
@@ -325,18 +326,11 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
             dist = sector.to_distribution()
             per_step.append(_record_step(dist, config.shots, config.seed, t))
             leakage.append(sector.leakage_norm)
-            if full_steps is not None:
-                full_steps.append(_full_distribution(state.probabilities()))
             if t < config.steps:
                 step_op.apply(state)
     elif backend == "density":
         from .noise import NoiseModel, evolve_density
 
-        if V > config.density_cap:
-            raise ResourceLimitError(
-                f"density backend capped at {config.density_cap} qubits "
-                f"(requested {V}); use the trajectories backend instead"
-            )
         model = noise if noise is not None else NoiseModel()
         rho = SectorDensity.from_statevector(state)
         cache: dict = {}
@@ -344,8 +338,6 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
             dist = _density_distribution(rho, V)
             per_step.append(_record_step(dist, config.shots, config.seed, t))
             leakage.append(dist.get(LEAKAGE))
-            if full_steps is not None:
-                full_steps.append(_full_distribution(rho.diagonal_probabilities()))
             if t < config.steps:
                 rho = evolve_density(rho, step_op, model, channel_cache=cache)
     else:  # trajectories
@@ -379,17 +371,7 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
             "initializer_mode": config.initializer_mode,
         },
     }
-    return WalkResult(per_step, leakage, meta, full_steps)
-
-
-def _full_distribution(probs: np.ndarray) -> Distribution:
-    """Raw basis-index distribution of (V+1) sector probabilities, zero
-    entries pruned: index 0 is the vacuum (label 0), index v+1 the one-hot
-    label ``1 << v``."""
-    probs = np.maximum(probs, 0.0)
-    total = probs.sum()
-    nz = np.nonzero(probs > 1e-15)[0]
-    return Distribution({(1 << (int(i) - 1) if i else 0): float(probs[i] / total) for i in nz})
+    return WalkResult(per_step, leakage, meta)
 
 
 def _density_distribution(rho, V: int) -> Distribution:

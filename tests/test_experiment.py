@@ -16,6 +16,9 @@ from qcawalk.experiment import (
 )
 
 
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+
+
 def minimal_config(**overrides):
     cfg = {
         "schema_version": 1,
@@ -216,7 +219,7 @@ class TestCli:
 
     def test_run_resource_error_exit_code(self, tmp_path):
         cfg = minimal_config(
-            lattice={"kind": "torus", "N": 4},
+            lattice={"kind": "torus", "N": 64},
             walk={"variant": "search", "steps": 1},
             backends=["density"],
             noise={"relaxation_rate": 1e4, "dephasing_rate": 1e3},
@@ -239,8 +242,11 @@ class TestCli:
           "walk": {"variant": "search", "steps": 1, "initializer_mode": "literal"}}, 6),
         ({"backends": ["statevector", "trajectories"], "n_trajectories": 40.0}, 4),
         ({"walk": {"variant": "walk", "steps": 2.0}}, 4),
+        ({"walk": {"variant": "walk", "steps": 1,
+                   "init": {"kind": "single", "site": 1.0}}}, 4),
+        ({"shots": 1000.0}, 4),
     ], ids=["site", "marked", "odd_sweep_size", "size_below_4", "literal_init_size",
-            "float_n_trajectories", "float_steps"])
+            "float_n_trajectories", "float_steps", "float_site", "float_shots"])
     def test_run_unexpressible_config_fails_fast(self, tmp_path, capsys, monkeypatch,
                                                  overrides, size):
         # rejected before calibration and before any sweep point runs
@@ -290,6 +296,33 @@ class TestCli:
         assert len(err.strip().splitlines()) == 1
         assert repr(env if flag is None else flag) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_non_finite_noise_rejected(self, tmp_path, capsys, monkeypatch, command):
+        # Python's json parses NaN, and the schema's "minimum" lets it through
+        import qcawalk.experiment as experiment
+
+        def never(*_args):
+            raise AssertionError("ran past config validation")
+
+        monkeypatch.setattr(experiment, "execute_point", never)
+        cfg = minimal_config(backends=["density"], noise={"relaxation_rate": float("nan")})
+        assert main([command, self._write(tmp_path, cfg)]) == EXIT_CONFIG
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if "relaxation_rate" in line]
+        assert len(err) == 1 and "finite" in err[0]
+
+    @pytest.mark.parametrize("coupling", ["nan", "-5"])
+    def test_calibrate_bad_coupling(self, capsys, coupling):
+        rc = main(["calibrate", f"--coupling={coupling}", "--grid-points", "2"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "coupling" in err[0]
+
+    @pytest.mark.parametrize("config", sorted(DEMO_CONFIGS.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_demo_config_validates(self, config, capsys):
+        assert main(["validate", str(config)]) == EXIT_OK
 
     def test_calibrate_json_output(self, capsys):
         rc = main(["calibrate", "--json", "--grid-points", "5"])

@@ -196,12 +196,19 @@ class TestRunWalk:
             for v in range(8):
                 assert d2.get((v + 2) % 8) == pytest.approx(d0.get(v), abs=1e-12)
 
-    def test_density_cap_resource_error(self):
-        lat = Lattice("torus", 4)  # 16 qubits > default cap of 12
+    def test_density_byte_bound_resource_error(self):
+        lat = Lattice("torus", 64)  # a 4097 x 4097 block needs 268.6 MB
         cfg = WalkConfig(lat, steps=1, init=InitSpec("search_uniform"), marked=3,
                          backend=WalkBackend("density"))
         with pytest.raises(ResourceLimitError, match="trajectories"):
             run_walk(cfg)
+
+    def test_density_admits_a_32x32_torus(self):
+        lat = Lattice("torus", 32)  # a 1025 x 1025 block needs 16.8 MB
+        cfg = WalkConfig(lat, steps=0, init=InitSpec("search_uniform"), marked=3,
+                         backend=WalkBackend("density"))
+        (exact, _), = run_walk(cfg).per_step
+        assert exact.get(3) == pytest.approx(1 / 1024, abs=1e-15)
 
     def test_density_runs_a_register_too_big_for_a_dense_matrix(self):
         # V = 16: the dense 2^16 x 2^16 matrix would need 68 GB; the sector
@@ -212,7 +219,7 @@ class TestRunWalk:
         lat = Lattice("torus", 4)
         cfg = WalkConfig(lat, steps=8, init=InitSpec("search_uniform"),
                          marked=lat.vertex_id(3, 0), seed=3,
-                         backend=WalkBackend("density"), density_cap=16)
+                         backend=WalkBackend("density"))
         res = run_walk(cfg, noise=model)
         t_layer = (math.pi / 2) / model.coupling
         want = [1 - math.exp(-model.relaxation_rate * t * 4 * t_layer)
@@ -236,26 +243,6 @@ class TestRunWalk:
         for (_, ea), (_, eb) in zip(a.per_step, b.per_step):
             assert ea.counts == eb.counts
 
-    def test_full_distribution_recording(self):
-        for backend in ("statevector", "density"):
-            cfg = WalkConfig(Lattice("cycle", 4), steps=2, init=InitSpec("single", 0),
-                             seed=1, full_distributions=True,
-                             backend=WalkBackend(backend))
-            res = run_walk(cfg)
-            assert res.full_per_step is not None
-            for full, compact in zip(res.full_per_step, res.exact):
-                # one-hot labels carry the same mass as the vertex labels
-                for v in range(4):
-                    assert full.outcomes.get(1 << v, 0.0) == pytest.approx(
-                        compact.get(v), abs=1e-12)
-
-    def test_full_distributions_unsupported_on_trajectories(self):
-        cfg = WalkConfig(Lattice("cycle", 4), steps=1,
-                         backend=WalkBackend("trajectories", 10),
-                         full_distributions=True)
-        with pytest.raises(ValueError):
-            run_walk(cfg)
-
     def test_marked_validation(self):
         with pytest.raises(ValueError):
             WalkConfig(Lattice("cycle", 4), steps=1, marked=7)
@@ -266,6 +253,19 @@ class TestRunWalk:
             WalkBackend("trajectories", value)
         with pytest.raises(ValueError, match="steps"):
             WalkConfig(Lattice("cycle", 4), steps=value)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"shots": 100.5}, "shots"), ({"shots": True}, "shots"),
+        ({"marked": 1.0}, "marked"), ({"marked": True}, "marked"),
+    ], ids=["float_shots", "bool_shots", "float_marked", "bool_marked"])
+    def test_non_integer_fields_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            WalkConfig(Lattice("cycle", 4), steps=1, **kwargs)
+
+    @pytest.mark.parametrize("site", [1.0, True, -1])
+    def test_non_integer_site_rejected(self, site):
+        with pytest.raises(ValueError, match="site"):
+            InitSpec("single", site)
 
 
 class TestInitialSectorState:
