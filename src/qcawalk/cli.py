@@ -12,9 +12,9 @@ from .experiment import (
     ConfigError,
     emit_report,
     load_config,
+    resolve_points,
     resolve_workers,
     run_experiment,
-    validate_config,
 )
 from .noise import calibrate_rates
 from .walks import ResourceLimitError
@@ -30,13 +30,14 @@ def _cmd_validate(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    problems = validate_config(raw)
-    if problems:
+    try:
+        cfg = load_config(raw)
+        resolve_points(cfg)
+    except ConfigError as exc:
         print(f"{args.config}: invalid", file=sys.stderr)
-        for p in problems:
+        for p in exc.messages:
             print(f"  {p}", file=sys.stderr)
         return EXIT_CONFIG
-    cfg = load_config(raw)
     print(f"{args.config}: valid (name={cfg['name']!r}, "
           f"{cfg['walk']['variant']} on {cfg['lattice']['kind']})")
     return EXIT_OK
@@ -86,7 +87,11 @@ def _cmd_calibrate(args) -> int:
         except ValueError as exc:
             print(f"error: --coupling: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-    result = calibrate_rates(grid_points=args.grid_points, **kwargs)
+    try:
+        result = calibrate_rates(grid_points=args.grid_points, **kwargs)
+    except ValueError as exc:
+        print(f"error: --grid-points: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.json:
         print(json.dumps({
             "noise": result.model.to_dict(),
@@ -116,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: $QCAWALK_WORKERS or 1)")
     p_run.set_defaults(func=_cmd_run)
 
-    p_val = sub.add_parser("validate", help="schema-check a config without running it")
+    p_val = sub.add_parser("validate",
+                           help="check a config and resolve its sweep points without running it")
     p_val.add_argument("config")
     p_val.set_defaults(func=_cmd_validate)
 

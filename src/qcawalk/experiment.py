@@ -173,13 +173,24 @@ def _point_config(cfg: dict, size: int, index: int) -> dict:
     point["point_index"] = index
     del point["sweep"]
     try:
-        resolved = _walk_config(point, "statevector", None)
+        resolved = _walk_config(point, "statevector")
         tessellations_for(lattice)
         if resolved.init.kind == "search_uniform" and resolved.initializer_mode == "literal":
             search_initializer_gates(lattice.vertex_count)
     except ValueError as exc:
         raise ConfigError([f"lattice N={size}: {exc}"]) from exc
     return point
+
+
+def resolve_points(cfg: dict) -> list:
+    """Every sweep point of a loaded config, resolved by :func:`_point_config`.
+
+    Raises :class:`ConfigError` on the first point whose values the schema
+    cannot rule out, so ``qcawalk validate`` and ``qcawalk run`` reject
+    the same configs.
+    """
+    sizes = cfg["sweep"]["sizes"] if cfg["sweep"] else [cfg["lattice"]["N"]]
+    return [_point_config(cfg, size, i) for i, size in enumerate(sizes)]
 
 
 def _dist_payload(dist: Distribution) -> dict:
@@ -192,7 +203,7 @@ def _dist_payload(dist: Distribution) -> dict:
     }
 
 
-def _walk_config(point: dict, backend: str, noise: NoiseModel | None) -> WalkConfig:
+def _walk_config(point: dict, backend: str) -> WalkConfig:
     lattice = Lattice(point["lattice"]["kind"], point["lattice"]["N"])
     walk = point["walk"]
     return WalkConfig(
@@ -215,8 +226,8 @@ def execute_point(point: dict, noise: NoiseModel | None) -> dict:
     runs = {}
     timings = {}
     for backend in backends:
-        result = run_walk(_walk_config(point, backend, noise), noise=noise)
-        timings[backend] = result.metadata["wall_time_s"]
+        result = run_walk(_walk_config(point, backend), noise=noise)
+        timings[backend] = result.wall_time_s
         runs[backend] = result
 
     marked = point["walk"]["marked"]
@@ -329,8 +340,7 @@ def run_experiment(source, output_dir=None, workers: int | None = None) -> list:
     are independent of the worker count.
     """
     cfg = load_config(source)
-    sizes = cfg["sweep"]["sizes"] if cfg["sweep"] else [cfg["lattice"]["N"]]
-    points = [_point_config(cfg, size, i) for i, size in enumerate(sizes)]
+    points = resolve_points(cfg)
     workers = resolve_workers(workers)
     noise = resolve_noise(cfg["noise"])
 

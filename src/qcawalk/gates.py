@@ -140,10 +140,6 @@ def apply_single_qubit(state: StateVector, gate: np.ndarray, q: int) -> StateVec
         raise ValueError(f"qubit {q} out of range")
     t = state.amplitudes.reshape([2] * n)
     s0, s1 = _slicer(n, {q: 0}), _slicer(n, {q: 1})
-    if gate[0, 1] == 0 and gate[1, 0] == 0:
-        t[s0] *= gate[0, 0]
-        t[s1] *= gate[1, 1]
-        return state
     new0 = gate[0, 0] * t[s0] + gate[0, 1] * t[s1]
     new1 = gate[1, 0] * t[s0] + gate[1, 1] * t[s1]
     t[s0], t[s1] = new0, new1
@@ -162,18 +158,6 @@ def apply_two_qubit(state: StateVector, gate: np.ndarray, qa: int, qb: int) -> S
         raise ValueError(f"qubits ({qa}, {qb}) out of range")
     t = state.amplitudes.reshape([2] * n)
     sl = [_slicer(n, {qa: r >> 1, qb: r & 1}) for r in range(4)]
-    # excitation-conserving gates (XY and friends) touch only the
-    # |01>/|10> block; skip the untouched three quarters of the state
-    central = (
-        gate[0, 0] == 1 and gate[3, 3] == 1
-        and not gate[0, 1:].any() and not gate[3, :3].any()
-        and gate[1, 0] == gate[1, 3] == gate[2, 0] == gate[2, 3] == 0
-    )
-    if central:
-        new1 = gate[1, 1] * t[sl[1]] + gate[1, 2] * t[sl[2]]
-        new2 = gate[2, 1] * t[sl[1]] + gate[2, 2] * t[sl[2]]
-        t[sl[1]], t[sl[2]] = new1, new2
-        return state
     old = [t[s].copy() for s in sl]  # copies: rows are overwritten as we go
     for r in range(4):
         acc = gate[r, 0] * old[0]

@@ -13,29 +13,30 @@ Each gate's channel is the exact matrix exponential of the corresponding
 Liouvillian over the gate time; XY(theta) runs for theta/coupling seconds,
 single-qubit rotations for a fixed time, RZ is instantaneous and noiseless.
 
-Two noisy backends consume those channels:
+Two noisy backends consume those channels.  The walks start in
+span{vacuum, one-hot} and the channels never raise the excitation
+number, so both run on that (V+1)-dimensional sector (index 0 the
+vacuum, v+1 vertex v), fed by one channel stream: ``_sector_channels``
+maps each gate's targets to sector indices, turns a noiseless RZ into a
+phase, and lowers every other channel once per cache to a 3x3 (or 2x2)
+block on the touched indices plus a scalar elsewhere.
 
-* ``evolve_density`` applies the per-gate Kraus maps to a density matrix;
-  qubits that sit idle for part of a layer decay under the pure
-  dissipator for the gap.  The walks start in span{vacuum, one-hot} and
-  the channels never raise the excitation number, so ``run_walk`` passes
-  a :class:`SectorDensity`, the (V+1) x (V+1) block on that span: each
-  channel is lowered to a 3x3 (or 2x2) block on the touched indices plus
-  a scalar elsewhere, and a gate costs O(V^2).  A dense
-  :class:`DensityMatrix` is evolved on the full 2^n x 2^n matrix; that
-  path is the independent reference the sector path is tested against.
+* ``evolve_density`` applies the lowered channels to a
+  :class:`SectorDensity`, the (V+1) x (V+1) block; qubits that sit idle
+  for part of a layer decay under the pure dissipator for the gap, and a
+  gate costs O(V^2).  A dense :class:`DensityMatrix` is evolved on the
+  full 2^n x 2^n matrix; that path is the independent reference the
+  sector path is tested against.
 * ``trajectory_run`` unravels the same channels stochastically (the
   Monte Carlo wave-function method): for every gate interval a Kraus
   branch is sampled with probability |K_m psi|^2, so the trajectory
   average reproduces the density evolution with no time-discretisation
-  bias.  Trajectories run only in the (V+1)-dimensional sector, which
-  the XY/RZ steps of these walks never leave; ``run_walk`` passes a
-  :class:`SectorVector` directly.  Each channel is lowered to the same
-  blocks as the density path; a gate reads the 2-3 amplitudes it
-  touches, gets every branch from one matrix product, and scales the
-  rest of each trajectory by its branch's scalar.  Trajectories are
-  renormalised once per step.  They have no dense counterpart: the
-  exact sector density is their reference.
+  bias.  A gate reads the 2-3 amplitudes it touches, gets every branch
+  from one matrix product, and scales the rest of each trajectory by its
+  branch's scalar.  Trajectories are renormalised once per step, and the
+  mean of |psi|^2 at every step, step 0 included, is read out as the
+  density diagonal would be.  They have no dense counterpart: the exact
+  sector density is their reference.
 
 Rates are not published for the emulated processor; ``calibrate_rates``
 infers (K, delta) from the native gate-set's average fidelities.  It
@@ -55,14 +56,13 @@ from scipy.optimize import least_squares
 
 from .gates import SECTOR_GATES, GateSpec, StepOperator
 from .states import (
-    LEAKAGE,
     TRAJECTORY_STREAM,
     DensityMatrix,
-    Distribution,
     SectorDensity,
     SectorVector,
     StateVector,
     require_count,
+    vertex_distribution,
 )
 
 _SM = np.array([[0, 1], [0, 0]], dtype=complex)  # sigma_minus = |0><1|
@@ -342,6 +342,62 @@ def _step_channels(step: StepOperator, noise: NoiseModel, n: int, cache: dict):
                     yield key, (q,), ch
 
 
+def _require_sector_gates(step: StepOperator) -> None:
+    foreign = step.gate_names() - SECTOR_GATES
+    if foreign:
+        raise ValueError(f"gates {sorted(foreign)} leave span{{vacuum, one-hot}}; "
+                         "only a dense DensityMatrix can run them")
+
+
+def _sector_lowering(kraus: tuple):
+    """Lower a sector-preserving channel to (blocks, T, C, s) on the (V+1) block.
+
+    With S the touched indices (vacuum, e_b, e_a) -- or (vacuum, e_q) for
+    one qubit; local basis |q_a q_b>: 0 = |00>, 1 = |01>, 2 = |10> -- and
+    R every other index, each Kraus operator acts as a block B_m on S
+    (``blocks``, shape (M, d, d)) and as the scalar k00_m = B_m[0, 0] on
+    R.  Raising entries must vanish for the sector to be invariant; the
+    dissipators only lower, so they do.  On a density matrix,
+    vec(rho_SS) -> T vec(rho_SS) with T = sum B_m (x) conj(B_m),
+    rho_SR -> C rho_SR with C = sum conj(k00_m) B_m, and
+    rho_RR -> s rho_RR with s = sum |k00_m|^2.
+    """
+    k = np.array(kraus)
+    excitations = np.array([bin(i).count("1") for i in range(k.shape[1])])
+    raising = excitations[:, None] > excitations[None, :]
+    if np.abs(k[:, raising]).max() > _RAISING_TOL:
+        raise RuntimeError("channel raises excitation number; sector path invalid")
+    d = 3 if k.shape[1] == 4 else 2
+    blocks = k[:, :d, :d].copy()
+    blocks[:, 1:, 0] = 0.0
+    T = sum(np.kron(b, b.conj()) for b in blocks)
+    C = sum(np.conj(b[0, 0]) * b for b in blocks)
+    s = float(sum(abs(b[0, 0]) ** 2 for b in blocks))
+    return blocks, T, C, s
+
+
+def _sector_channels(step: StepOperator, noise: NoiseModel, n: int, cache: dict):
+    """Yield (idx, phase, lowered) for one step's channels on the (V+1) sector.
+
+    ``idx`` lists the sector indices the channel touches, (vacuum, e_b,
+    e_a).  A noiseless RZ is the phase on e_q relative to the vacuum, and
+    ``lowered`` is None; every other channel has ``phase`` None and is
+    lowered by :func:`_sector_lowering`, cached under ``("sector",) +
+    key`` so a dense evolution sharing ``cache`` still finds the
+    :class:`GateChannel` under the plain key.
+    """
+    for key, targets, ch in _step_channels(step, noise, n, cache):
+        idx = [0] + [q + 1 for q in reversed(targets)]
+        if key[0] == "RZ" and len(ch.kraus) == 1:
+            k = ch.kraus[0]
+            yield idx, k[1, 1] * np.conj(k[0, 0]), None
+            continue
+        lowered = cache.get(("sector",) + key)
+        if lowered is None:
+            lowered = cache[("sector",) + key] = _sector_lowering(ch.kraus)
+        yield idx, None, lowered
+
+
 def evolve_density(rho: DensityMatrix | SectorDensity, step: StepOperator,
                    noise: NoiseModel, channel_cache: dict | None = None):
     """One noisy step on the density backend; returns the same representation.
@@ -359,85 +415,24 @@ def evolve_density(rho: DensityMatrix | SectorDensity, step: StepOperator,
     if step.n_qubits != n:
         raise ValueError("step operator register size mismatch")
     cache = channel_cache if channel_cache is not None else {}
-    if isinstance(rho, SectorDensity):
-        return _evolve_sector_density(rho, step, noise, cache)
     arr = rho.entries.copy()
-    for _key, targets, ch in _step_channels(step, noise, n, cache):
-        arr = _apply_kraus_to_density(arr, ch.kraus, targets, n)
-    return DensityMatrix(n, arr)
-
-
-def _sector_blocks(kraus: tuple) -> np.ndarray:
-    """Restrict a sector-preserving channel's Kraus operators to blocks.
-
-    Returns the (M, d, d) stack of each operator on the touched indices S:
-    d = 3 with S = (vacuum, e_b, e_a) for a two-qubit channel (local
-    basis |q_a q_b>: 0 = |00>, 1 = |01>, 2 = |10>), d = 2 with
-    S = (vacuum, e_q) for one qubit.  On every other sector index the
-    operator is the scalar k00 = B[0, 0].  Raising entries must vanish for
-    the sector to be invariant; the dissipators only lower, so they do.
-    """
-    k = np.array(kraus)
-    excitations = np.array([bin(i).count("1") for i in range(k.shape[1])])
-    raising = excitations[:, None] > excitations[None, :]
-    if np.abs(k[:, raising]).max() > _RAISING_TOL:
-        raise RuntimeError("channel raises excitation number; sector path invalid")
-    d = 3 if k.shape[1] == 4 else 2
-    blocks = k[:, :d, :d].copy()
-    blocks[:, 1:, 0] = 0.0
-    return blocks
-
-
-def _sector_lowering(kraus: tuple):
-    """Lower a sector-preserving channel to (T, C, s) on the (V+1) block.
-
-    With S the touched indices (vacuum, e_b, e_a) -- or (vacuum, e_q) for
-    one qubit -- and R every other index, each Kraus operator acts as a
-    block B_m on S and as the scalar k00_m on R.  Hence
-    vec(rho_SS) -> T vec(rho_SS) with T = sum B_m (x) conj(B_m),
-    rho_SR -> C rho_SR with C = sum conj(k00_m) B_m, and
-    rho_RR -> s rho_RR with s = sum |k00_m|^2.
-    """
-    blocks = _sector_blocks(kraus)
-    T = sum(np.kron(b, b.conj()) for b in blocks)
-    C = sum(np.conj(b[0, 0]) * b for b in blocks)
-    s = float(sum(abs(b[0, 0]) ** 2 for b in blocks))
-    return T, C, s
-
-
-def _sector_indices(targets: tuple) -> list:
-    """Sector indices a channel on ``targets`` touches: (vacuum, e_b, e_a)."""
-    return [0] + [q + 1 for q in reversed(targets)]
-
-
-def _evolve_sector_density(rho: SectorDensity, step: StepOperator, noise: NoiseModel,
-                           cache: dict) -> SectorDensity:
-    foreign = step.gate_names() - SECTOR_GATES
-    if foreign:
-        raise ValueError(f"gates {sorted(foreign)} leave span{{vacuum, one-hot}}; "
-                         "evolve a DensityMatrix instead")
-    arr = rho.entries.copy()
-    for key, targets, ch in _step_channels(step, noise, rho.n_qubits, cache):
-        if key[0] == "RZ" and len(ch.kraus) == 1:
-            k = ch.kraus[0]
-            phase = k[1, 1] * np.conj(k[0, 0])
-            q = targets[0] + 1
-            arr[q, :] *= phase
-            arr[:, q] *= np.conj(phase)
-            continue
-        # a distinct key, so a dense evolution sharing the cache still
-        # finds the GateChannel under the plain one
-        lowered = cache.get(("sector",) + key)
+    if isinstance(rho, DensityMatrix):
+        for _key, targets, ch in _step_channels(step, noise, n, cache):
+            arr = _apply_kraus_to_density(arr, ch.kraus, targets, n)
+        return DensityMatrix(n, arr)
+    _require_sector_gates(step)
+    for idx, phase, lowered in _sector_channels(step, noise, n, cache):
         if lowered is None:
-            lowered = cache[("sector",) + key] = _sector_lowering(ch.kraus)
-        T, C, s = lowered
-        idx = _sector_indices(targets)
+            arr[idx[1], :] *= phase
+            arr[:, idx[1]] *= np.conj(phase)
+            continue
+        _blocks, T, C, s = lowered
         rows, cols = arr[idx, :], arr[:, idx]
         arr *= s
         arr[idx, :] = C @ rows
         arr[:, idx] = cols @ C.conj().T
         arr[np.ix_(idx, idx)] = (T @ rows[:, idx].reshape(-1)).reshape(len(idx), len(idx))
-    return SectorDensity(rho.n_qubits, arr)
+    return SectorDensity(n, arr)
 
 
 def average_gate_fidelity(channel: GateChannel) -> float:
@@ -477,52 +472,14 @@ def _sector_jump(psi: np.ndarray, idx: list, blocks: np.ndarray, rng) -> None:
     psi[idx] = y[choice, :, cols].T * inv_norm
 
 
-def _mean_sector_distribution(psi: np.ndarray, V: int) -> Distribution:
-    probs = np.mean(np.abs(psi) ** 2, axis=1)
-    outcomes = {v: float(probs[v + 1]) for v in range(V)}
-    outcomes[LEAKAGE] = float(probs[0])
-    total = sum(outcomes.values())
-    return Distribution({k: v / total for k, v in outcomes.items()})
-
-
-def _trajectories_sector(init: SectorVector, step: StepOperator, noise: NoiseModel,
-                         n_traj: int, seed, steps: int) -> list:
-    V = init.n_qubits
-    rng = np.random.default_rng(np.random.SeedSequence([seed, TRAJECTORY_STREAM]))
-    # one column per trajectory, so a gate's touched indices are whole rows
-    psi = np.zeros((V + 1, n_traj), dtype=complex)
-    psi[:] = init.amplitudes[:, None]
-    psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
-
-    channels: dict = {}
-    lowered: dict = {}
-    out = [_mean_sector_distribution(psi, V)]
-    for _t in range(steps):
-        for key, targets, ch in _step_channels(step, noise, V, channels):
-            idx = _sector_indices(targets)
-            if key[0] == "RZ" and len(ch.kraus) == 1:
-                k = ch.kraus[0]
-                psi[idx[1]] *= k[1, 1] * np.conj(k[0, 0])
-                continue
-            blocks = lowered.get(key)
-            if blocks is None:
-                blocks = lowered[key] = _sector_blocks(ch.kraus)
-            _sector_jump(psi, idx, blocks, rng)
-        psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
-        out.append(_mean_sector_distribution(psi, V))
-    return out
-
-
 def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: NoiseModel,
-                   n_traj: int, seed: int, steps: int = 1,
-                   record_steps: bool = False):
-    """Average vertex+leakage distribution over stochastic trajectories.
+                   n_traj: int, seed: int, steps: int = 1) -> list:
+    """Per-step mean vertex+leakage distributions over stochastic trajectories.
 
     One Kraus branch of the exact per-gate channel is sampled per gate
     interval (branch m with probability ||K_m psi||^2), so the ensemble
     mean converges to the density-matrix evolution.  Deterministic under
-    (seed, n_traj).  Returns the final Distribution, or the per-step list
-    (including step 0) when ``record_steps`` is set.
+    (seed, n_traj).  Returns one Distribution per step, step 0 included.
 
     Trajectories run in the (V+1)-dimensional sector only.  A
     :class:`StateVector` is restricted to it by
@@ -532,13 +489,30 @@ def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: 
     """
     n_traj = require_count("n_traj", n_traj, 1)
     steps = require_count("steps", steps, 0)
-    foreign = step.gate_names() - SECTOR_GATES
-    if foreign:
-        raise ValueError(f"gates {sorted(foreign)} leave span{{vacuum, one-hot}}")
+    _require_sector_gates(step)
     if isinstance(init, StateVector):
         init = SectorVector.from_statevector(init)
-    dists = _trajectories_sector(init, step, noise, n_traj, seed, steps)
-    return dists if record_steps else dists[-1]
+    V = init.n_qubits
+    rng = np.random.default_rng(np.random.SeedSequence([seed, TRAJECTORY_STREAM]))
+    # one column per trajectory, so a gate's touched indices are whole rows
+    psi = np.zeros((V + 1, n_traj), dtype=complex)
+    psi[:] = init.amplitudes[:, None]
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
+
+    cache: dict = {}
+    out = []
+    for t in range(steps + 1):
+        if t:
+            for idx, phase, lowered in _sector_channels(step, noise, V, cache):
+                if lowered is None:
+                    psi[idx[1]] *= phase
+                else:
+                    _sector_jump(psi, idx, lowered[0], rng)
+            psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
+        # the trajectory mean of |psi|^2 estimates the density diagonal
+        p = np.mean(np.abs(psi) ** 2, axis=1)
+        out.append(vertex_distribution(p[1:], p[0]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +611,7 @@ def calibrate_rates(targets: dict | None = None,
     tie-break.  Infeasible targets produce the best fit plus residuals,
     never an exception.  All-unity targets return exactly zero rates.
     """
+    grid_points = require_count("grid_points", grid_points, 1)
     if targets is None:
         targets = dict(DEFAULT_FIDELITY_TARGETS)
     unknown = set(targets) - set(_CALIBRATION_GATES)

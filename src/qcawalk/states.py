@@ -274,17 +274,19 @@ class SectorState:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def to_distribution(self) -> Distribution:
-        probs = self.probabilities()
-        outcomes = {v: float(probs[v]) for v in range(self.N)}
-        outcomes[LEAKAGE] = max(float(self.leakage_norm), 0.0)
-        total = sum(outcomes.values())
-        if total > 0 and not np.isclose(total, 1.0, atol=1e-9):
-            # renormalise tiny float drift; anything larger is a real error
-            if abs(total - 1.0) > 1e-6:
-                raise ValueError(f"sector probabilities sum to {total!r}")
-            outcomes = {k: v / total for k, v in outcomes.items()}
-        return Distribution(outcomes)
+
+def vertex_distribution(vertex_probs, leakage) -> Distribution:
+    """The one readout of every backend: vertex ``v`` gets
+    ``vertex_probs[v]`` and :data:`LEAKAGE` gets ``leakage``.
+
+    Negative rounding residue is clamped to 0, but nothing is rescaled: a
+    state whose norm is off by more than :class:`Distribution`'s
+    tolerance raises ``ValueError`` instead of being divided back to 1.
+    """
+    probs = np.maximum(np.asarray(vertex_probs, dtype=float), 0.0)
+    outcomes = dict(enumerate(probs.tolist()))
+    outcomes[LEAKAGE] = max(float(leakage), 0.0)
+    return Distribution(outcomes)
 
 
 def onehot_index(vertex: int, n_qubits: int) -> int:

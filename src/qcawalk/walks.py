@@ -6,9 +6,12 @@ quantum trajectories) and records exact and sampled vertex distributions
 at every step, including step 0.  All three start from the same
 :class:`SectorVector` (``initial_sector_state``): the initial state
 prepared directly on span{vacuum, one-hot}, where the ideal backend then
-stays, so no 2^V array is formed.  The dense ``qw_init``,
-``search_initializer`` and ``initial_state`` prepare the same states on
-the full register, as the reference the sector path is tested against.
+stays, so no 2^V array is formed.  All three read that sector the same
+way, through :func:`vertex_distribution` (vertex v from index v+1,
+leakage from the vacuum at index 0, never renormalised), and one loop
+then draws the shots.  The dense ``qw_init``, ``search_initializer`` and
+``initial_state`` prepare the same states on the full register, as the
+reference the sector path is tested against.
 
 ``sector_oracle`` is a deliberately independent realisation of the same
 dynamics: each tessellation layer is written directly as a V x V matrix on
@@ -41,7 +44,6 @@ from .lattice import Lattice, tessellations_for
 from .states import (
     LEAKAGE,
     SHOT_STREAM,
-    Distribution,
     SectorDensity,
     SectorVector,
     StateVector,
@@ -49,6 +51,7 @@ from .states import (
     require_count,
     sample_counts,
     sector_project,
+    vertex_distribution,
 )
 
 
@@ -118,11 +121,10 @@ class WalkConfig:
 
 @dataclass
 class WalkResult:
-    """Per-step (exact, empirical) distributions and leakage series."""
+    """Per-step (exact, empirical) distributions and the run's wall time."""
 
     per_step: list  # [(Distribution exact, Distribution empirical), ...]
-    leakage_per_step: list
-    metadata: dict
+    wall_time_s: float
 
     @property
     def exact(self) -> list:
@@ -131,6 +133,10 @@ class WalkResult:
     @property
     def empirical(self) -> list:
         return [pair[1] for pair in self.per_step]
+
+    @property
+    def leakage_per_step(self) -> list:
+        return [pair[0].get(LEAKAGE) for pair in self.per_step]
 
 
 def qw_init(lattice: Lattice, site: int, symmetric: bool = False) -> StateVector:
@@ -290,18 +296,15 @@ def _shot_seed(seed: int, step: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([seed, SHOT_STREAM, step])
 
 
-def _record_step(dist: Distribution, shots: int, seed: int, step: int):
-    empirical = sample_counts(dist, shots, _shot_seed(seed, step))
-    return (dist, empirical)
-
-
 def run_walk(config: WalkConfig, noise=None) -> WalkResult:
     """Run the configured walk and record distributions at every step.
 
     ``noise`` (a :class:`qcawalk.noise.NoiseModel`) is required for the
     density and trajectory backends; the statevector backend is always
-    ideal.  The empirical distribution at step t is drawn with the child
-    seed (seed, shot-stream, t), so runs are reproducible bit-exactly.
+    ideal.  Each backend yields its exact distributions through
+    :func:`vertex_distribution`; the empirical distribution at step t is
+    then drawn with the child seed (seed, shot-stream, t), so runs are
+    reproducible bit-exactly.
     """
     t_start = time.perf_counter()
     lattice = config.lattice
@@ -317,15 +320,11 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
     step_op = build_step_operator(lattice, schedule, config.variant)
     state = initial_sector_state(config)
 
-    per_step: list = []
-    leakage: list = []
-
+    exact: list = []
     if backend == "statevector":
         for t in range(config.steps + 1):
             sector = sector_project(state, V)
-            dist = sector.to_distribution()
-            per_step.append(_record_step(dist, config.shots, config.seed, t))
-            leakage.append(sector.leakage_norm)
+            exact.append(vertex_distribution(sector.probabilities(), sector.leakage_norm))
             if t < config.steps:
                 step_op.apply(state)
     elif backend == "density":
@@ -335,54 +334,21 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
         rho = SectorDensity.from_statevector(state)
         cache: dict = {}
         for t in range(config.steps + 1):
-            dist = _density_distribution(rho, V)
-            per_step.append(_record_step(dist, config.shots, config.seed, t))
-            leakage.append(dist.get(LEAKAGE))
+            p = rho.diagonal_probabilities()
+            exact.append(vertex_distribution(p[1:], p[0]))
             if t < config.steps:
                 rho = evolve_density(rho, step_op, model, channel_cache=cache)
     else:  # trajectories
         from .noise import NoiseModel, trajectory_run
 
         model = noise if noise is not None else NoiseModel()
-        dists = trajectory_run(
+        exact = trajectory_run(
             state, step_op, model,
             n_traj=config.backend.n_trajectories,
             seed=config.seed,
             steps=config.steps,
-            record_steps=True,
         )
-        for t, dist in enumerate(dists):
-            per_step.append(_record_step(dist, config.shots, config.seed, t))
-            leakage.append(dist.get(LEAKAGE))
 
-    meta = {
-        "variant": config.variant,
-        "backend": backend,
-        "n_qubits": V,
-        "steps": config.steps,
-        "wall_time_s": time.perf_counter() - t_start,
-        "config": {
-            "lattice": {"kind": lattice.kind, "N": lattice.N},
-            "init": {"kind": config.init.kind, "site": config.init.site},
-            "marked": config.marked,
-            "shots": config.shots,
-            "seed": config.seed,
-            "backend": {"kind": backend, "n_trajectories": config.backend.n_trajectories},
-            "initializer_mode": config.initializer_mode,
-        },
-    }
-    return WalkResult(per_step, leakage, meta)
-
-
-def _density_distribution(rho, V: int) -> Distribution:
-    """Aggregate the diagonal of rho into vertex probabilities + leakage."""
-    diag = np.maximum(rho.diagonal_probabilities(), 0.0)
-    if isinstance(rho, SectorDensity):
-        vertex = diag[1:V + 1]
-    else:
-        vertex = diag[np.left_shift(1, np.arange(V))]
-    leak = max(float(diag.sum() - vertex.sum()), 0.0)
-    total = float(vertex.sum()) + leak
-    outcomes = {v: float(vertex[v]) / total for v in range(V)}
-    outcomes[LEAKAGE] = leak / total
-    return Distribution(outcomes)
+    per_step = [(dist, sample_counts(dist, config.shots, _shot_seed(config.seed, t)))
+                for t, dist in enumerate(exact)]
+    return WalkResult(per_step, time.perf_counter() - t_start)

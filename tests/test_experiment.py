@@ -34,6 +34,27 @@ def minimal_config(**overrides):
     return cfg
 
 
+# (id, config overrides, sweep size named in the error): values the
+# schema admits but no sweep point can run
+_UNEXPRESSIBLE = [
+    ("site", {"walk": {"variant": "walk", "steps": 1,
+                       "init": {"kind": "single", "site": 9}}}, 4),
+    ("marked", {"walk": {"variant": "search", "steps": 1, "marked": 5},
+                "sweep": {"sizes": [6, 4]}}, 4),
+    ("odd_sweep_size", {"sweep": {"sizes": [6, 7]}}, 7),
+    ("size_below_4", {"lattice": {"kind": "torus", "N": 2}}, 2),
+    ("literal_init_size", {"lattice": {"kind": "cycle", "N": 6},
+                           "walk": {"variant": "search", "steps": 1,
+                                    "initializer_mode": "literal"}}, 6),
+    ("float_n_trajectories",
+     {"backends": ["statevector", "trajectories"], "n_trajectories": 40.0}, 4),
+    ("float_steps", {"walk": {"variant": "walk", "steps": 2.0}}, 4),
+    ("float_site", {"walk": {"variant": "walk", "steps": 1,
+                             "init": {"kind": "single", "site": 1.0}}}, 4),
+    ("float_shots", {"shots": 1000.0}, 4),
+]
+
+
 class TestConfigValidation:
     def test_minimal_config_valid(self):
         assert validate_config(minimal_config()) == []
@@ -231,25 +252,16 @@ class TestCli:
         rc = main(["run", self._write(tmp_path, minimal_config(seed=-4))])
         assert rc == EXIT_CONFIG
 
-    @pytest.mark.parametrize("overrides,size", [
-        ({"walk": {"variant": "walk", "steps": 1,
-                   "init": {"kind": "single", "site": 9}}}, 4),
-        ({"walk": {"variant": "search", "steps": 1, "marked": 5},
-          "sweep": {"sizes": [6, 4]}}, 4),
-        ({"sweep": {"sizes": [6, 7]}}, 7),
-        ({"lattice": {"kind": "torus", "N": 2}}, 2),
-        ({"lattice": {"kind": "cycle", "N": 6},
-          "walk": {"variant": "search", "steps": 1, "initializer_mode": "literal"}}, 6),
-        ({"backends": ["statevector", "trajectories"], "n_trajectories": 40.0}, 4),
-        ({"walk": {"variant": "walk", "steps": 2.0}}, 4),
-        ({"walk": {"variant": "walk", "steps": 1,
-                   "init": {"kind": "single", "site": 1.0}}}, 4),
-        ({"shots": 1000.0}, 4),
-    ], ids=["site", "marked", "odd_sweep_size", "size_below_4", "literal_init_size",
-            "float_n_trajectories", "float_steps", "float_site", "float_shots"])
+    @pytest.mark.parametrize("command,overrides,size", [
+        pytest.param(command, overrides, size,
+                     id=case if command == "run" else f"validate_{case}")
+        for command in ("run", "validate")
+        for case, overrides, size in _UNEXPRESSIBLE
+    ])
     def test_run_unexpressible_config_fails_fast(self, tmp_path, capsys, monkeypatch,
-                                                 overrides, size):
-        # rejected before calibration and before any sweep point runs
+                                                 command, overrides, size):
+        # rejected before calibration and before any sweep point runs, by
+        # `run` and `validate` alike
         import qcawalk.experiment as experiment
 
         def never(*_args):
@@ -259,11 +271,13 @@ class TestCli:
         monkeypatch.setattr(experiment, "execute_point", never)
         out = tmp_path / "out"
         cfg = minimal_config(noise="calibrate", **overrides)
-        rc = main(["run", self._write(tmp_path, cfg), "--output-dir", str(out)])
+        argv = [command, self._write(tmp_path, cfg)]
+        rc = main(argv + ["--output-dir", str(out)] if command == "run" else argv)
         assert rc == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1
-        assert f"N={size}" in err
+        err = capsys.readouterr().err.strip().splitlines()
+        # `validate` heads its problem list with "<path>: invalid"
+        assert len(err) == (1 if command == "run" else 2)
+        assert f"N={size}" in err[-1]
         assert not out.exists()
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
@@ -312,12 +326,18 @@ class TestCli:
                if "relaxation_rate" in line]
         assert len(err) == 1 and "finite" in err[0]
 
-    @pytest.mark.parametrize("coupling", ["nan", "-5"])
-    def test_calibrate_bad_coupling(self, capsys, coupling):
-        rc = main(["calibrate", f"--coupling={coupling}", "--grid-points", "2"])
+    @pytest.mark.parametrize("args,name", [
+        pytest.param(["--coupling=nan", "--grid-points", "2"], "--coupling", id="nan"),
+        pytest.param(["--coupling=-5", "--grid-points", "2"], "--coupling", id="-5"),
+        pytest.param(["--grid-points", "-1"], "--grid-points", id="grid_points_-1"),
+        pytest.param(["--grid-points", "0"], "--grid-points", id="grid_points_0"),
+    ])
+    def test_calibrate_bad_coupling(self, capsys, args, name):
+        # each bad argument exits 2 with one line naming it, no traceback
+        rc = main(["calibrate"] + args)
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "coupling" in err[0]
+        assert len(err) == 1 and name in err[0]
 
     @pytest.mark.parametrize("config", sorted(DEMO_CONFIGS.glob("*.json")),
                              ids=lambda p: p.stem)

@@ -40,9 +40,17 @@ from qcawalk.noise import (
     _jump_operators,
     _liouvillian,
 )
+from qcawalk.states import vertex_distribution
 from qcawalk.walks import initial_state
 
 RATES = NoiseModel(relaxation_rate=3e4, dephasing_rate=2e3)
+
+
+def _dense_vertex_distribution(rho: DensityMatrix, V: int):
+    """The dense reference read at the one-hot indices; the rest is leakage."""
+    diag = rho.diagonal_probabilities()
+    vertex = diag[np.left_shift(1, np.arange(V))]
+    return vertex_distribution(vertex, diag.sum() - vertex.sum())
 
 
 class TestLindbladRhs:
@@ -248,8 +256,7 @@ class TestTrajectories:
         lat = Lattice("cycle", 4)
         op = build_step_operator(lat, AngleSchedule(), "walk")
         init = qw_init(lat, 0)
-        dists = trajectory_run(init, op, NoiseModel(), n_traj=3, seed=0,
-                               steps=4, record_steps=True)
+        dists = trajectory_run(init, op, NoiseModel(), n_traj=3, seed=0, steps=4)
         sv = run_walk(WalkConfig(lat, steps=4, init=InitSpec("single", 0), seed=0))
         for d_tr, d_sv in zip(dists, sv.exact):
             assert l1_distance(d_tr, d_sv) < 1e-12
@@ -262,10 +269,8 @@ class TestTrajectories:
         cache = {}
         for _ in range(5):
             rho = evolve_density(rho, op, calibrated_noise, channel_cache=cache)
-        from qcawalk.walks import _density_distribution
-
-        dist_rho = _density_distribution(rho, 4)
-        dist_tr = trajectory_run(init, op, calibrated_noise, n_traj=4000, seed=5, steps=5)
+        dist_rho = _dense_vertex_distribution(rho, 4)
+        dist_tr = trajectory_run(init, op, calibrated_noise, n_traj=4000, seed=5, steps=5)[-1]
         assert l1_distance(dist_rho, dist_tr) < 0.05
 
     def test_more_trajectories_reduce_error(self, calibrated_noise):
@@ -275,14 +280,12 @@ class TestTrajectories:
         rho = DensityMatrix.from_statevector(init)
         for _ in range(3):
             rho = evolve_density(rho, op, calibrated_noise)
-        from qcawalk.walks import _density_distribution
-
-        oracle = _density_distribution(rho, 4)
+        oracle = _dense_vertex_distribution(rho, 4)
         errs = {n: [] for n in (250, 500)}
         for seed in range(5):
             for n in errs:
                 d = trajectory_run(init, op, calibrated_noise, n_traj=n,
-                                   seed=seed, steps=3)
+                                   seed=seed, steps=3)[-1]
                 errs[n].append(l1_distance(oracle, d))
         assert np.mean(errs[500]) < np.mean(errs[250])
 
@@ -300,8 +303,8 @@ class TestTrajectories:
         lat = Lattice("cycle", 4)
         op = build_step_operator(lat, AngleSchedule(), "walk")
         init = qw_init(lat, 0)
-        a = trajectory_run(init, op, calibrated_noise, n_traj=300, seed=21, steps=3)
-        b = trajectory_run(init, op, calibrated_noise, n_traj=300, seed=21, steps=3)
+        a = trajectory_run(init, op, calibrated_noise, n_traj=300, seed=21, steps=3)[-1]
+        b = trajectory_run(init, op, calibrated_noise, n_traj=300, seed=21, steps=3)[-1]
         assert a.outcomes == b.outcomes
 
 
@@ -347,7 +350,7 @@ class TestTrajectoryGolden:
         op = build_step_operator(lat, AngleSchedule(marked=marked), "search")
         init = search_initializer(lat, "exact")
         dists = trajectory_run(init, op, RATES, n_traj=n_traj, seed=3,
-                               steps=len(golden) - 1, record_steps=True)
+                               steps=len(golden) - 1)
         V = lat.vertex_count
         got = np.array([[d.get(v) for v in range(V)] + [d.get("leakage")]
                         for d in dists])
@@ -366,8 +369,7 @@ class TestTrajectorySectorStart:
                          backend=WalkBackend("trajectories", 200))
         res = run_walk(cfg, noise=RATES)
         op = build_step_operator(lat, AngleSchedule(marked=marked), cfg.variant)
-        ref = trajectory_run(initial_state(cfg), op, RATES, n_traj=200, seed=3,
-                             steps=cfg.steps, record_steps=True)
+        ref = trajectory_run(initial_state(cfg), op, RATES, n_traj=200, seed=3, steps=cfg.steps)
         labels = list(range(N)) + ["leakage"]
         got = np.array([[d.get(k) for k in labels] for d in res.exact])
         want = np.array([[d.get(k) for k in labels] for d in ref])
@@ -432,8 +434,7 @@ class TestTrajectoryExactReference:
         ), 4)
         assert len(noisy_gate_channel(op.layers[0][1][2], RATES).kraus) > 1
         init = SectorVector(4, np.array([0, 1, 1j, 0, 0]) / math.sqrt(2))
-        sampled = trajectory_run(init, op, RATES, n_traj=n_traj, seed=seed, steps=6,
-                                 record_steps=True)
+        sampled = trajectory_run(init, op, RATES, n_traj=n_traj, seed=seed, steps=6)
         rho = SectorDensity.from_statevector(init)
         cache: dict = {}
         for t, dist in enumerate(sampled):
@@ -459,7 +460,7 @@ class TestTrajectoryKernelEdges:
         lat = Lattice("cycle", 8)
         op = build_step_operator(lat, AngleSchedule(marked=2), "search")
         dists = trajectory_run(search_initializer(lat, "exact"), op, model, n_traj=300,
-                               seed=5, steps=4, record_steps=True)
+                               seed=5, steps=4)
         got = [d.get("leakage") for d in dists]
         assert np.abs(np.array(got) - leakage).max() < 1e-12
         if model.relaxation_rate == 0.0:
@@ -470,7 +471,7 @@ class TestTrajectoryKernelEdges:
         lat = Lattice("cycle", 8)
         op = build_step_operator(lat, AngleSchedule(marked=2), "search")
         dists = trajectory_run(search_initializer(lat, "exact"), op, model, n_traj=1,
-                               seed=5, steps=4, record_steps=True)
+                               seed=5, steps=4)
         for d in dists:
             values = np.array(list(d.outcomes.values()))
             assert np.all(np.isfinite(values))

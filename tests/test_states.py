@@ -18,6 +18,7 @@ from qcawalk import (
     sector_project,
 )
 from qcawalk.gates import apply_gate
+from qcawalk.states import vertex_distribution
 
 
 class TestOnehotIndex:
@@ -125,6 +126,22 @@ class TestDistribution:
         d = Distribution({0: 0.75, LEAKAGE: 0.25})
         assert d.get(LEAKAGE) == 0.25
         assert d.labels() == [0, LEAKAGE]
+
+
+class TestVertexDistribution:
+    def test_negative_residue_clamped(self):
+        d = vertex_distribution(np.array([0.5, -1e-17, 0.5]), -1e-17)
+        assert d.outcomes == {0: 0.5, 1: 0.0, 2: 0.5, LEAKAGE: 0.0}
+
+    def test_small_norm_defect_kept_without_rescaling(self):
+        d = vertex_distribution(np.array([0.25, 0.75 - 1e-12]), 0.0)
+        assert d.get(1) == 0.75 - 1e-12
+        assert sum(d.outcomes.values()) == pytest.approx(1 - 1e-12, abs=1e-16)
+
+    def test_lost_norm_rejected(self):
+        # a state that lost 10% of its norm is an error, not divided away
+        with pytest.raises(ValueError, match="sum to"):
+            vertex_distribution(np.array([0.4, 0.4]), 0.1)
 
 
 class TestNormPreservation:

@@ -225,7 +225,30 @@ class TestRunWalk:
         want = [1 - math.exp(-model.relaxation_rate * t * 4 * t_layer)
                 for t in range(9)]
         assert np.abs(np.array(res.leakage_per_step) - want).max() < 1e-12
-        assert res.metadata["wall_time_s"] < 5.0  # about 0.05 s on 2 cores
+        assert res.wall_time_s < 5.0  # about 0.05 s on 2 cores
+
+    @pytest.mark.parametrize("kind,init,marked", [("cycle", "single", None),
+                                                  ("torus", "search_uniform", 3)],
+                             ids=["cycle4_walk", "torus4_search"])
+    @pytest.mark.parametrize("backend", ["statevector", "density", "trajectories"])
+    def test_one_readout_for_every_backend(self, backend, kind, init, marked):
+        # without noise every backend reads the same sector: each exact
+        # distribution equals the statevector's, and the leakage series is
+        # the LEAKAGE outcome of those distributions
+        lat = Lattice(kind, 4)
+
+        def run(name):
+            cfg = WalkConfig(lat, steps=4, init=InitSpec(init, 1), marked=marked, seed=2,
+                             backend=WalkBackend(name, 20))
+            return run_walk(cfg, noise=NoiseModel())
+
+        ideal, res = run("statevector"), run(backend)
+        labels = list(range(lat.vertex_count)) + [LEAKAGE]
+        assert len(res.exact) == 5
+        for want, got in zip(ideal.exact, res.exact):
+            assert got.labels() == labels
+            assert max(abs(got.get(k) - want.get(k)) for k in labels) < 1e-12
+        assert res.leakage_per_step == [d.get(LEAKAGE) for d in res.exact]
 
     def test_density_noise_off_matches_statevector(self):
         lat = Lattice("cycle", 4)
