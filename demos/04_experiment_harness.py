@@ -12,6 +12,7 @@ The CLI drives the same machinery:
 """
 
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -30,25 +31,29 @@ config = {
     "output": {"directory": "results", "formats": ["json", "csv"]},
 }
 
-outdir = Path(tempfile.mkdtemp(prefix="qcawalk_demo_"))
-paths = run_experiment(config, output_dir=outdir)
+with tempfile.TemporaryDirectory(prefix="qcawalk_demo_") as tmp:
+    outdir = Path(tmp)
+    paths = run_experiment(config, output_dir=outdir)
 
-print("written:")
-for p in sorted(outdir.iterdir()):
-    print(f"  {p.name}")
+    print("written:")
+    for p in sorted(outdir.iterdir()):
+        print(f"  {p.name}")
 
-record = json.loads(paths[0].read_text())
-print(f"\nconfig hash: {record['payload']['config_hash']}")
-print("scalars of the first sweep point:")
-for k, v in sorted(record["payload"]["metrics"]["scalars"].items()):
-    print(f"  {k} = {v}")
+    record = json.loads(paths[0].read_text())
+    print(f"\nconfig hash: {record['payload']['config_hash']}")
+    print("scalars of the first sweep point:")
+    for k, v in sorted(record["payload"]["metrics"]["scalars"].items()):
+        print(f"  {k} = {v}")
 
-print("\nsweep table:")
-print((outdir / "sweep.csv").read_text())
-print("fits:")
-print((outdir / "fits.csv").read_text())
+    print("\nsweep table:")
+    print((outdir / "sweep.csv").read_text())
+    print("fits:")
+    print((outdir / "fits.csv").read_text())
 
-# determinism: a second run reproduces the payload byte for byte
-again = run_experiment(config, output_dir=outdir / "again")
-same = payload_text(record) == payload_text(json.loads(Path(again[0]).read_text()))
+    # determinism: a second run reproduces the payload byte for byte
+    again = run_experiment(config, output_dir=outdir / "again")
+    same = payload_text(record) == payload_text(json.loads(Path(again[0]).read_text()))
+
 print(f"payload byte-identical on re-run: {same}")
+if not same:
+    sys.exit(1)

@@ -99,7 +99,7 @@ def validate_config(raw: dict) -> list:
 
 
 def load_config(source) -> dict:
-    """Read, validate and normalise a config (path, JSON string, or dict)."""
+    """Read, validate and normalise a config (path or dict)."""
     if isinstance(source, dict):
         raw = source
     else:

@@ -63,13 +63,6 @@ class Tessellation:
     label: str
     pairs: tuple
 
-    def vertices(self) -> set:
-        out = set()
-        for a, b in self.pairs:
-            out.add(a)
-            out.add(b)
-        return out
-
 
 def _require_even(N: int, minimum: int = 4) -> None:
     # perfect matchings of the bond layers exist only for even sizes

@@ -10,30 +10,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .states import LEAKAGE, Distribution, canonical_labels
-
-
-@dataclass
-class MetricSeries:
-    """A named per-step metric with the run pair it was computed from."""
-
-    name: str
-    values: list
-    source: tuple | None = None  # (ideal run id, noisy run id) where applicable
-
-
-def _outcomes(dist) -> dict:
-    if isinstance(dist, Distribution):
-        return dist.outcomes
-    return dict(dist)
+from .states import LEAKAGE, _as_outcome_probs, canonical_labels
 
 
 def _aligned(p, q):
-    po, qo = _outcomes(p), _outcomes(q)
+    po, qo = _as_outcome_probs(p), _as_outcome_probs(q)
     labels = canonical_labels(po, qo)
     pv = np.array([po.get(l, 0.0) for l in labels], dtype=float)
     qv = np.array([qo.get(l, 0.0) for l in labels], dtype=float)
@@ -62,7 +46,7 @@ def success_probability(series, marked) -> tuple:
     """(peak marked-vertex probability, first step attaining it)."""
     if not series:
         raise ValueError("empty distribution series")
-    probs = [_outcomes(d).get(marked, 0.0) for d in series]
+    probs = [_as_outcome_probs(d).get(marked, 0.0) for d in series]
     peak = max(probs)
     return float(peak), int(probs.index(peak))
 
@@ -85,7 +69,7 @@ def selectivity(dist, marked) -> float:
     Returns +inf (with a warning) when every unmarked vertex has zero
     probability.
     """
-    outcomes = _outcomes(dist)
+    outcomes = _as_outcome_probs(dist)
     p_marked = outcomes.get(marked, 0.0)
     unmarked = [p for label, p in outcomes.items()
                 if label != marked and label != LEAKAGE]

@@ -23,10 +23,12 @@ block on the touched indices plus a scalar elsewhere.
 
 * ``evolve_density`` applies the lowered channels to a
   :class:`SectorDensity`, the (V+1) x (V+1) block; qubits that sit idle
-  for part of a layer decay under the pure dissipator for the gap, and a
-  gate costs O(V^2).  A dense :class:`DensityMatrix` is evolved on the
-  full 2^n x 2^n matrix; that path is the independent reference the
-  sector path is tested against.
+  for part of a layer decay under the pure dissipator for the gap.  A
+  gate costs O(V): it writes its touched rows, its touched columns and
+  its 3x3 block, and leaves the rest alone, because trace preservation
+  fixes the rest's scalar at 1.  A dense :class:`DensityMatrix` is
+  evolved on the full 2^n x 2^n matrix; that path is the independent
+  reference the sector path is tested against.
 * ``trajectory_run`` unravels the same channels stochastically (the
   Monte Carlo wave-function method): for every gate interval a Kraus
   branch is sampled with probability |K_m psi|^2, so the trajectory
@@ -350,7 +352,7 @@ def _require_sector_gates(step: StepOperator) -> None:
 
 
 def _sector_lowering(kraus: tuple):
-    """Lower a sector-preserving channel to (blocks, T, C, s) on the (V+1) block.
+    """Lower a sector-preserving channel to (blocks, T, C) on the (V+1) block.
 
     With S the touched indices (vacuum, e_b, e_a) -- or (vacuum, e_q) for
     one qubit; local basis |q_a q_b>: 0 = |00>, 1 = |01>, 2 = |10> -- and
@@ -358,9 +360,10 @@ def _sector_lowering(kraus: tuple):
     (``blocks``, shape (M, d, d)) and as the scalar k00_m = B_m[0, 0] on
     R.  Raising entries must vanish for the sector to be invariant; the
     dissipators only lower, so they do.  On a density matrix,
-    vec(rho_SS) -> T vec(rho_SS) with T = sum B_m (x) conj(B_m),
-    rho_SR -> C rho_SR with C = sum conj(k00_m) B_m, and
-    rho_RR -> s rho_RR with s = sum |k00_m|^2.
+    vec(rho_SS) -> T vec(rho_SS) with T = sum B_m (x) conj(B_m) and
+    rho_SR -> C rho_SR with C = sum conj(k00_m) B_m.  rho_RR is left
+    alone: with no raising, K_m|00> = k00_m|00>, so trace preservation
+    gives sum |k00_m|^2 = <00| sum K_m^dag K_m |00> = 1.
     """
     k = np.array(kraus)
     excitations = np.array([bin(i).count("1") for i in range(k.shape[1])])
@@ -372,8 +375,7 @@ def _sector_lowering(kraus: tuple):
     blocks[:, 1:, 0] = 0.0
     T = sum(np.kron(b, b.conj()) for b in blocks)
     C = sum(np.conj(b[0, 0]) * b for b in blocks)
-    s = float(sum(abs(b[0, 0]) ** 2 for b in blocks))
-    return blocks, T, C, s
+    return blocks, T, C
 
 
 def _sector_channels(step: StepOperator, noise: NoiseModel, n: int, cache: dict):
@@ -404,8 +406,10 @@ def evolve_density(rho: DensityMatrix | SectorDensity, step: StepOperator,
 
     A :class:`SectorDensity` is evolved on its (V+1) x (V+1) block: each
     channel acts as a 3x3 (two-qubit) or 2x2 (one-qubit) block on
-    (vacuum, touched one-hots) and as a scalar on every other index, so a
-    gate costs O(V^2) and no 2^V array is formed; RZ is a diagonal phase.
+    (vacuum, touched one-hots) and maps their rows and columns; trace
+    preservation fixes its scalar on every other index at 1 (see
+    :func:`_sector_lowering`), so the rest is not touched.  A gate thus
+    costs O(V) and no 2^V array is formed; RZ is a diagonal phase.
     Only XY and RZ gates keep the state in that block, so any other gate
     raises ``ValueError``.  A :class:`DensityMatrix` is evolved densely on
     the full 2^n x 2^n matrix; that path is the reference the sector path
@@ -426,9 +430,8 @@ def evolve_density(rho: DensityMatrix | SectorDensity, step: StepOperator,
             arr[idx[1], :] *= phase
             arr[:, idx[1]] *= np.conj(phase)
             continue
-        _blocks, T, C, s = lowered
+        _blocks, T, C = lowered
         rows, cols = arr[idx, :], arr[:, idx]
-        arr *= s
         arr[idx, :] = C @ rows
         arr[:, idx] = cols @ C.conj().T
         arr[np.ix_(idx, idx)] = (T @ rows[:, idx].reshape(-1)).reshape(len(idx), len(idx))

@@ -130,16 +130,6 @@ class _MixedState:
     def diagonal_probabilities(self) -> np.ndarray:
         return np.real(np.diag(self.entries))
 
-    def validate(self, herm_tol: float = 1e-10, trace_tol: float = 1e-9,
-                 psd_tol: float = 1e-9) -> None:
-        """Raise if the state violates hermiticity, unit trace or positivity."""
-        if self.hermiticity_defect() > herm_tol:
-            raise ValueError(f"density matrix not Hermitian: defect {self.hermiticity_defect():.3e}")
-        if abs(self.trace() - 1.0) > trace_tol:
-            raise ValueError(f"density matrix trace {self.trace()!r} differs from 1")
-        if self.min_eigenvalue() < -psd_tol:
-            raise ValueError(f"density matrix has eigenvalue {self.min_eigenvalue():.3e}")
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n_qubits={self.n_qubits})"
 
@@ -240,10 +230,6 @@ class Distribution:
     def get(self, label) -> float:
         return float(self.outcomes.get(label, 0.0))
 
-    @property
-    def is_empirical(self) -> bool:
-        return self.shots is not None
-
     def labels(self):
         return canonical_labels(self.outcomes)
 
@@ -267,7 +253,6 @@ class SectorState:
     of the source state lies outside those basis states.
     """
 
-    N: int
     amplitudes: np.ndarray
     leakage_norm: float
 
@@ -320,21 +305,17 @@ def sector_project(state: StateVector | SectorVector, vertex_count: int) -> Sect
     if isinstance(state, SectorVector):
         probs = state.probabilities()
         leakage = float(probs[0] + probs[vertex_count + 1:].sum())
-        return SectorState(vertex_count, state.amplitudes[1:vertex_count + 1].copy(), leakage)
+        return SectorState(state.amplitudes[1:vertex_count + 1].copy(), leakage)
     idx = np.left_shift(1, np.arange(vertex_count))
     amps = state.amplitudes[idx].copy()
     total = float(np.vdot(state.amplitudes, state.amplitudes).real)
     leakage = total - float(np.vdot(amps, amps).real)
-    return SectorState(vertex_count, amps, max(leakage, 0.0))
+    return SectorState(amps, max(leakage, 0.0))
 
 
 def _as_outcome_probs(dist) -> dict:
-    if isinstance(dist, Distribution):
-        return dist.outcomes
-    if isinstance(dist, dict):
-        return dist
-    arr = np.asarray(dist, dtype=float)
-    return {i: float(p) for i, p in enumerate(arr)}
+    """The outcome map of a :class:`Distribution`; a mapping is its own."""
+    return dist.outcomes if isinstance(dist, Distribution) else dist
 
 
 def sample_counts(dist, shots: int, seed) -> Distribution:

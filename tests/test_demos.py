@@ -18,3 +18,5 @@ def test_demo_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    # TMPDIR points here, so a temporary directory the demo leaves behind shows up
+    assert not list(tmp_path.glob("qcawalk_demo_*"))

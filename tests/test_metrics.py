@@ -6,7 +6,6 @@ import pytest
 from qcawalk import (
     LEAKAGE,
     Distribution,
-    MetricSeries,
     degraded_ratio,
     hellinger_fidelity,
     hitting_time,
@@ -141,10 +140,3 @@ class TestFits:
         fit = inverse_fit([4, 8, 16], [0.5, 0.25, 0.125])
         assert fit["coefficient"] == pytest.approx(2.0)
         assert fit["residual"] == pytest.approx(0.0, abs=1e-12)
-
-
-class TestMetricSeries:
-    def test_carries_source_pair(self):
-        s = MetricSeries("hellinger_fidelity", [1.0, 0.9], ("ideal", "noisy"))
-        assert s.name == "hellinger_fidelity"
-        assert len(s.values) == 2

@@ -39,6 +39,7 @@ from qcawalk.noise import (
     _fidelity_evaluator,
     _jump_operators,
     _liouvillian,
+    _sector_lowering,
 )
 from qcawalk.states import vertex_distribution
 from qcawalk.walks import initial_state
@@ -228,6 +229,43 @@ class TestSectorDensity:
             assert sector.trace() == pytest.approx(1.0, abs=1e-12)
             assert sector.hermiticity_defect() < 1e-12
             assert sector.min_eigenvalue() >= -1e-12
+
+    def test_gate_leaves_untouched_entries_bit_identical(self, calibrated_noise):
+        # XY on qubits (0, 1) touches sector indices {0, 1, 2}; the block on
+        # the other indices is left alone, not rescaled by a rounded 1
+        from qcawalk.gates import StepOperator
+        from qcawalk.lattice import Tessellation
+
+        rng = np.random.default_rng(0)
+        amps = rng.normal(size=7) + 1j * rng.normal(size=7)
+        rho = SectorDensity.from_statevector(SectorVector(6, amps / np.linalg.norm(amps)))
+        tess = Tessellation("only", ((0, 1),))
+        op = StepOperator(((tess, (GateSpec("XY", math.pi / 4, (0, 1)),)),), 6)
+        out = evolve_density(rho, op, replace(calibrated_noise, idle_decay=False))
+        rest = np.ix_(range(3, 7), range(3, 7))
+        assert np.array_equal(out.entries[rest], rho.entries[rest])
+        assert not np.array_equal(out.entries[:3, :3], rho.entries[:3, :3])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        channel=st.sampled_from(["sqrt_iswap", "iswap", "rz_with_duration", "idle_gap"]),
+        K=st.floats(0.0, 1e6),
+        delta=st.floats(0.0, 1e6),
+    )
+    def test_untouched_scalar_is_one(self, channel, K, delta):
+        # sum |k00_m|^2 = <00| sum K_m^dag K_m |00> = 1 by trace preservation,
+        # which is why evolve_density leaves the untouched block alone
+        model = NoiseModel(relaxation_rate=K, dephasing_rate=delta)
+        if channel == "idle_gap":
+            ch = idle_channel((math.pi / 4) / model.coupling, model)
+        else:
+            ch = noisy_gate_channel({
+                "sqrt_iswap": GateSpec("XY", math.pi / 4, (0, 1)),
+                "iswap": GateSpec("XY", math.pi / 2, (0, 1)),
+                "rz_with_duration": GateSpec("RZ", -math.pi / 2, (0,), duration=1e-8),
+            }[channel], model)
+        blocks = _sector_lowering(ch.kraus)[0]
+        assert abs(np.sum(np.abs(blocks[:, 0, 0]) ** 2) - 1.0) <= 1e-12
 
     def test_rx_step_raises(self):
         from qcawalk.gates import StepOperator

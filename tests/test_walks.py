@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,30 @@ from qcawalk import (
     success_probability,
 )
 from qcawalk.walks import initial_sector_state, initial_state
+
+RELAXATION_ONLY = NoiseModel(relaxation_rate=3.5e4, dephasing_rate=0.0)
+
+
+def _check_relaxation_law(cfg, model):
+    """At zero dephasing the density run is the statevector run times exp(-K T(t)).
+
+    XY gates keep the excitation number, every qubit is exposed for each
+    whole layer, and a jump lands in the vacuum, which never comes back;
+    so each vertex reads exp(-K T(t)) times its ideal value and the rest
+    leaks, with T(t) = t x layers x the longest gate angle / coupling, as
+    in ``bench/checks.exact_leakage``.  Returns the density run.
+    """
+    ideal = run_walk(replace(cfg, backend=WalkBackend("statevector")))
+    noisy = run_walk(replace(cfg, backend=WalkBackend("density")), noise=model)
+    layers = 2 if cfg.lattice.kind == "cycle" else 4
+    layer_t = (math.pi / 2 if cfg.variant == "search" else math.pi / 4) / model.coupling
+    assert len(noisy.exact) == cfg.steps + 1
+    for t, (want, got) in enumerate(zip(ideal.exact, noisy.exact)):
+        decay = math.exp(-model.relaxation_rate * t * layers * layer_t)
+        err = max(abs(got.get(v) - decay * want.get(v)) for v in range(cfg.lattice.vertex_count))
+        assert err < 1e-12, (t, err)
+        assert abs(got.get(LEAKAGE) - (1 - decay)) < 1e-12, t
+    return noisy
 
 
 class TestQwInit:
@@ -205,10 +230,10 @@ class TestRunWalk:
 
     def test_density_admits_a_32x32_torus(self):
         lat = Lattice("torus", 32)  # a 1025 x 1025 block needs 16.8 MB
-        cfg = WalkConfig(lat, steps=0, init=InitSpec("search_uniform"), marked=3,
+        cfg = WalkConfig(lat, steps=2, init=InitSpec("search_uniform"), marked=3,
                          backend=WalkBackend("density"))
-        (exact, _), = run_walk(cfg).per_step
-        assert exact.get(3) == pytest.approx(1 / 1024, abs=1e-15)
+        res = _check_relaxation_law(cfg, RELAXATION_ONLY)
+        assert res.exact[0].get(3) == pytest.approx(1 / 1024, abs=1e-15)
 
     def test_density_runs_a_register_too_big_for_a_dense_matrix(self):
         # V = 16: the dense 2^16 x 2^16 matrix would need 68 GB; the sector
@@ -289,6 +314,17 @@ class TestRunWalk:
     def test_non_integer_site_rejected(self, site):
         with pytest.raises(ValueError, match="site"):
             InitSpec("single", site)
+
+
+class TestRelaxationLaw:
+    @pytest.mark.parametrize("kind,N,init,marked", [
+        ("cycle", 16, InitSpec("single", 0), None),
+        ("torus", 4, InitSpec("search_uniform"), 3),
+        ("torus", 8, InitSpec("search_uniform"), 3),
+    ], ids=["cycle16_walk", "torus4_search", "torus8_search"])
+    def test_density_is_ideal_times_no_jump_factor(self, kind, N, init, marked):
+        cfg = WalkConfig(Lattice(kind, N), steps=12, init=init, marked=marked, seed=1)
+        _check_relaxation_law(cfg, RELAXATION_ONLY)
 
 
 class TestInitialSectorState:
