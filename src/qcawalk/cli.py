@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import __version__
 from .experiment import (
@@ -26,17 +25,15 @@ EXIT_RESOURCE = 3
 
 def _cmd_validate(args) -> int:
     try:
-        raw = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        cfg = load_config(raw)
+        cfg = load_config(args.config)
         resolve_points(cfg)
     except ConfigError as exc:
         print(f"{args.config}: invalid", file=sys.stderr)
         for p in exc.messages:
             print(f"  {p}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"{args.config}: valid (name={cfg['name']!r}, "
           f"{cfg['walk']['variant']} on {cfg['lattice']['kind']})")

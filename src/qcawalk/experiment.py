@@ -195,11 +195,10 @@ def resolve_points(cfg: dict) -> list:
 
 def _dist_payload(dist: Distribution) -> dict:
     return {
-        "probabilities": {str(k): float(v) for k, v in sorted(
-            dist.outcomes.items(), key=lambda kv: str(kv[0]))},
+        "probabilities": {str(k): float(v) for k, v in dist.outcomes.items()},
         "shots": dist.shots,
         "counts": None if dist.counts is None else {
-            str(k): int(v) for k, v in sorted(dist.counts.items(), key=lambda kv: str(kv[0]))},
+            str(k): int(v) for k, v in dist.counts.items()},
     }
 
 
@@ -290,12 +289,11 @@ def execute_point(point: dict, noise: NoiseModel | None) -> dict:
             ],
         }
 
-    config_echo = {k: point[k] for k in sorted(point)}
     payload = {
         "schema_version": 1,
-        "config": config_echo,
+        "config": point,
         "config_hash": hashlib.sha256(
-            json.dumps(config_echo, sort_keys=True).encode()).hexdigest(),
+            json.dumps(point, sort_keys=True).encode()).hexdigest(),
         "runs": payload_runs,
         "metrics": {"series": series, "scalars": scalars},
     }

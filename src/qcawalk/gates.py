@@ -85,17 +85,11 @@ def pauli_rotation(axis: str, theta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GateSpec:
-    """A named gate instance: angle, target qubits, optional duration.
-
-    ``duration`` (seconds) is normally derived from the noise model
-    (XY runs for theta/coupling, single-qubit rotations for a fixed time,
-    RZ is instantaneous); setting it here overrides that.
-    """
+    """A named gate instance: angle and target qubits; its time is the noise model's."""
 
     name: str  # "XY" | "RX" | "RY" | "RZ"
     theta: float
     targets: tuple
-    duration: float | None = None
 
     def __post_init__(self):
         if self.name not in ("XY", "RX", "RY", "RZ"):
@@ -107,8 +101,6 @@ class GateSpec:
             raise ValueError("gate targets must be distinct")
         if not math.isfinite(self.theta):
             raise ValueError("angle must be finite")
-        if self.duration is not None and self.duration < 0:
-            raise ValueError("duration must be non-negative")
 
     @property
     def n_targets(self) -> int:

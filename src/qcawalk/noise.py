@@ -17,9 +17,11 @@ Two noisy backends consume those channels.  The walks start in
 span{vacuum, one-hot} and the channels never raise the excitation
 number, so both run on that (V+1)-dimensional sector (index 0 the
 vacuum, v+1 vertex v), fed by one channel stream: ``_sector_channels``
-maps each gate's targets to sector indices, turns a noiseless RZ into a
-phase, and lowers every other channel once per cache to a 3x3 (or 2x2)
-block on the touched indices plus a scalar elsewhere.
+maps each gate's targets to sector indices, turns an RZ into a phase, and
+lowers every other channel to a 3x3 (or 2x2) block on the touched indices
+plus a scalar elsewhere.  A channel depends only on (gate, noise model),
+so ``_channel`` and ``_lowered`` memoise both forms in bounded caches
+that every step, backend and run of the process shares.
 
 * ``evolve_density`` applies the lowered channels to a
   :class:`SectorDensity`, the (V+1) x (V+1) block; qubits that sit idle
@@ -49,6 +51,7 @@ trace against the ideal superoperator; no Kraus operators are formed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -126,8 +129,6 @@ class NoiseModel:
 
     def duration_of(self, gate: GateSpec) -> float:
         """Gate time in seconds: theta/coupling for XY, fixed for RX/RY, 0 for RZ."""
-        if gate.duration is not None:
-            return gate.duration
         if gate.name == "XY":
             return abs(gate.theta) / self.coupling
         if gate.name == "RZ":
@@ -262,16 +263,12 @@ def noisy_gate_channel(gate: GateSpec, noise: NoiseModel) -> GateChannel:
 
     The gate Hamiltonian is held fixed at theta/t times the gate's
     dimensionless generator, so at zero rates the channel is exactly
-    conjugation by the ideal unitary.  RZ has zero duration and stays
-    noiseless; any other zero-duration gate is rejected.
+    conjugation by the ideal unitary.  A gate that takes no time (RZ, or
+    XY at angle 0) is its ideal unitary.
     """
     t = noise.duration_of(gate)
     ideal = gate.matrix()
-    if t == 0.0:
-        if gate.name != "RZ":
-            raise ValueError(f"gate {gate.name} has zero duration but a nonzero generator")
-        return GateChannel(ideal, (ideal,))
-    if noise.is_noiseless:
+    if t == 0.0 or noise.is_noiseless:
         return GateChannel(ideal, (ideal,))
     h = (gate.theta / t) * gate.generator()
     jumps = _jump_operators(gate.n_targets, noise.relaxation_rate, noise.dephasing_rate)
@@ -317,31 +314,42 @@ def _layer_schedule(gates: tuple, noise: NoiseModel, n: int):
     return busy, layer_t
 
 
-def _step_channels(step: StepOperator, noise: NoiseModel, n: int, cache: dict):
-    """Yield (cache key, targets, channel) for one step in application order.
+@functools.lru_cache(maxsize=1024)
+def _channel(key: tuple, noise: NoiseModel) -> GateChannel:
+    """The channel of ``key``, ``(name, theta, arity)`` or ``("idle", gap)``.
+
+    Channels are target-local, so the key names one channel for every
+    placement of the gate.  The builders are looked up when called, so a
+    wrapper installed on this module (``bench/spans.py``) sees every build.
+    """
+    if key[0] == "idle":
+        return idle_channel(key[1], noise)
+    name, theta, arity = key
+    return noisy_gate_channel(GateSpec(name, theta, tuple(range(arity))), noise)
+
+
+def _step_channels(step: StepOperator, noise: NoiseModel):
+    """Yield (channel key, targets) for one step in application order.
 
     Gate channels come in layer order; within a layer every qubit is
     exposed for the layer's full duration, gates first and the pure
     dissipator for whatever gap remains (if ``noise.idle_decay``).
     """
+    n = step.n_qubits
     for _tess, gates in step.layers:
         for g in gates:
-            # channels are target-local, so one entry per (gate, angle, arity)
-            key = (g.name, g.theta, g.n_targets, g.duration)
-            ch = cache.get(key)
-            if ch is None:
-                ch = cache[key] = noisy_gate_channel(g, noise)
-            yield key, g.targets, ch
+            yield (g.name, g.theta, g.n_targets), g.targets
         if noise.idle_decay and not noise.is_noiseless:
             busy, layer_t = _layer_schedule(gates, noise, n)
             for q in range(n):
                 gap = layer_t - busy[q]
                 if gap > 1e-18:
-                    key = ("idle", gap)
-                    ch = cache.get(key)
-                    if ch is None:
-                        ch = cache[key] = idle_channel(gap, noise)
-                    yield key, (q,), ch
+                    yield ("idle", gap), (q,)
+
+
+def _require_register(n: int, step: StepOperator) -> None:
+    if step.n_qubits != n:
+        raise ValueError(f"state has {n} qubits, step operator {step.n_qubits}")
 
 
 def _require_sector_gates(step: StepOperator) -> None:
@@ -378,30 +386,30 @@ def _sector_lowering(kraus: tuple):
     return blocks, T, C
 
 
-def _sector_channels(step: StepOperator, noise: NoiseModel, n: int, cache: dict):
+@functools.lru_cache(maxsize=1024)
+def _lowered(key: tuple, noise: NoiseModel):
+    return _sector_lowering(_channel(key, noise).kraus)
+
+
+def _sector_channels(step: StepOperator, noise: NoiseModel):
     """Yield (idx, phase, lowered) for one step's channels on the (V+1) sector.
 
     ``idx`` lists the sector indices the channel touches, (vacuum, e_b,
-    e_a).  A noiseless RZ is the phase on e_q relative to the vacuum, and
-    ``lowered`` is None; every other channel has ``phase`` None and is
-    lowered by :func:`_sector_lowering`, cached under ``("sector",) +
-    key`` so a dense evolution sharing ``cache`` still finds the
-    :class:`GateChannel` under the plain key.
+    e_a).  An RZ, always noiseless, is the phase on e_q relative to the
+    vacuum, and ``lowered`` is None; every other channel has ``phase``
+    None and is lowered by :func:`_sector_lowering`.
     """
-    for key, targets, ch in _step_channels(step, noise, n, cache):
+    for key, targets in _step_channels(step, noise):
         idx = [0] + [q + 1 for q in reversed(targets)]
-        if key[0] == "RZ" and len(ch.kraus) == 1:
-            k = ch.kraus[0]
+        if key[0] == "RZ":
+            k = _channel(key, noise).kraus[0]
             yield idx, k[1, 1] * np.conj(k[0, 0]), None
-            continue
-        lowered = cache.get(("sector",) + key)
-        if lowered is None:
-            lowered = cache[("sector",) + key] = _sector_lowering(ch.kraus)
-        yield idx, None, lowered
+        else:
+            yield idx, None, _lowered(key, noise)
 
 
 def evolve_density(rho: DensityMatrix | SectorDensity, step: StepOperator,
-                   noise: NoiseModel, channel_cache: dict | None = None):
+                   noise: NoiseModel):
     """One noisy step on the density backend; returns the same representation.
 
     A :class:`SectorDensity` is evolved on its (V+1) x (V+1) block: each
@@ -413,19 +421,17 @@ def evolve_density(rho: DensityMatrix | SectorDensity, step: StepOperator,
     Only XY and RZ gates keep the state in that block, so any other gate
     raises ``ValueError``.  A :class:`DensityMatrix` is evolved densely on
     the full 2^n x 2^n matrix; that path is the reference the sector path
-    is tested against.  Both share ``channel_cache``.
+    is tested against.
     """
     n = rho.n_qubits
-    if step.n_qubits != n:
-        raise ValueError("step operator register size mismatch")
-    cache = channel_cache if channel_cache is not None else {}
+    _require_register(n, step)
     arr = rho.entries.copy()
     if isinstance(rho, DensityMatrix):
-        for _key, targets, ch in _step_channels(step, noise, n, cache):
-            arr = _apply_kraus_to_density(arr, ch.kraus, targets, n)
+        for key, targets in _step_channels(step, noise):
+            arr = _apply_kraus_to_density(arr, _channel(key, noise).kraus, targets, n)
         return DensityMatrix(n, arr)
     _require_sector_gates(step)
-    for idx, phase, lowered in _sector_channels(step, noise, n, cache):
+    for idx, phase, lowered in _sector_channels(step, noise):
         if lowered is None:
             arr[idx[1], :] *= phase
             arr[:, idx[1]] *= np.conj(phase)
@@ -487,11 +493,12 @@ def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: 
     Trajectories run in the (V+1)-dimensional sector only.  A
     :class:`StateVector` is restricted to it by
     :meth:`SectorVector.from_statevector`, which raises ``ValueError`` if
-    the state has weight outside; a step with gates other than XY/RZ
-    raises ``ValueError`` too.
+    the state has weight outside; a step with gates other than XY/RZ, or
+    on a register of another size, raises ``ValueError`` too.
     """
     n_traj = require_count("n_traj", n_traj, 1)
     steps = require_count("steps", steps, 0)
+    _require_register(init.n_qubits, step)
     _require_sector_gates(step)
     if isinstance(init, StateVector):
         init = SectorVector.from_statevector(init)
@@ -502,11 +509,10 @@ def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: 
     psi[:] = init.amplitudes[:, None]
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
 
-    cache: dict = {}
     out = []
     for t in range(steps + 1):
         if t:
-            for idx, phase, lowered in _sector_channels(step, noise, V, cache):
+            for idx, phase, lowered in _sector_channels(step, noise):
                 if lowered is None:
                     psi[idx[1]] *= phase
                 else:
@@ -539,10 +545,6 @@ class CalibrationResult:
     achieved: dict
     residuals: dict
     ssr: float
-
-    @property
-    def max_abs_residual(self) -> float:
-        return max(abs(r) for r in self.residuals.values()) if self.residuals else 0.0
 
     def summary(self) -> str:
         lines = [

@@ -332,12 +332,11 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
 
         model = noise if noise is not None else NoiseModel()
         rho = SectorDensity.from_statevector(state)
-        cache: dict = {}
         for t in range(config.steps + 1):
             p = rho.diagonal_probabilities()
             exact.append(vertex_distribution(p[1:], p[0]))
             if t < config.steps:
-                rho = evolve_density(rho, step_op, model, channel_cache=cache)
+                rho = evolve_density(rho, step_op, model)
     else:  # trajectories
         from .noise import NoiseModel, trajectory_run
 

@@ -145,9 +145,8 @@ def test_criterion_05_noise_model_soundness(calibrated_noise):
     lat = Lattice("cycle", 4)
     op = build_step_operator(lat, AngleSchedule(), "walk")
     rho = DensityMatrix.from_statevector(qw_init(lat, 0, symmetric=True))
-    cache = {}
     for _ in range(100):
-        rho = evolve_density(rho, op, calibrated_noise, channel_cache=cache)
+        rho = evolve_density(rho, op, calibrated_noise)
     trace_err = abs(rho.trace() - 1.0)
     min_eig = rho.min_eigenvalue()
     ok = worst_tp < 1e-10 and worst_choi > -1e-9 and trace_err < 1e-9 and min_eig > -1e-9
@@ -183,9 +182,8 @@ def test_criterion_07_backend_agreement(calibrated_noise):
     op = build_step_operator(lat, AngleSchedule(), "walk")
     init = qw_init(lat, 0, symmetric=True)
     rho = DensityMatrix.from_statevector(init)
-    cache = {}
     for _ in range(5):
-        rho = evolve_density(rho, op, calibrated_noise, channel_cache=cache)
+        rho = evolve_density(rho, op, calibrated_noise)
     dist_density = _dense_vertex_distribution(rho, 4)
     dist_traj = trajectory_run(init, op, calibrated_noise, n_traj=10000, seed=12, steps=5)[-1]
     err = l1_distance(dist_density, dist_traj)

@@ -252,6 +252,20 @@ class TestCli:
         rc = main(["run", self._write(tmp_path, minimal_config(seed=-4))])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not_json"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, command, text):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
+        rc = main([command, str(path), *(["--output-dir", str(tmp_path)]
+                                         if command == "run" else [])])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot read config")
+
     @pytest.mark.parametrize("command,overrides,size", [
         pytest.param(command, overrides, size,
                      id=case if command == "run" else f"validate_{case}")

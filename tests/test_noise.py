@@ -137,13 +137,26 @@ class TestNoisyGateChannel:
         assert len(ch.kraus) == 1
         assert np.abs(ch.kraus[0] - ch.ideal).max() < 1e-15
 
-    def test_zero_duration_rejected(self):
-        with pytest.raises(ValueError):
-            noisy_gate_channel(GateSpec("XY", math.pi / 4, (0, 1), duration=0.0), RATES)
+    def test_zero_angle_xy_is_identity(self):
+        # XY(0) takes no time, so even under noise it is its ideal unitary
+        ch = noisy_gate_channel(GateSpec("XY", 0.0, (0, 1)), RATES)
+        assert len(ch.kraus) == 1
+        assert np.array_equal(ch.kraus[0], np.eye(4))
 
-    def test_gate_overrides_duration(self):
-        long = noisy_gate_channel(GateSpec("RX", math.pi / 2, (0,), duration=1e-5), RATES)
-        short = noisy_gate_channel(GateSpec("RX", math.pi / 2, (0,), duration=1e-8), RATES)
+    def test_zero_angle_step_runs_on_every_backend(self):
+        # a step of XY(0) gates takes no time, so no backend changes the state
+        op = build_step_operator(Lattice("cycle", 4), AngleSchedule(default=0.0), "walk")
+        init = SectorVector(4, np.array([0, 1, 1j, 0, 0]) / math.sqrt(2))
+        rho = SectorDensity.from_statevector(init)
+        assert np.abs(evolve_density(rho, op, RATES).entries - rho.entries).max() < 1e-15
+        for dist in trajectory_run(init, op, RATES, n_traj=4, seed=0, steps=2):
+            assert dist.get(0) == pytest.approx(0.5, abs=1e-15)
+            assert dist.get(1) == pytest.approx(0.5, abs=1e-15)
+
+    def test_longer_gate_is_noisier(self):
+        rx = GateSpec("RX", math.pi / 2, (0,))
+        long = noisy_gate_channel(rx, replace(RATES, single_qubit_duration=1e-5))
+        short = noisy_gate_channel(rx, replace(RATES, single_qubit_duration=1e-8))
         assert average_gate_fidelity(long) < average_gate_fidelity(short)
 
 
@@ -152,9 +165,8 @@ class TestEvolveDensity:
         lat = Lattice("cycle", 4)
         op = build_step_operator(lat, AngleSchedule(), "walk")
         rho = DensityMatrix.from_statevector(qw_init(lat, 0, symmetric=True))
-        cache = {}
         for _ in range(25):
-            rho = evolve_density(rho, op, calibrated_noise, channel_cache=cache)
+            rho = evolve_density(rho, op, calibrated_noise)
         assert rho.trace() == pytest.approx(1.0, abs=1e-9)
         assert rho.hermiticity_defect() < 1e-10
         assert rho.min_eigenvalue() > -1e-9
@@ -220,10 +232,9 @@ class TestSectorDensity:
         keep = sector_basis(N)
         outside = np.ones(2**N, dtype=bool)
         outside[keep] = False
-        cache = {}  # shared by both representations, in turn
         for _ in range(steps):
-            sector = evolve_density(sector, op, model, channel_cache=cache)
-            dense = evolve_density(dense, op, model, channel_cache=cache)
+            sector = evolve_density(sector, op, model)
+            dense = evolve_density(dense, op, model)
             assert np.abs(sector.entries - dense.entries[np.ix_(keep, keep)]).max() < 1e-12
             assert dense.diagonal_probabilities()[outside].sum() <= 1e-12
             assert sector.trace() == pytest.approx(1.0, abs=1e-12)
@@ -248,7 +259,7 @@ class TestSectorDensity:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        channel=st.sampled_from(["sqrt_iswap", "iswap", "rz_with_duration", "idle_gap"]),
+        channel=st.sampled_from(["sqrt_iswap", "iswap", "idle_gap"]),
         K=st.floats(0.0, 1e6),
         delta=st.floats(0.0, 1e6),
     )
@@ -262,7 +273,6 @@ class TestSectorDensity:
             ch = noisy_gate_channel({
                 "sqrt_iswap": GateSpec("XY", math.pi / 4, (0, 1)),
                 "iswap": GateSpec("XY", math.pi / 2, (0, 1)),
-                "rz_with_duration": GateSpec("RZ", -math.pi / 2, (0,), duration=1e-8),
             }[channel], model)
         blocks = _sector_lowering(ch.kraus)[0]
         assert abs(np.sum(np.abs(blocks[:, 0, 0]) ** 2) - 1.0) <= 1e-12
@@ -304,9 +314,8 @@ class TestTrajectories:
         op = build_step_operator(lat, AngleSchedule(), "walk")
         init = qw_init(lat, 0)
         rho = DensityMatrix.from_statevector(init)
-        cache = {}
         for _ in range(5):
-            rho = evolve_density(rho, op, calibrated_noise, channel_cache=cache)
+            rho = evolve_density(rho, op, calibrated_noise)
         dist_rho = _dense_vertex_distribution(rho, 4)
         dist_tr = trajectory_run(init, op, calibrated_noise, n_traj=4000, seed=5, steps=5)[-1]
         assert l1_distance(dist_rho, dist_tr) < 0.05
@@ -336,6 +345,13 @@ class TestTrajectories:
         amps[0b0011] = 1.0
         with pytest.raises(ValueError, match="outside"):
             trajectory_run(StateVector(4, amps), op, RATES, n_traj=2, seed=1, steps=2)
+
+    @pytest.mark.parametrize("state_n,cycle_n", [(8, 4), (4, 8)])
+    def test_register_size_mismatch_raises(self, state_n, cycle_n):
+        op = build_step_operator(Lattice("cycle", cycle_n), AngleSchedule(), "walk")
+        with pytest.raises(ValueError, match=f"state has {state_n} qubits, "
+                                             f"step operator {cycle_n}"):
+            trajectory_run(SectorVector.vacuum(state_n), op, RATES, n_traj=2, seed=1)
 
     def test_deterministic_under_seed(self, calibrated_noise):
         lat = Lattice("cycle", 4)
@@ -455,9 +471,8 @@ class TestTrajectoryExactReference:
         assert exact[1:, -1].min() > 0  # the jump branches ran
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_rz_with_duration_is_sampled(self, seed):
-        # an RZ given a duration is a noisy channel with several Kraus
-        # operators, so it must be sampled like any other gate
+    def test_rz_at_arbitrary_angles_matches_density(self, seed):
+        # RZ at angles other than the walk's own, between noisy XY gates
         from qcawalk.gates import StepOperator
         from qcawalk.lattice import Tessellation
 
@@ -466,18 +481,15 @@ class TestTrajectoryExactReference:
         odd = Tessellation("odd", ((1, 2), (3, 0)))
         op = StepOperator((
             (even, (GateSpec("XY", math.pi / 4, (0, 1)), GateSpec("XY", math.pi / 4, (2, 3)),
-                    GateSpec("RZ", 0.7, (1,), duration=1e-8),
-                    GateSpec("RZ", -1.1, (2,), duration=1e-8))),
+                    GateSpec("RZ", 0.7, (1,)), GateSpec("RZ", -1.1, (2,)))),
             (odd, (GateSpec("XY", math.pi / 4, (1, 2)), GateSpec("XY", math.pi / 4, (3, 0)))),
         ), 4)
-        assert len(noisy_gate_channel(op.layers[0][1][2], RATES).kraus) > 1
         init = SectorVector(4, np.array([0, 1, 1j, 0, 0]) / math.sqrt(2))
         sampled = trajectory_run(init, op, RATES, n_traj=n_traj, seed=seed, steps=6)
         rho = SectorDensity.from_statevector(init)
-        cache: dict = {}
         for t, dist in enumerate(sampled):
             if t:
-                rho = evolve_density(rho, op, RATES, channel_cache=cache)
+                rho = evolve_density(rho, op, RATES)
             exact = rho.diagonal_probabilities()
             got = np.array([dist.get("leakage")] + [dist.get(v) for v in range(4)])
             bound = np.maximum(5 * np.sqrt(exact * (1 - exact) / n_traj), 1e-12)
