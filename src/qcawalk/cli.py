@@ -11,6 +11,7 @@ from .experiment import (
     ConfigError,
     emit_report,
     load_config,
+    load_records,
     resolve_points,
     resolve_workers,
     run_experiment,
@@ -65,11 +66,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    outdir = args.output_dir or args.records_dir
-    written = emit_report(args.records_dir, outdir)
-    if len(written) <= 1:
+    try:
+        records = load_records(args.records_dir)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read run records: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if not records:
         print(f"warning: no run records found in {args.records_dir}", file=sys.stderr)
-    for p in written:
+    for p in emit_report(records, args.output_dir or args.records_dir):
         print(p)
     return EXIT_OK
 

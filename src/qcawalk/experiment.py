@@ -373,7 +373,15 @@ def payload_text(record: dict) -> str:
 
 
 def load_records(directory) -> list:
-    paths = sorted(Path(directory).glob("*.json"))
+    """The run records among a directory's ``*.json`` files, in name order.
+
+    Raises ``OSError`` if ``directory`` is not a directory and
+    ``ValueError`` (a ``json.JSONDecodeError``) on a file that is not JSON.
+    """
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise NotADirectoryError(f"{directory} is not a directory")
+    paths = sorted(directory.glob("*.json"))
     records = []
     for p in paths:
         data = json.loads(p.read_text())
@@ -382,18 +390,15 @@ def load_records(directory) -> list:
     return records
 
 
-def emit_report(records_or_dir, output_dir) -> list:
-    """Write per-step and sweep CSVs plus a plain-text summary.
+def emit_report(records, output_dir) -> list:
+    """Write per-step and sweep CSVs plus a plain-text summary of
+    ``records``, a list of run records (as :func:`load_records` reads them).
 
     The per-step CSV holds every metric series as (run, backend(s),
     metric, step, value) rows; the sweep CSV one row per lattice size
     with the search scalars; scaling fits (hitting time vs size, success
     probability vs 1/size) go to fits.csv when at least two sizes exist.
     """
-    if isinstance(records_or_dir, (str, Path)):
-        records = load_records(records_or_dir)
-    else:
-        records = list(records_or_dir)
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []

@@ -18,7 +18,9 @@ to the marked vertex and RZ(-pi/2) x RZ(-pi/2) . XY(pi/2) (iSWAP first,
 then the phase corrections on both qubits) everywhere else.
 
 ``StepOperator.apply`` has two kernels.  On a dense :class:`StateVector`
-it applies gate by gate to the 2^n amplitudes (the reference).  On a
+it applies gate by gate to the 2^n amplitudes (the reference) through
+:func:`apply_local`, the one dense kernel, which the dense density
+reference in :mod:`qcawalk.noise` also uses.  On a
 :class:`SectorVector` it uses a lowering computed once per operator:
 every layer is a perfect matching (staggered tessellation model), so it
 becomes the 2x2 central blocks of its XY gates on (e_b, e_a) plus one
@@ -118,52 +120,32 @@ class GateSpec:
         return PAULI[self.name[1]] / 2
 
 
-def _slicer(n: int, assignments: dict) -> tuple:
-    idx = [slice(None)] * n
-    for q, v in assignments.items():
-        idx[n - 1 - q] = v  # axis 0 of the reshaped tensor is the highest qubit
-    return tuple(idx)
+def apply_local(amplitudes: np.ndarray, matrix: np.ndarray, targets) -> np.ndarray:
+    """Apply a 2^k x 2^k ``matrix`` to qubits ``targets`` of an n-qubit
+    amplitude array (C-contiguous, 2^n entries, any shape) in place, and
+    return the array.
 
-
-def apply_single_qubit(state: StateVector, gate: np.ndarray, q: int) -> StateVector:
-    """Apply a 2x2 matrix to qubit ``q``, updating the amplitudes in place."""
-    n = state.n_qubits
-    if not 0 <= q < n:
-        raise ValueError(f"qubit {q} out of range")
-    t = state.amplitudes.reshape([2] * n)
-    s0, s1 = _slicer(n, {q: 0}), _slicer(n, {q: 1})
-    new0 = gate[0, 0] * t[s0] + gate[0, 1] * t[s1]
-    new1 = gate[1, 0] * t[s0] + gate[1, 1] * t[s1]
-    t[s0], t[s1] = new0, new1
-    return state
-
-
-def apply_two_qubit(state: StateVector, gate: np.ndarray, qa: int, qb: int) -> StateVector:
-    """Apply a 4x4 matrix to qubits (qa, qb), updating the amplitudes in place.
-
-    Row index convention of ``gate``: (bit of qa) * 2 + (bit of qb).
+    The one statement of the register's axis order: bit q of a basis index
+    is qubit q, so qubit q is axis n-1-q of the array reshaped to [2]*n,
+    and the bit of ``targets[0]`` is the most significant bit of the
+    matrix's row and column index.
     """
-    n = state.n_qubits
-    if qa == qb:
-        raise ValueError("two-qubit gate needs distinct qubits")
-    if not (0 <= qa < n and 0 <= qb < n):
-        raise ValueError(f"qubits ({qa}, {qb}) out of range")
-    t = state.amplitudes.reshape([2] * n)
-    sl = [_slicer(n, {qa: r >> 1, qb: r & 1}) for r in range(4)]
-    old = [t[s].copy() for s in sl]  # copies: rows are overwritten as we go
-    for r in range(4):
-        acc = gate[r, 0] * old[0]
-        for c in range(1, 4):
-            if gate[r, c] != 0:
-                acc = acc + gate[r, c] * old[c]
-        t[sl[r]] = acc
-    return state
+    n = amplitudes.size.bit_length() - 1
+    k = len(targets)
+    if len(set(targets)) != k or not all(0 <= q < n for q in targets):
+        raise ValueError(f"targets {tuple(targets)} must be distinct qubits of 0..{n - 1}")
+    if matrix.shape != (2**k, 2**k) or not amplitudes.flags.c_contiguous:
+        raise ValueError(f"need a {2**k}x{2**k} matrix and C-contiguous amplitudes")
+    # a view of ``amplitudes`` with the target axes first, in target order
+    moved = np.moveaxis(amplitudes.reshape([2] * n), [n - 1 - q for q in targets], range(k))
+    moved[...] = (matrix @ moved.reshape(2**k, -1)).reshape(moved.shape)
+    return amplitudes
 
 
 def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
-    if gate.n_targets == 1:
-        return apply_single_qubit(state, gate.matrix(), gate.targets[0])
-    return apply_two_qubit(state, gate.matrix(), *gate.targets)
+    """Apply ``gate`` to the dense amplitudes of ``state`` in place."""
+    apply_local(state.amplitudes, gate.matrix(), gate.targets)
+    return state
 
 
 class SectorStage(NamedTuple):
@@ -171,7 +153,7 @@ class SectorStage(NamedTuple):
 
     ``blocks[k]`` is the central 2x2 block of pair k's gate, acting on the
     amplitudes at ``(b[k], a[k])`` -- the local basis order |01>, |10>
-    of :func:`apply_two_qubit`.  ``phase`` (None when the stage has no RZ)
+    of :func:`apply_local`.  ``phase`` (None when the stage has no RZ)
     multiplies every index afterwards.
     """
 
@@ -267,7 +249,6 @@ class StepOperator:
 
     layers: tuple  # ((Tessellation, (GateSpec, ...)), ...)
     n_qubits: int
-    variant: str = "walk"
 
     def apply(self, state: StateVector | SectorVector):
         """Apply one step to ``state`` in place and return it.
@@ -328,4 +309,4 @@ def build_step_operator(lattice: Lattice, schedule: AngleSchedule,
                 gates.append(GateSpec("RZ", SEARCH_RZ_ANGLE, (pair[0],)))
                 gates.append(GateSpec("RZ", SEARCH_RZ_ANGLE, (pair[1],)))
         layers.append((tess, tuple(gates)))
-    return StepOperator(tuple(layers), lattice.vertex_count, variant)
+    return StepOperator(tuple(layers), lattice.vertex_count)

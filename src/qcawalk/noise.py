@@ -29,8 +29,10 @@ that every step, backend and run of the process shares.
   gate costs O(V): it writes its touched rows, its touched columns and
   its 3x3 block, and leaves the rest alone, because trace preservation
   fixes the rest's scalar at 1.  A dense :class:`DensityMatrix` is
-  evolved on the full 2^n x 2^n matrix; that path is the independent
-  reference the sector path is tested against.
+  evolved on the full 2^n x 2^n matrix, read as a 2n-qubit amplitude
+  array: each Kraus operator goes through :func:`qcawalk.gates.apply_local`
+  on the row qubits and its conjugate on the column qubits.  That path is
+  the independent reference the sector path is tested against.
 * ``trajectory_run`` unravels the same channels stochastically (the
   Monte Carlo wave-function method): for every gate interval a Kraus
   branch is sampled with probability |K_m psi|^2, so the trajectory
@@ -59,7 +61,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import least_squares
 
-from .gates import SECTOR_GATES, GateSpec, StepOperator
+from .gates import SECTOR_GATES, GateSpec, StepOperator, apply_local
 from .states import (
     TRAJECTORY_STREAM,
     DensityMatrix,
@@ -288,19 +290,15 @@ def idle_channel(duration: float, noise: NoiseModel) -> GateChannel:
 
 
 def _apply_kraus_to_density(arr: np.ndarray, kraus: tuple, targets: tuple, n: int) -> np.ndarray:
-    """rho -> sum_m K_m rho K_m^dag with K_m acting on ``targets`` only."""
-    k_dim = 2 ** len(targets)
-    bra = [n - 1 - q for q in targets]
-    ket = [2 * n - 1 - q for q in targets]
-    t = np.moveaxis(arr.reshape([2] * (2 * n)), bra + ket, range(2 * len(targets)))
-    shape = t.shape
-    t = t.reshape(k_dim, k_dim, -1)
-    out = np.zeros_like(t)
-    for k in kraus:
-        out += np.einsum("ij,jkl,mk->iml", k, t, k.conj(), optimize=True)
-    out = out.reshape(shape)
-    out = np.moveaxis(out, range(2 * len(targets)), bra + ket)
-    return out.reshape(arr.shape)
+    """rho -> sum_m K_m rho K_m^dag with K_m acting on ``targets`` only.
+
+    Row-major, the 2^n x 2^n ``arr`` is a 2n-qubit amplitude array: qubit
+    q + n is qubit q of the row (ket) index and qubit q that of the column
+    (bra) index, so K_m acts on the ket qubits and conj(K_m) on the bra ones.
+    """
+    ket = tuple(q + n for q in targets)
+    return sum(apply_local(apply_local(arr.copy(), k, ket), k.conj(), targets)
+               for k in kraus)
 
 
 def _layer_schedule(gates: tuple, noise: NoiseModel, n: int):

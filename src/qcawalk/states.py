@@ -31,6 +31,9 @@ PROB_CLAMP = 1e-15
 SHOT_STREAM = 0
 TRAJECTORY_STREAM = 1
 
+#: Largest shot count: numpy's multinomial draw takes a signed 64-bit count.
+MAX_SHOTS = 2**63 - 1
+
 
 class _PureState:
     """Amplitude array of an ``n_qubits`` register, shared by the two pure
@@ -155,13 +158,15 @@ class DensityMatrix(_MixedState):
         return cls(state.n_qubits, np.outer(amp, amp.conj()))
 
 
-def require_count(name: str, value, minimum: int) -> int:
+def require_count(name: str, value, minimum: int, maximum: int | None = None) -> int:
     """``value`` as an int; ``ValueError`` naming ``name`` unless it is an
-    integer (a bool is not) of at least ``minimum``."""
+    integer (a bool is not) of at least ``minimum`` and at most ``maximum``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}")
     return int(value)
 
 
@@ -306,8 +311,7 @@ def sector_project(state: StateVector | SectorVector, vertex_count: int) -> Sect
         probs = state.probabilities()
         leakage = float(probs[0] + probs[vertex_count + 1:].sum())
         return SectorState(state.amplitudes[1:vertex_count + 1].copy(), leakage)
-    idx = np.left_shift(1, np.arange(vertex_count))
-    amps = state.amplitudes[idx].copy()
+    amps = state.amplitudes[sector_basis(vertex_count)[1:]]
     total = float(np.vdot(state.amplitudes, state.amplitudes).real)
     leakage = total - float(np.vdot(amps, amps).real)
     return SectorState(amps, max(leakage, 0.0))
@@ -325,7 +329,7 @@ def sample_counts(dist, shots: int, seed) -> Distribution:
     ``numpy.random.SeedSequence``).  Probabilities below
     :data:`PROB_CLAMP` are clamped to zero before drawing.
     """
-    shots = require_count("shots", shots, 1)
+    shots = require_count("shots", shots, 1, MAX_SHOTS)
     outcomes = _as_outcome_probs(dist)
     labels = canonical_labels(outcomes)
     probs = np.array([outcomes[l] for l in labels], dtype=float)

@@ -43,13 +43,14 @@ from .gates import (
 from .lattice import Lattice, tessellations_for
 from .states import (
     LEAKAGE,
+    MAX_SHOTS,
     SHOT_STREAM,
     SectorDensity,
     SectorVector,
     StateVector,
-    onehot_index,
     require_count,
     sample_counts,
+    sector_basis,
     sector_project,
     vertex_distribution,
 )
@@ -104,7 +105,7 @@ class WalkConfig:
 
     def __post_init__(self):
         require_count("steps", self.steps, 0)
-        require_count("shots", self.shots, 1)
+        require_count("shots", self.shots, 1, MAX_SHOTS)
         if self.marked is not None:
             require_count("marked", self.marked, 0)
             if self.marked >= self.lattice.vertex_count:
@@ -205,8 +206,7 @@ def search_initializer(lattice: Lattice, mode: str = "exact") -> StateVector:
     V = lattice.vertex_count
     if mode == "exact":
         amps = np.zeros(2**V, dtype=complex)
-        for v in range(V):
-            amps[onehot_index(v, V)] = 1 / math.sqrt(V)
+        amps[sector_basis(V)[1:]] = 1 / math.sqrt(V)
         return StateVector(V, amps)
     if mode != "literal":
         raise ValueError(f"unknown initializer mode {mode!r}")
@@ -231,9 +231,12 @@ def sector_oracle(lattice: Lattice, schedule: AngleSchedule,
     if variant not in ("walk", "search"):
         raise ValueError(f"unknown variant {variant!r}")
     marked = schedule.marked
-    if variant == "search" and marked is None:
-        raise ValueError("search variant needs a marked vertex on the schedule")
     V = lattice.vertex_count
+    if variant == "search":
+        if marked is None:
+            raise ValueError("search variant needs a marked vertex on the schedule")
+        if not 0 <= marked < V:
+            raise ValueError(f"marked vertex {marked} out of range")
     step = np.eye(V, dtype=complex)
     for tess in tessellations_for(lattice):
         layer = np.eye(V, dtype=complex)

@@ -9,6 +9,7 @@ from qcawalk.experiment import (
     ConfigError,
     emit_report,
     load_config,
+    load_records,
     payload_text,
     run_experiment,
     run_record_schema,
@@ -52,6 +53,7 @@ _UNEXPRESSIBLE = [
     ("float_site", {"walk": {"variant": "walk", "steps": 1,
                              "init": {"kind": "single", "site": 1.0}}}, 4),
     ("float_shots", {"shots": 1000.0}, 4),
+    ("int64_overflow_shots", {"shots": 2**63}, 4),
 ]
 
 
@@ -208,7 +210,7 @@ class TestEmitReport:
 
     def test_report_from_directory(self, tmp_path):
         run_experiment(minimal_config(), output_dir=tmp_path)
-        written = emit_report(tmp_path, tmp_path / "report")
+        emit_report(load_records(tmp_path), tmp_path / "report")
         assert (tmp_path / "report" / "per_step.csv").exists()
         assert (tmp_path / "report" / "summary.txt").exists()
 
@@ -237,6 +239,27 @@ class TestCli:
         assert rc == EXIT_OK
         rc = main(["report", str(tmp_path / "out")])
         assert rc == EXIT_OK
+
+    @pytest.mark.parametrize("record", [None, "{not json"], ids=["missing_dir", "not_json"])
+    def test_report_unreadable_records_exit_code(self, tmp_path, capsys, record):
+        # one error line, exit 2, and nothing created: no directory, no tables
+        records = tmp_path / "records"
+        if record is not None:
+            records.mkdir()
+            (records / "run.json").write_text(record)
+        rc = main(["report", str(records)])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        want = [] if record is None else ["records", "run.json"]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == want
+
+    def test_report_empty_directory_warns(self, tmp_path, capsys):
+        rc = main(["report", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert "no run records found" in capsys.readouterr().err
 
     def test_run_resource_error_exit_code(self, tmp_path):
         cfg = minimal_config(

@@ -13,10 +13,11 @@ from qcawalk import (
     StateVector,
     StepOperator,
     Tessellation,
-    apply_two_qubit,
+    apply_local,
     build_step_operator,
     pauli_rotation,
     sector_basis,
+    sector_oracle,
     tessellations_for,
     xy_gate,
 )
@@ -99,13 +100,13 @@ class TestApplyTwoQubit:
 
     def test_iswap_exchanges_with_phase(self):
         state = self._onehot(2, 1)  # |10> in (qa=1, qb=0) ordering
-        apply_two_qubit(state, xy_gate(math.pi / 2), 1, 0)
+        apply_local(state.amplitudes, xy_gate(math.pi / 2), (1, 0))
         assert abs(state.amplitudes[0b01] - 1j) < 1e-12
         assert abs(state.amplitudes[0b10]) < 1e-12
 
     def test_sqrt_iswap_splits(self):
         state = self._onehot(2, 1)
-        apply_two_qubit(state, xy_gate(math.pi / 4), 1, 0)
+        apply_local(state.amplitudes, xy_gate(math.pi / 4), (1, 0))
         assert abs(state.amplitudes[0b10] - 1 / math.sqrt(2)) < 1e-12
         assert abs(state.amplitudes[0b01] - 1j / math.sqrt(2)) < 1e-12
 
@@ -115,20 +116,20 @@ class TestApplyTwoQubit:
         amps[0b00] = 0.6
         amps[0b11] = 0.8
         state = StateVector(2, amps.copy())
-        apply_two_qubit(state, xy_gate(theta), 0, 1)
+        apply_local(state.amplitudes, xy_gate(theta), (0, 1))
         assert abs(state.amplitudes[0b00] - 0.6) < 1e-12
         assert abs(state.amplitudes[0b11] - 0.8) < 1e-12
 
     def test_same_qubit_rejected(self):
         with pytest.raises(ValueError):
-            apply_two_qubit(StateVector.vacuum(3), xy_gate(0.1), 1, 1)
+            apply_local(StateVector.vacuum(3).amplitudes, xy_gate(0.1), (1, 1))
 
     def test_general_matrix_matches_kron(self):
         rng = np.random.default_rng(8)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         state = StateVector(3, amps.copy())
-        apply_two_qubit(state, g, 2, 0)
+        apply_local(state.amplitudes, g, (2, 0))
         # dense reference: qubit 2 is the high bit of the gate index
         full = np.zeros((8, 8), dtype=complex)
         for i in range(8):
@@ -179,9 +180,11 @@ class TestStepOperator:
         b = build_step_operator(Lattice("cycle", 4), AngleSchedule(marked=1), "search")
         assert a == b
 
-    def test_marked_out_of_range(self):
+    @pytest.mark.parametrize("build", [build_step_operator, sector_oracle],
+                             ids=lambda f: f.__name__)
+    def test_marked_out_of_range(self, build):
         with pytest.raises(ValueError):
-            build_step_operator(Lattice("cycle", 4), AngleSchedule(marked=5), "search")
+            build(Lattice("cycle", 4), AngleSchedule(marked=5), "search")
 
     def test_search_needs_marked(self):
         with pytest.raises(ValueError):
