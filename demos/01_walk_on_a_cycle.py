@@ -38,7 +38,7 @@ for t, dist in enumerate(result.exact):
 print()
 print("sampled counts at the final step (10000 shots):")
 final_counts = result.empirical[-1].counts
-print({v: final_counts.get(v, 0) for v in range(8)})
+print({v: int(final_counts[v]) for v in range(8)})
 print()
 print(f"leakage stays at zero under ideal evolution: "
       f"max={max(result.leakage_per_step):.2e}")

@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .lattice import Lattice, tessellations_for
 from .metrics import (
+    degraded_ratio,
     hellinger_fidelity,
     inverse_fit,
     l1_distance,
@@ -39,7 +40,7 @@ from .metrics import (
     success_probability,
 )
 from .noise import NoiseModel, calibrate_rates
-from .states import Distribution
+from .states import LEAKAGE, Distribution
 from .walks import (
     InitSpec,
     WalkBackend,
@@ -194,11 +195,13 @@ def resolve_points(cfg: dict) -> list:
 
 
 def _dist_payload(dist: Distribution) -> dict:
+    """The record form of a distribution: the one place outcome indices
+    become labels, ``"0"``..``"V-1"`` and then ``"leakage"``."""
+    labels = [str(v) for v in range(dist.probs.size - 1)] + [LEAKAGE]
     return {
-        "probabilities": {str(k): float(v) for k, v in dist.outcomes.items()},
+        "probabilities": dict(zip(labels, dist.probs.tolist())),
         "shots": dist.shots,
-        "counts": None if dist.counts is None else {
-            str(k): int(v) for k, v in dist.counts.items()},
+        "counts": None if dist.counts is None else dict(zip(labels, dist.counts.tolist())),
     }
 
 
@@ -273,7 +276,7 @@ def execute_point(point: dict, noise: NoiseModel | None) -> dict:
             npeak, nstep = success_probability(result.exact, marked)
             scalars[f"success_probability_{backend}"] = npeak
             scalars[f"hitting_time_{backend}"] = nstep
-            scalars[f"degraded_ratio_{backend}"] = npeak / peak if peak > 0 else None
+            scalars[f"degraded_ratio_{backend}"] = degraded_ratio(npeak, peak)
 
     payload_runs = {}
     for backend, result in runs.items():
@@ -375,17 +378,24 @@ def payload_text(record: dict) -> str:
 def load_records(directory) -> list:
     """The run records among a directory's ``*.json`` files, in name order.
 
-    Raises ``OSError`` if ``directory`` is not a directory and
-    ``ValueError`` (a ``json.JSONDecodeError``) on a file that is not JSON.
+    A JSON object with a ``payload`` key is a run record and must match
+    ``run_record.schema.json``.  Raises ``OSError`` if ``directory`` is not
+    a directory, and ``ValueError`` on a file that is not JSON (a
+    ``json.JSONDecodeError``) or on an invalid record (naming the file).
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise NotADirectoryError(f"{directory} is not a directory")
     paths = sorted(directory.glob("*.json"))
+    validator = jsonschema.Draft202012Validator(run_record_schema())
     records = []
     for p in paths:
         data = json.loads(p.read_text())
         if isinstance(data, dict) and "payload" in data:
+            error = jsonschema.exceptions.best_match(validator.iter_errors(data))
+            if error is not None:
+                where = "/".join(str(k) for k in error.absolute_path) or "<root>"
+                raise ValueError(f"{p} is not a valid run record: {where}: {error.message}")
             records.append(data)
     return records
 

@@ -1,9 +1,9 @@
 """Benchmark quantities computed from vertex probability distributions.
 
-All comparisons align the two distributions over the union of their
-outcome labels, treating missing labels as probability zero.  The noisy
-side of a comparison usually carries a "leakage" label that the ideal
-side lacks; alignment handles that without special-casing.
+Every backend reads out the same outcome layout (vertices 0..V-1, then
+leakage; see :class:`qcawalk.states.Distribution`), so a comparison is an
+elementwise reduction over two arrays of the same shape.  The ideal side
+of a comparison carries its leakage slot as an explicit zero.
 """
 
 from __future__ import annotations
@@ -13,15 +13,13 @@ import warnings
 
 import numpy as np
 
-from .states import LEAKAGE, _as_outcome_probs, canonical_labels
 
-
-def _aligned(p, q):
-    po, qo = _as_outcome_probs(p), _as_outcome_probs(q)
-    labels = canonical_labels(po, qo)
-    pv = np.array([po.get(l, 0.0) for l in labels], dtype=float)
-    qv = np.array([qo.get(l, 0.0) for l in labels], dtype=float)
-    return np.maximum(pv, 0.0), np.maximum(qv, 0.0)
+def _pair(p, q):
+    """The probability arrays of two distributions over the same outcomes,
+    negative rounding residue clamped to 0."""
+    if p.probs.shape != q.probs.shape:
+        raise ValueError(f"distributions over {p.probs.size} and {q.probs.size} outcomes")
+    return np.maximum(p.probs, 0.0), np.maximum(q.probs, 0.0)
 
 
 def hellinger_fidelity(p, q) -> float:
@@ -30,7 +28,7 @@ def hellinger_fidelity(p, q) -> float:
     H is the Hellinger distance sqrt(sum (sqrt(p_i) - sqrt(q_i))^2) / sqrt(2);
     the fidelity runs from 0 (disjoint supports) to 1 (identical).
     """
-    pv, qv = _aligned(p, q)
+    pv, qv = _pair(p, q)
     h2 = 0.5 * float(np.sum((np.sqrt(pv) - np.sqrt(qv)) ** 2))
     h2 = min(h2, 1.0)
     return (1.0 - h2) ** 2
@@ -38,7 +36,7 @@ def hellinger_fidelity(p, q) -> float:
 
 def l1_distance(p, q) -> float:
     """Taxicab distance sum |p_i - q_i|, between 0 and 2."""
-    pv, qv = _aligned(p, q)
+    pv, qv = _pair(p, q)
     return float(np.sum(np.abs(pv - qv)))
 
 
@@ -46,7 +44,7 @@ def success_probability(series, marked) -> tuple:
     """(peak marked-vertex probability, first step attaining it)."""
     if not series:
         raise ValueError("empty distribution series")
-    probs = [_as_outcome_probs(d).get(marked, 0.0) for d in series]
+    probs = [d.get(marked) for d in series]
     peak = max(probs)
     return float(peak), int(probs.index(peak))
 
@@ -56,11 +54,10 @@ def hitting_time(series, marked) -> int:
     return success_probability(series, marked)[1]
 
 
-def degraded_ratio(noisy_peak: float, ideal_peak: float) -> float:
-    """Noisy-to-ideal success probability ratio."""
-    if ideal_peak <= 0:
-        raise ValueError("ideal peak must be positive")
-    return noisy_peak / ideal_peak
+def degraded_ratio(noisy_peak: float, ideal_peak: float) -> float | None:
+    """Noisy-to-ideal success probability ratio; None (undefined) when the
+    ideal peak is 0, e.g. a 0-step search started off the marked vertex."""
+    return noisy_peak / ideal_peak if ideal_peak > 0 else None
 
 
 def selectivity(dist, marked) -> float:
@@ -69,11 +66,9 @@ def selectivity(dist, marked) -> float:
     Returns +inf (with a warning) when every unmarked vertex has zero
     probability.
     """
-    outcomes = _as_outcome_probs(dist)
-    p_marked = outcomes.get(marked, 0.0)
-    unmarked = [p for label, p in outcomes.items()
-                if label != marked and label != LEAKAGE]
-    best = max(unmarked, default=0.0)
+    i = dist.index(marked)
+    p_marked = float(dist.probs[i])
+    best = float(np.delete(dist.probs[:-1], i).max(initial=0.0))
     if best <= 0.0:
         warnings.warn("selectivity undefined: no unmarked probability mass", stacklevel=2)
         return math.inf

@@ -1,11 +1,18 @@
 """State representations (dense vectors and densities, and the vector and
-density restricted to the one-particle sector) and basis-index arithmetic.
+density restricted to the one-particle sector), the outcome distribution
+every backend reads out, and shot sampling.
 
 The register encodes one lattice vertex per qubit: vertex ``v`` occupied
 means qubit ``v`` is |1>.  Basis indices are little-endian, i.e. bit ``k``
-of the index is the state of qubit ``k``.  Vertex labels of a torus map to
+of the index is the state of qubit ``k``, so :func:`sector_basis` is the
+one map from vertices to one-hot indices.  Vertex labels of a torus map to
 qubits in row-major order, ``(i, j) -> i + N*j``; this single convention is
 used everywhere.
+
+A :class:`Distribution` is an array over one fixed outcome layout: the V
+vertices in order, then :data:`LEAKAGE` at index V.  Metrics and the
+sampler work on that array directly; only the run record spells the
+outcomes out as labels.
 """
 
 from __future__ import annotations
@@ -206,47 +213,53 @@ class SectorDensity(_MixedState):
         return cls(state.n_qubits, np.outer(amp, amp.conj()))
 
 
-@dataclass
+@dataclass(eq=False)
 class Distribution:
-    """Probability distribution over vertex labels plus the leakage label.
+    """Probability distribution over the V vertices plus :data:`LEAKAGE`.
 
-    ``outcomes`` maps labels (vertex ids or :data:`LEAKAGE`) to
-    probabilities.  ``shots`` and ``counts`` are present only on empirical
-    distributions obtained by sampling.
+    ``probs`` is a float array of V+1 entries: ``probs[v]`` is vertex
+    ``v`` and ``probs[V]`` is leakage.  ``shots`` and ``counts`` (an int
+    array of the same shape) are present only on empirical distributions
+    obtained by sampling.
     """
 
-    outcomes: dict
+    probs: np.ndarray
     shots: int | None = None
-    counts: dict | None = None
+    counts: np.ndarray | None = None
 
     def __post_init__(self):
-        total = float(sum(self.outcomes.values()))
-        if self.outcomes and not np.isclose(total, 1.0, atol=1e-9):
+        self.probs = np.asarray(self.probs, dtype=float)
+        if self.probs.ndim != 1:
+            raise ValueError(f"probabilities have shape {self.probs.shape}, expected (V+1,)")
+        total = float(self.probs.sum())
+        if not np.isclose(total, 1.0, atol=1e-9):
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        for label, p in self.outcomes.items():
-            if p < -1e-12 or p > 1 + 1e-12:
-                raise ValueError(f"probability {p!r} for outcome {label!r} out of [0, 1]")
+        bad = np.flatnonzero((self.probs < -1e-12) | (self.probs > 1 + 1e-12))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"probability {self.probs[i]!r} for outcome {i} out of [0, 1]")
         if self.counts is not None:
             if self.shots is None:
                 raise ValueError("counts given without shots")
-            if sum(self.counts.values()) != self.shots:
+            self.counts = np.asarray(self.counts)
+            if self.counts.shape != self.probs.shape:
+                raise ValueError(f"counts have shape {self.counts.shape}, "
+                                 f"probabilities {self.probs.shape}")
+            if self.counts.sum() != self.shots:
                 raise ValueError("counts do not sum to shots")
 
+    def index(self, label) -> int:
+        """Array index of ``label``: vertex ``v`` in 0..V-1, or :data:`LEAKAGE`."""
+        V = self.probs.size - 1
+        if isinstance(label, numbers.Integral) and not isinstance(label, bool):
+            if 0 <= label < V:
+                return int(label)
+        elif label == LEAKAGE:
+            return V
+        raise ValueError(f"no outcome {label!r}: vertices are 0..{V - 1}, then {LEAKAGE!r}")
+
     def get(self, label) -> float:
-        return float(self.outcomes.get(label, 0.0))
-
-    def labels(self):
-        return canonical_labels(self.outcomes)
-
-
-def canonical_labels(*outcome_maps) -> list:
-    """Deterministic label order: integer labels ascending, then strings."""
-    labels = set()
-    for m in outcome_maps:
-        labels.update(m)
-    ints = sorted(x for x in labels if isinstance(x, numbers.Integral))
-    strs = sorted(x for x in labels if not isinstance(x, numbers.Integral))
-    return list(ints) + strs
+        return float(self.probs[self.index(label)])
 
 
 @dataclass
@@ -274,27 +287,7 @@ def vertex_distribution(vertex_probs, leakage) -> Distribution:
     tolerance raises ``ValueError`` instead of being divided back to 1.
     """
     probs = np.maximum(np.asarray(vertex_probs, dtype=float), 0.0)
-    outcomes = dict(enumerate(probs.tolist()))
-    outcomes[LEAKAGE] = max(float(leakage), 0.0)
-    return Distribution(outcomes)
-
-
-def onehot_index(vertex: int, n_qubits: int) -> int:
-    """Basis index of the one-hot state occupying ``vertex``.
-
-    Qubit ``k`` is bit ``k`` of the index (little-endian), so the one-hot
-    index is simply ``1 << vertex``.
-    """
-    if not 0 <= vertex < n_qubits:
-        raise ValueError(f"vertex {vertex} out of range for {n_qubits} qubits")
-    return 1 << vertex
-
-
-def onehot_vertex(index: int, n_qubits: int) -> int:
-    """Inverse of :func:`onehot_index`; rejects non-one-hot indices."""
-    if index <= 0 or index >= 2**n_qubits or index & (index - 1):
-        raise ValueError(f"index {index} is not a one-hot basis index")
-    return index.bit_length() - 1
+    return Distribution(np.append(probs, max(float(leakage), 0.0)))
 
 
 def sector_project(state: StateVector | SectorVector, vertex_count: int) -> SectorState:
@@ -317,12 +310,7 @@ def sector_project(state: StateVector | SectorVector, vertex_count: int) -> Sect
     return SectorState(amps, max(leakage, 0.0))
 
 
-def _as_outcome_probs(dist) -> dict:
-    """The outcome map of a :class:`Distribution`; a mapping is its own."""
-    return dist.outcomes if isinstance(dist, Distribution) else dist
-
-
-def sample_counts(dist, shots: int, seed) -> Distribution:
+def sample_counts(dist: Distribution, shots: int, seed) -> Distribution:
     """Multinomial sample of an exact distribution.
 
     Deterministic under a fixed ``seed`` (an int or a
@@ -330,16 +318,12 @@ def sample_counts(dist, shots: int, seed) -> Distribution:
     :data:`PROB_CLAMP` are clamped to zero before drawing.
     """
     shots = require_count("shots", shots, 1, MAX_SHOTS)
-    outcomes = _as_outcome_probs(dist)
-    labels = canonical_labels(outcomes)
-    probs = np.array([outcomes[l] for l in labels], dtype=float)
+    probs = dist.probs.copy()
     probs[probs < PROB_CLAMP] = 0.0
     total = probs.sum()
     if total <= 0:
         raise ValueError("distribution has no positive probability mass")
     probs /= total
     rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
-    counts = {l: int(c) for l, c in zip(labels, draws)}
-    freqs = {l: c / shots for l, c in counts.items()}
-    return Distribution(freqs, shots=shots, counts=counts)
+    counts = rng.multinomial(shots, probs)
+    return Distribution(counts / shots, shots=shots, counts=counts)

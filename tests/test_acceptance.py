@@ -23,6 +23,7 @@ import numpy as np
 from qcawalk import (
     AngleSchedule,
     DensityMatrix,
+    Distribution,
     GateSpec,
     InitSpec,
     Lattice,
@@ -225,12 +226,14 @@ def test_criterion_08_qualitative_degradation(calibrated_noise):
 
 
 def test_criterion_09_metric_units():
-    f_id = hellinger_fidelity({0: 1.0}, {0: 1.0})
-    f_dis = hellinger_fidelity({0: 1.0}, {1: 1.0})
-    f_half = hellinger_fidelity({0: 1.0, 1: 0.0}, {0: 0.5, 1: 0.5})
-    l_id = l1_distance({0: 1.0}, {0: 1.0})
-    l_dis = l1_distance({0: 1.0}, {1: 1.0})
-    l_half = l1_distance({0: 1.0, 1: 0.0}, {0: 0.5, 1: 0.5})
+    on0, on1, half = (Distribution(p) for p in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                  [0.5, 0.5, 0.0]))
+    f_id = hellinger_fidelity(on0, on0)
+    f_dis = hellinger_fidelity(on0, on1)
+    f_half = hellinger_fidelity(on0, half)
+    l_id = l1_distance(on0, on0)
+    l_dis = l1_distance(on0, on1)
+    l_half = l1_distance(on0, half)
     ok = (abs(f_id - 1.0) < 1e-12 and abs(f_dis) < 1e-12 and abs(f_half - 0.5) < 1e-12
           and l_id == 0.0 and abs(l_dis - 2.0) < 1e-12 and abs(l_half - 1.0) < 1e-12)
     _report(9, "metric exact values",

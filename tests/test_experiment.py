@@ -8,9 +8,12 @@ from qcawalk.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
 from qcawalk.experiment import (
     ConfigError,
     emit_report,
+    execute_point,
     load_config,
     load_records,
     payload_text,
+    resolve_noise,
+    resolve_points,
     run_experiment,
     run_record_schema,
     validate_config,
@@ -124,6 +127,23 @@ class TestRunExperiment:
         paths = run_experiment(minimal_config(), output_dir=tmp_path)
         record = json.loads(paths[0].read_text())
         jsonschema.validate(record, run_record_schema())
+
+    def test_zero_ideal_peak_records_null_degraded_ratio(self):
+        # a 0-step search started off the marked vertex has ideal peak 0,
+        # so the noisy-to-ideal ratio is undefined and recorded as null
+        cfg = load_config(minimal_config(
+            backends=["statevector", "density"],
+            noise={"relaxation_rate": 3.5e4, "dephasing_rate": 3e-3},
+            walk={"variant": "search", "steps": 0, "marked": 2,
+                  "init": {"kind": "single", "site": 0}},
+        ))
+        point, = resolve_points(cfg)
+        record = execute_point(point, resolve_noise(cfg["noise"]))
+        scalars = record["payload"]["metrics"]["scalars"]
+        assert scalars["success_probability"] == 0.0
+        assert scalars["degraded_ratio_density"] is None
+        jsonschema.validate(record, run_record_schema())
+        assert '"degraded_ratio_density": null' in payload_text(record)
 
     def test_byte_identical_payloads(self, tmp_path):
         cfg = minimal_config(
@@ -240,7 +260,8 @@ class TestCli:
         rc = main(["report", str(tmp_path / "out")])
         assert rc == EXIT_OK
 
-    @pytest.mark.parametrize("record", [None, "{not json"], ids=["missing_dir", "not_json"])
+    @pytest.mark.parametrize("record", [None, "{not json", '{"payload": {}}'],
+                             ids=["missing_dir", "not_json", "invalid_record"])
     def test_report_unreadable_records_exit_code(self, tmp_path, capsys, record):
         # one error line, exit 2, and nothing created: no directory, no tables
         records = tmp_path / "records"
@@ -253,6 +274,8 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        if record is not None and "payload" in record:
+            assert "run.json is not a valid run record" in lines[0]
         want = [] if record is None else ["records", "run.json"]
         assert sorted(p.name for p in tmp_path.rglob("*")) == want
 

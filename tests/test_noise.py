@@ -359,7 +359,7 @@ class TestTrajectories:
         init = qw_init(lat, 0)
         a = trajectory_run(init, op, calibrated_noise, n_traj=300, seed=21, steps=3)[-1]
         b = trajectory_run(init, op, calibrated_noise, n_traj=300, seed=21, steps=3)[-1]
-        assert a.outcomes == b.outcomes
+        assert np.array_equal(a.probs, b.probs)
 
 
 # Per-step (vertex 0..V-1, leakage) means of trajectory_run under RATES,
@@ -523,9 +523,8 @@ class TestTrajectoryKernelEdges:
         dists = trajectory_run(search_initializer(lat, "exact"), op, model, n_traj=1,
                                seed=5, steps=4)
         for d in dists:
-            values = np.array(list(d.outcomes.values()))
-            assert np.all(np.isfinite(values))
-            assert values.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(np.isfinite(d.probs))
+            assert d.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("kwargs,name", [
         ({"n_traj": 2.0}, "n_traj"), ({"n_traj": True}, "n_traj"),
