@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -205,6 +206,12 @@ def _dist_payload(dist: Distribution) -> dict:
     }
 
 
+def _finite_or_null(value: float) -> float | None:
+    """A series value as the record holds it: JSON has no infinity, so a
+    non-finite value (selectivity with a zero probability) becomes null."""
+    return value if math.isfinite(value) else None
+
+
 def _walk_config(point: dict, backend: str) -> WalkConfig:
     lattice = Lattice(point["lattice"]["kind"], point["lattice"]["N"])
     walk = point["walk"]
@@ -266,6 +273,8 @@ def execute_point(point: dict, noise: NoiseModel | None) -> dict:
                 "values": [selectivity(d, marked) for d in result.exact],
                 "source": [backend],
             })
+    for s in series:
+        s["values"] = [_finite_or_null(v) for v in s["values"]]
     if marked is not None:
         peak, step = success_probability(ideal.exact, marked)
         scalars["success_probability"] = peak
@@ -367,12 +376,14 @@ def run_experiment(source, output_dir=None, workers: int | None = None) -> list:
 
 
 def _record_text(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, indent=1) + "\n"
+    """A record's file text; a non-finite number raises ``ValueError``,
+    since it has no JSON form."""
+    return json.dumps(record, sort_keys=True, indent=1, allow_nan=False) + "\n"
 
 
 def payload_text(record: dict) -> str:
     """Canonical bytes of the deterministic part of a record."""
-    return json.dumps(record["payload"], sort_keys=True, indent=1) + "\n"
+    return json.dumps(record["payload"], sort_keys=True, indent=1, allow_nan=False) + "\n"
 
 
 def load_records(directory) -> list:
@@ -380,8 +391,9 @@ def load_records(directory) -> list:
 
     A JSON object with a ``payload`` key is a run record and must match
     ``run_record.schema.json``.  Raises ``OSError`` if ``directory`` is not
-    a directory, and ``ValueError`` on a file that is not JSON (a
-    ``json.JSONDecodeError``) or on an invalid record (naming the file).
+    a directory, and ``ValueError`` naming the file on a file that is not
+    JSON (chained from its ``json.JSONDecodeError``) or on an invalid
+    record.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -390,7 +402,10 @@ def load_records(directory) -> list:
     validator = jsonschema.Draft202012Validator(run_record_schema())
     records = []
     for p in paths:
-        data = json.loads(p.read_text())
+        try:
+            data = json.loads(p.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{p} is not JSON: {exc}") from exc
         if isinstance(data, dict) and "payload" in data:
             error = jsonschema.exceptions.best_match(validator.iter_errors(data))
             if error is not None:
@@ -405,9 +420,10 @@ def emit_report(records, output_dir) -> list:
     ``records``, a list of run records (as :func:`load_records` reads them).
 
     The per-step CSV holds every metric series as (run, backend(s),
-    metric, step, value) rows; the sweep CSV one row per lattice size
-    with the search scalars; scaling fits (hitting time vs size, success
-    probability vs 1/size) go to fits.csv when at least two sizes exist.
+    metric, step, value) rows, a null value as an empty cell; the sweep
+    CSV one row per lattice size with the search scalars; scaling fits
+    (hitting time vs size, success probability vs 1/size) go to fits.csv
+    when at least two sizes exist.
     """
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -421,7 +437,8 @@ def emit_report(records, output_dir) -> list:
         for s in payload["metrics"]["series"]:
             src = "+".join(s.get("source") or [])
             for step, value in enumerate(s["values"]):
-                lines.append(f"{run_id},{src},{s['name']},{step},{value!r}")
+                cell = "" if value is None else repr(value)
+                lines.append(f"{run_id},{src},{s['name']},{step},{cell}")
     steps_path.write_text("\n".join(lines) + "\n")
     written.append(steps_path)
 

@@ -37,9 +37,13 @@ that every step, backend and run of the process shares.
   Monte Carlo wave-function method): for every gate interval a Kraus
   branch is sampled with probability |K_m psi|^2, so the trajectory
   average reproduces the density evolution with no time-discretisation
-  bias.  A gate reads the 2-3 amplitudes it touches, gets every branch
-  from one matrix product, and scales the rest of each trajectory by its
-  branch's scalar.  Trajectories are renormalised once per step, and the
+  bias.  A gate reads the 2-3 amplitudes it touches and draws one
+  number per trajectory.  One small matrix product gives, for the whole
+  ensemble, the probability of the dominant (no-jump) branch and of the
+  branches on either side of it; only the few trajectories whose draw
+  misses the dominant branch form every branch.  The chosen branch
+  rewrites the touched amplitudes and scales the rest of each trajectory
+  by its scalar.  Trajectories are renormalised once per step, and the
   mean of |psi|^2 at every step, step 0 included, is read out as the
   density diagonal would be.  They have no dense counterpart: the exact
   sector density is their reference.
@@ -56,6 +60,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -357,8 +362,27 @@ def _require_sector_gates(step: StepOperator) -> None:
                          "only a dense DensityMatrix can run them")
 
 
-def _sector_lowering(kraus: tuple):
-    """Lower a sector-preserving channel to (blocks, T, C) on the (V+1) block.
+class _Lowered(NamedTuple):
+    """A sector-preserving channel on its touched indices; see
+    :func:`_sector_lowering`."""
+
+    blocks: np.ndarray  # (M, d, d): Kraus operator m on the touched indices
+    T: np.ndarray  # density: vec(rho_SS) -> T vec(rho_SS)
+    C: np.ndarray  # density: rho_SR -> C rho_SR
+    stack: np.ndarray  # trajectories: (3d, d), [R_<; B_{m*}; R_>]
+    weights: np.ndarray  # trajectories: |k00_m|^2 summed below, at and above m*
+    dominant: int  # m*, the branch with the largest |k00_m|
+
+
+def _gram_root(blocks: np.ndarray) -> np.ndarray:
+    """Hermitian R with R^dag R = sum_m B_m^dag B_m (zero for no blocks)."""
+    gram = np.einsum("mji,mjk->ik", blocks.conj(), blocks)
+    vals, vecs = np.linalg.eigh(gram)
+    return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
+
+
+def _sector_lowering(kraus: tuple) -> _Lowered:
+    """Lower a sector-preserving channel to its block form on the (V+1) sector.
 
     With S the touched indices (vacuum, e_b, e_a) -- or (vacuum, e_q) for
     one qubit; local basis |q_a q_b>: 0 = |00>, 1 = |01>, 2 = |10> -- and
@@ -370,6 +394,13 @@ def _sector_lowering(kraus: tuple):
     rho_SR -> C rho_SR with C = sum conj(k00_m) B_m.  rho_RR is left
     alone: with no raising, K_m|00> = k00_m|00>, so trace preservation
     gives sum |k00_m|^2 = <00| sum K_m^dag K_m |00> = 1.
+
+    A trajectory takes branch m with probability
+    |B_m x|^2 + |k00_m|^2 (1 - |x|^2) for touched amplitudes x.  Summed
+    over the branches below, at and above the dominant m*, these are
+    |R_< x|^2, |B_{m*} x|^2 and |R_> x|^2 plus ``weights`` times
+    (1 - |x|^2), where R^dag R is the sum of B_m^dag B_m over the group;
+    ``stack`` holds R_<, B_{m*} and R_> so one product gives all three.
     """
     k = np.array(kraus)
     excitations = np.array([bin(i).count("1") for i in range(k.shape[1])])
@@ -381,11 +412,15 @@ def _sector_lowering(kraus: tuple):
     blocks[:, 1:, 0] = 0.0
     T = sum(np.kron(b, b.conj()) for b in blocks)
     C = sum(np.conj(b[0, 0]) * b for b in blocks)
-    return blocks, T, C
+    w = np.abs(blocks[:, 0, 0]) ** 2
+    m = int(np.argmax(w))
+    stack = np.concatenate([_gram_root(blocks[:m]), blocks[m], _gram_root(blocks[m + 1:])])
+    weights = np.array([w[:m].sum(), w[m], w[m + 1:].sum()])
+    return _Lowered(blocks, T, C, stack, weights, m)
 
 
 @functools.lru_cache(maxsize=1024)
-def _lowered(key: tuple, noise: NoiseModel):
+def _lowered(key: tuple, noise: NoiseModel) -> _Lowered:
     return _sector_lowering(_channel(key, noise).kraus)
 
 
@@ -434,7 +469,7 @@ def evolve_density(rho: DensityMatrix | SectorDensity, step: StepOperator,
             arr[idx[1], :] *= phase
             arr[:, idx[1]] *= np.conj(phase)
             continue
-        _blocks, T, C = lowered
+        T, C = lowered.T, lowered.C
         rows, cols = arr[idx, :], arr[:, idx]
         arr[idx, :] = C @ rows
         arr[:, idx] = cols @ C.conj().T
@@ -452,31 +487,83 @@ def average_gate_fidelity(channel: GateChannel) -> float:
 # quantum-trajectory backend
 
 
-def _choose_branches(probs: np.ndarray, rng) -> np.ndarray:
+def _choose_branches(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Branch per column of ``probs`` (M branches x columns) for uniform
+    draws ``r``: the first m whose cumulative probability exceeds
+    r times the column's total, clipped to the last branch."""
     cum = np.cumsum(probs, axis=0)
-    u = rng.random(probs.shape[1]) * cum[-1]
+    u = r * cum[-1]
     return np.minimum((u[None, :] >= cum).sum(axis=0), probs.shape[0] - 1)
 
 
-def _sector_jump(psi: np.ndarray, idx: list, blocks: np.ndarray, rng) -> None:
+class _JumpBuffers:
+    """Work arrays of :func:`_sector_jump`, made once per trajectory run.
+
+    Sized for the widest channel (d = 3 touched indices) and ``n``
+    trajectories; every gate writes into them in place, so no ensemble
+    array is reallocated gate after gate.
+    """
+
+    def __init__(self, n: int):
+        self.x = np.empty((3, n), dtype=complex)  # touched amplitudes, then their update
+        self.z = np.empty((9, n), dtype=complex)  # stack @ x
+        self.sq = np.empty((9, 2 * n))  # squared real and imaginary parts
+        self.abs2 = np.empty((9, n))  # squared magnitudes
+        self.r = np.empty(n)  # the channel's uniform draws
+
+    def norms2(self, a: np.ndarray) -> np.ndarray:
+        """|a|^2 elementwise for one of the complex work arrays."""
+        rows = a.shape[0]
+        sq = np.square(a.view(float), out=self.sq[:rows])
+        return np.add(sq[:, 0::2], sq[:, 1::2], out=self.abs2[:rows])
+
+
+def _sector_jump(psi: np.ndarray, idx: list, lowered: _Lowered, rng,
+                 work: _JumpBuffers) -> None:
     """Sample one Kraus branch per trajectory for a channel on sector ``idx``.
 
     Each column of ``psi`` is a normalised trajectory with touched
     amplitudes x = psi[idx].  Branch m maps x to B_m x and every other
     amplitude to k00_m times itself, so it is taken with probability
-    p_m = |B_m x|^2 + |k00_m|^2 (1 - |x|^2).  All branches come from one
-    matrix product; the chosen one is written back divided by sqrt(p).
+    p_m = |B_m x|^2 + |k00_m|^2 (1 - |x|^2), by the cumulative rule of
+    :func:`_choose_branches` on one uniform draw r per trajectory.  One
+    product with ``lowered.stack`` gives p_<, p_* and p_>, the sums of
+    p_m below, at and above the dominant branch m*.  A trajectory takes
+    m* iff p_< <= u < p_< + p_*, u = r (p_< + p_* + p_>): the same
+    boundaries the rule over all branches uses, up to rounding.  Only the
+    other columns form all M branches and run that rule.  The chosen
+    branch is written back divided by sqrt(p_m).
     """
-    x = psi[idx]
-    m, d, _ = blocks.shape
-    y = (blocks.reshape(m * d, d) @ x).reshape(m, d, -1)
-    rest = np.maximum(1.0 - np.sum(np.abs(x) ** 2, axis=0), 0.0)
-    probs = np.sum(np.abs(y) ** 2, axis=1) + np.abs(blocks[:, 0, 0])[:, None] ** 2 * rest
-    choice = _choose_branches(probs, rng)
-    cols = np.arange(psi.shape[1])
-    inv_norm = 1.0 / np.sqrt(probs[choice, cols])
-    psi *= blocks[choice, 0, 0] * inv_norm
-    psi[idx] = y[choice, :, cols].T * inv_norm
+    d = len(idx)
+    x, z = work.x[:d], work.z[:3 * d]
+    np.take(psi, idx, axis=0, out=x, mode="clip")  # "raise" would copy via a buffer
+    rest = np.maximum(1.0 - work.norms2(x).sum(axis=0), 0.0)
+    np.matmul(lowered.stack, x, out=z)
+    coarse = work.norms2(z).reshape(3, d, -1).sum(axis=1)
+    coarse += lowered.weights[:, None] * rest
+    below = coarse[0]
+    upto = below + coarse[1]
+    r = rng.random(out=work.r)
+    u = r * (upto + coarse[2])
+    other = np.flatnonzero((u < below) | (u >= upto))
+
+    if other.size:
+        blocks = lowered.blocks
+        m = blocks.shape[0]
+        y = (blocks.reshape(m * d, d) @ x[:, other]).reshape(m, d, -1)
+        probs = np.sum(np.abs(y) ** 2, axis=1) + np.abs(blocks[:, 0, 0])[:, None] ** 2 * rest[other]
+        choice = _choose_branches(probs, r[other])
+        cols = np.arange(other.size)
+        inv_other = 1.0 / np.sqrt(probs[choice, cols])
+        coarse[1, other] = 1.0  # p_* may be 0 there; those columns are overwritten
+    inv = 1.0 / np.sqrt(coarse[1])
+    scale = lowered.blocks[lowered.dominant, 0, 0] * inv
+    np.multiply(z[d:2 * d], inv, out=x)
+    if other.size:
+        scale[other] = blocks[choice, 0, 0] * inv_other
+        x[:, other] = y[choice, :, cols].T * inv_other
+    psi *= scale
+    psi[idx] = x
 
 
 def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: NoiseModel,
@@ -485,8 +572,11 @@ def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: 
 
     One Kraus branch of the exact per-gate channel is sampled per gate
     interval (branch m with probability ||K_m psi||^2), so the ensemble
-    mean converges to the density-matrix evolution.  Deterministic under
-    (seed, n_traj).  Returns one Distribution per step, step 0 included.
+    mean converges to the density-matrix evolution.  Each noisy gate
+    draws one uniform number per trajectory, in gate order, and
+    :func:`_sector_jump` picks the branch from it; the ensemble's work
+    arrays are made once per call.  Deterministic under (seed, n_traj).
+    Returns one Distribution per step, step 0 included.
 
     Trajectories run in the (V+1)-dimensional sector only.  A
     :class:`StateVector` is restricted to it by
@@ -506,6 +596,7 @@ def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: 
     psi = np.zeros((V + 1, n_traj), dtype=complex)
     psi[:] = init.amplitudes[:, None]
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
+    work = _JumpBuffers(n_traj)
 
     out = []
     for t in range(steps + 1):
@@ -514,7 +605,7 @@ def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: 
                 if lowered is None:
                     psi[idx[1]] *= phase
                 else:
-                    _sector_jump(psi, idx, lowered[0], rng)
+                    _sector_jump(psi, idx, lowered, rng, work)
             psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
         # the trajectory mean of |psi|^2 estimates the density diagonal
         p = np.mean(np.abs(psi) ** 2, axis=1)

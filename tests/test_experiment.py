@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -145,6 +146,31 @@ class TestRunExperiment:
         jsonschema.validate(record, run_record_schema())
         assert '"degraded_ratio_density": null' in payload_text(record)
 
+    def test_infinite_selectivity_recorded_as_null(self, tmp_path):
+        # a 0-step search started off the marked vertex has P(marked) = 0,
+        # so its selectivity is -inf, which JSON cannot hold: the record
+        # says null, and the report reads it back as an empty cell
+        cfg = minimal_config(walk={"variant": "search", "steps": 0, "marked": 2,
+                                   "init": {"kind": "single", "site": 0}})
+        path, = run_experiment(cfg, output_dir=tmp_path)
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        record = json.loads(path.read_text(), parse_constant=reject)
+        series = {s["name"]: s["values"] for s in record["payload"]["metrics"]["series"]}
+        assert series["selectivity"] == [None]
+        assert series["marked_probability"] == [0.0]
+        jsonschema.validate(record, run_record_schema())
+        emit_report(load_records(tmp_path), tmp_path / "report")
+        rows = (tmp_path / "report" / "per_step.csv").read_text().splitlines()
+        assert [r.split(",", 1)[1] for r in rows if ",selectivity," in r] == [
+            "statevector,selectivity,0,"]
+
+    def test_non_finite_number_is_never_written(self):
+        with pytest.raises(ValueError):
+            payload_text({"payload": {"value": math.inf}})
+
     def test_byte_identical_payloads(self, tmp_path):
         cfg = minimal_config(
             backends=["statevector", "trajectories"], n_trajectories=200,
@@ -228,6 +254,12 @@ class TestEmitReport:
         assert "hitting_time_linear,slope" in fits
         assert "success_probability_inverse,coefficient" in fits
 
+    def test_file_that_is_not_json_is_named(self, tmp_path):
+        (tmp_path / "run.json").write_text("{not json")
+        with pytest.raises(ValueError, match="run.json is not JSON") as info:
+            load_records(tmp_path)
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
     def test_report_from_directory(self, tmp_path):
         run_experiment(minimal_config(), output_dir=tmp_path)
         emit_report(load_records(tmp_path), tmp_path / "report")
@@ -274,8 +306,9 @@ class TestCli:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-        if record is not None and "payload" in record:
-            assert "run.json is not a valid run record" in lines[0]
+        if record is not None:
+            what = "a valid run record" if "payload" in record else "JSON"
+            assert f"run.json is not {what}" in lines[0]
         want = [] if record is None else ["records", "run.json"]
         assert sorted(p.name for p in tmp_path.rglob("*")) == want
 

@@ -37,8 +37,11 @@ from qcawalk.noise import (
     _CALIBRATION_GATES,
     DEFAULT_COUPLING,
     _fidelity_evaluator,
+    _JumpBuffers,
     _jump_operators,
     _liouvillian,
+    _lowered,
+    _sector_jump,
     _sector_lowering,
 )
 from qcawalk.states import vertex_distribution
@@ -536,6 +539,87 @@ class TestTrajectoryKernelEdges:
         args = {"n_traj": 2, "steps": 1, **kwargs}
         with pytest.raises(ValueError, match=name):
             trajectory_run(qw_init(lat, 0), op, RATES, seed=0, **args)
+
+
+    @pytest.mark.parametrize("dominant", [0, 1])
+    def test_dominant_branch_annihilating_a_state(self, dominant):
+        # full amplitude damping of one qubit: the no-jump branch |0><0|
+        # has the largest k00 and maps e_q to 0, so p_* = 0 in that column
+        keep = np.array([[1, 0], [0, 0]], dtype=complex)
+        decay = np.array([[0, 1], [0, 0]], dtype=complex)
+        lowered = _sector_lowering((keep, decay) if dominant == 0 else (decay, keep))
+        assert lowered.dominant == dominant
+        psi = np.array([[0, 0, 0, 0.6],  # sector of V = 2: vacuum, e_0, e_1
+                        [1, 0.6, 0, 0],
+                        [0, 0.8j, 1, 0.8]], dtype=complex)
+        _sector_jump(psi, [0, 1], lowered, np.random.default_rng(0), _JumpBuffers(4))
+        assert np.all(np.isfinite(psi))
+        assert np.abs(np.sum(np.abs(psi) ** 2, axis=0) - 1.0).max() < 1e-12
+        assert np.array_equal(psi[:, 0], [1, 0, 0])  # e_0 decayed to the vacuum
+        assert np.array_equal(psi[:, 2], [0, 0, 1])  # e_1 is untouched
+
+
+def _all_branch_sector_jump(psi, idx, blocks, rng):
+    """Reference: the kernel that formed every branch for every trajectory.
+
+    Branch m is taken with probability |B_m x|^2 + |k00_m|^2 (1 - |x|^2)
+    by the cumulative rule on one uniform draw per column, and written
+    back divided by sqrt(p).  Returns the chosen branch of every column.
+    """
+    x = psi[idx]
+    m, d, _ = blocks.shape
+    y = (blocks.reshape(m * d, d) @ x).reshape(m, d, -1)
+    rest = np.maximum(1.0 - np.sum(np.abs(x) ** 2, axis=0), 0.0)
+    probs = np.sum(np.abs(y) ** 2, axis=1) + np.abs(blocks[:, 0, 0])[:, None] ** 2 * rest
+    cum = np.cumsum(probs, axis=0)
+    u = rng.random(probs.shape[1]) * cum[-1]
+    choice = np.minimum((u[None, :] >= cum).sum(axis=0), m - 1)
+    cols = np.arange(psi.shape[1])
+    inv_norm = 1.0 / np.sqrt(probs[choice, cols])
+    psi *= blocks[choice, 0, 0] * inv_norm
+    psi[idx] = y[choice, :, cols].T * inv_norm
+    return choice
+
+
+STRONG_MODELS = [NoiseModel(relaxation_rate=1e9),
+                 NoiseModel(relaxation_rate=3e7, dephasing_rate=3e7),
+                 NoiseModel(dephasing_rate=1e8)]
+
+
+class TestTrajectoryKernelEquivalence:
+    """_sector_jump, which forms all branches only for the columns whose
+    draw misses the dominant branch, against the kernel that formed them
+    for every column.  From the same generator state both must pick the
+    same branch in every column; another branch would move that column's
+    amplitudes by far more than 1e-12.  Five gates in a row also check
+    that both consume the same draws."""
+
+    @pytest.mark.parametrize("key,idx", [
+        (("XY", math.pi / 2, 2), [0, 3, 5]),
+        (("XY", math.pi / 4, 2), [0, 6, 2]),
+        (("idle", (math.pi / 4) / DEFAULT_COUPLING), [0, 4]),
+    ], ids=["iswap", "sqrt_iswap", "idle"])
+    @pytest.mark.parametrize("model", ["calibrated"] + STRONG_MODELS,
+                             ids=["calibrated", "relaxation_1e9", "both_3e7",
+                                  "dephasing_1e8"])
+    def test_same_branches_as_all_branch_kernel(self, key, idx, model, calibrated_noise):
+        model = calibrated_noise if model == "calibrated" else model
+        lowered = _lowered(key, model)
+        n = 4000
+        gen = np.random.default_rng(11)
+        psi = gen.normal(size=(7, n)) + 1j * gen.normal(size=(7, n))
+        psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
+        ref = psi.copy()
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        work = _JumpBuffers(n)
+        jumps = 0
+        for _ in range(5):
+            _sector_jump(psi, idx, lowered, rng, work)
+            choice = _all_branch_sector_jump(ref, idx, lowered.blocks, ref_rng)
+            jumps += np.count_nonzero(choice != lowered.dominant)
+            assert np.abs(psi - ref).max() < 1e-12
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert jumps > 0  # the columns off the dominant branch ran too
 
 
 class TestDegradedRatio:
