@@ -9,7 +9,7 @@ once it wraps around.
 
 import numpy as np
 
-from qcawalk import InitSpec, Lattice, WalkConfig, run_walk, tessellations_for
+from qcawalk import LEAKAGE, InitSpec, Lattice, WalkConfig, run_walk, tessellations_for
 
 lattice = Lattice("cycle", 8)
 
@@ -31,8 +31,11 @@ print("exact vertex distribution per step (rows: steps, cols: vertices):")
 header = "step | " + " ".join(f"v{v:<5d}" for v in range(8))
 print(header)
 print("-" * len(header))
-for t, dist in enumerate(result.exact):
-    row = " ".join(f"{dist.get(v):.4f}" for v in range(8))
+# result.exact holds every step: probs[t, v] is vertex v at step t, and
+# the last column is leakage
+vertex_probs = result.exact.probs[:, :8]
+for t, probs in enumerate(vertex_probs):
+    row = " ".join(f"{p:.4f}" for p in probs)
     print(f"{t:4d} | {row}")
 
 print()
@@ -41,10 +44,9 @@ final_counts = result.empirical[-1].counts
 print({v: int(final_counts[v]) for v in range(8)})
 print()
 print(f"leakage stays at zero under ideal evolution: "
-      f"max={max(result.leakage_per_step):.2e}")
+      f"max={result.exact.get(LEAKAGE).max():.2e}")
 
 # the distribution is mirror-symmetric about the starting bond at every step
-for t, dist in enumerate(result.exact):
-    for v in range(8):
-        assert abs(dist.get(v) - dist.get((7 - v) % 8)) < 1e-12
+mirror = (7 - np.arange(8)) % 8
+assert np.abs(vertex_probs - vertex_probs[:, mirror]).max() < 1e-12
 print("reflection symmetry about the (3,4) bond holds at every step")

@@ -33,8 +33,9 @@ config = WalkConfig(
 result = run_walk(config)
 
 print("\nstep  P(marked)  selectivity")
-for t, dist in enumerate(result.exact):
-    print(f"{t:4d}  {dist.get(marked):9.4f}  {selectivity(dist, marked):+8.3f}")
+series = zip(result.exact.get(marked), selectivity(result.exact, marked))
+for t, (p_marked, sel) in enumerate(series):
+    print(f"{t:4d}  {p_marked:9.4f}  {sel:+8.3f}")
 
 peak, step = success_probability(result.exact, marked)
 print(f"\nsuccess probability {peak:.4f}, hit at step {hitting_time(result.exact, marked)}")

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from qcawalk import (
+    LEAKAGE,
     GateSpec,
     InitSpec,
     Lattice,
@@ -45,15 +46,17 @@ ideal = run_walk(WalkConfig(lattice, steps=steps, init=InitSpec("symmetric", 3),
 noisy = run_walk(WalkConfig(lattice, steps=steps, init=InitSpec("symmetric", 3), seed=5,
                             backend=WalkBackend("density")), noise=model)
 
+# each metric takes the whole run and gives one value per step
+fidelity = hellinger_fidelity(ideal.exact, noisy.exact)
+l1 = l1_distance(ideal.exact, noisy.exact)
+leakage = noisy.exact.get(LEAKAGE)
 print("\nstep  hellinger_fidelity  l1_distance  leakage")
 for t in range(0, steps + 1, 5):
-    f = hellinger_fidelity(ideal.exact[t], noisy.exact[t])
-    l1 = l1_distance(ideal.exact[t], noisy.exact[t])
-    print(f"{t:4d}  {f:18.4f}  {l1:11.4f}  {noisy.leakage_per_step[t]:.4f}")
+    print(f"{t:4d}  {fidelity[t]:18.4f}  {l1[t]:11.4f}  {leakage[t]:.4f}")
 
 # cross-check: trajectory unravelling against the density diagonal
 traj = run_walk(WalkConfig(lattice, steps=steps, init=InitSpec("symmetric", 3), seed=5,
                            backend=WalkBackend("trajectories", n_trajectories=4000)),
                 noise=model)
-err = l1_distance(noisy.exact[steps], traj.exact[steps])
+err = l1_distance(noisy.exact, traj.exact)[steps]
 print(f"\ntrajectories (4000) vs density at step {steps}: l1 = {err:.4f}")

@@ -195,21 +195,21 @@ def resolve_points(cfg: dict) -> list:
     return [_point_config(cfg, size, i) for i, size in enumerate(sizes)]
 
 
-def _dist_payload(dist: Distribution) -> dict:
-    """The record form of a distribution: the one place outcome indices
-    become labels, ``"0"``..``"V-1"`` and then ``"leakage"``."""
-    labels = [str(v) for v in range(dist.probs.size - 1)] + [LEAKAGE]
-    return {
-        "probabilities": dict(zip(labels, dist.probs.tolist())),
-        "shots": dist.shots,
-        "counts": None if dist.counts is None else dict(zip(labels, dist.counts.tolist())),
-    }
+def _dist_payload(dist: Distribution) -> list:
+    """The record form of a per-step distribution, one dict per step: the one
+    place outcome indices become labels, ``"0"``..``"V-1"`` then ``"leakage"``."""
+    labels = [str(v) for v in range(dist.probs.shape[-1] - 1)] + [LEAKAGE]
+    counts = [None] * len(dist) if dist.counts is None else dist.counts.tolist()
+    return [{"probabilities": dict(zip(labels, p)), "shots": dist.shots,
+             "counts": None if c is None else dict(zip(labels, c))}
+            for p, c in zip(dist.probs.tolist(), counts)]
 
 
-def _finite_or_null(value: float) -> float | None:
-    """A series value as the record holds it: JSON has no infinity, so a
-    non-finite value (selectivity with a zero probability) becomes null."""
-    return value if math.isfinite(value) else None
+def _series(name: str, values: np.ndarray, source: list) -> dict:
+    """A metric series as the record holds it: plain floats, and null for a
+    non-finite value (selectivity with a zero probability), as JSON has none."""
+    return {"name": name, "source": source,
+            "values": [v if math.isfinite(v) else None for v in values.tolist()]}
 
 
 def _walk_config(point: dict, backend: str) -> WalkConfig:
@@ -232,74 +232,32 @@ def execute_point(point: dict, noise: NoiseModel | None) -> dict:
     backends = list(point["backends"])
     if "statevector" not in backends:
         backends.insert(0, "statevector")  # ideal reference is always produced
-    runs = {}
-    timings = {}
-    for backend in backends:
-        result = run_walk(_walk_config(point, backend), noise=noise)
-        timings[backend] = result.wall_time_s
-        runs[backend] = result
+    runs = {b: run_walk(_walk_config(point, b), noise=noise) for b in backends}
 
     marked = point["walk"]["marked"]
-    ideal = runs["statevector"]
-    series = []
-    scalars = {}
-    for backend, result in runs.items():
-        if backend != "statevector":
-            series.append({
-                "name": "hellinger_fidelity",
-                "values": [hellinger_fidelity(i, n)
-                           for i, n in zip(ideal.exact, result.exact)],
-                "source": ["statevector", backend],
-            })
-            series.append({
-                "name": "l1_distance",
-                "values": [l1_distance(i, n)
-                           for i, n in zip(ideal.exact, result.exact)],
-                "source": ["statevector", backend],
-            })
-        series.append({
-            "name": "leakage",
-            "values": [float(x) for x in result.leakage_per_step],
-            "source": [backend],
-        })
-        if marked is not None:
-            series.append({
-                "name": "marked_probability",
-                "values": [d.get(marked) for d in result.exact],
-                "source": [backend],
-            })
-            series.append({
-                "name": "selectivity",
-                "values": [selectivity(d, marked) for d in result.exact],
-                "source": [backend],
-            })
-    for s in series:
-        s["values"] = [_finite_or_null(v) for v in s["values"]]
+    ideal = runs["statevector"].exact
+    series, scalars, payload_runs = [], {}, {}
     if marked is not None:
-        peak, step = success_probability(ideal.exact, marked)
+        peak, scalars["hitting_time"] = success_probability(ideal, marked)
         scalars["success_probability"] = peak
-        scalars["hitting_time"] = step
-        for backend, result in runs.items():
-            if backend == "statevector":
-                continue
-            npeak, nstep = success_probability(result.exact, marked)
-            scalars[f"success_probability_{backend}"] = npeak
-            scalars[f"hitting_time_{backend}"] = nstep
-            scalars[f"degraded_ratio_{backend}"] = degraded_ratio(npeak, peak)
-
-    payload_runs = {}
     for backend, result in runs.items():
-        payload_runs[backend] = {
-            "backend": backend,
-            "per_step": [
-                {
-                    "exact": _dist_payload(exact),
-                    "empirical": _dist_payload(emp),
-                    "leakage": float(leak),
-                }
-                for (exact, emp), leak in zip(result.per_step, result.leakage_per_step)
-            ],
-        }
+        exact = result.exact
+        if backend != "statevector":
+            pair = ["statevector", backend]
+            series.append(_series("hellinger_fidelity", hellinger_fidelity(ideal, exact), pair))
+            series.append(_series("l1_distance", l1_distance(ideal, exact), pair))
+        series.append(_series("leakage", exact.get(LEAKAGE), [backend]))
+        if marked is not None:
+            series.append(_series("marked_probability", exact.get(marked), [backend]))
+            series.append(_series("selectivity", selectivity(exact, marked), [backend]))
+            if backend != "statevector":
+                npeak, scalars[f"hitting_time_{backend}"] = success_probability(exact, marked)
+                scalars[f"success_probability_{backend}"] = npeak
+                scalars[f"degraded_ratio_{backend}"] = degraded_ratio(npeak, peak)
+        payload_runs[backend] = {"backend": backend, "per_step": [
+            {"exact": e, "empirical": m, "leakage": leak}
+            for e, m, leak in zip(_dist_payload(exact), _dist_payload(result.empirical),
+                                  exact.get(LEAKAGE).tolist())]}
 
     payload = {
         "schema_version": 1,
@@ -312,7 +270,7 @@ def execute_point(point: dict, noise: NoiseModel | None) -> dict:
     meta = {
         "tool_version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "wall_time_s": timings,
+        "wall_time_s": {b: r.wall_time_s for b, r in runs.items()},
     }
     return {"payload": payload, "meta": meta}
 
@@ -387,7 +345,8 @@ def payload_text(record: dict) -> str:
 
 
 def load_records(directory) -> list:
-    """The run records among a directory's ``*.json`` files, in name order.
+    """The run records among a directory's ``*.json`` files, in (config
+    ``name``, ``point_index``) order, the order ``run`` reports them in.
 
     A JSON object with a ``payload`` key is a run record and must match
     ``run_record.schema.json``.  Raises ``OSError`` if ``directory`` is not
@@ -412,7 +371,8 @@ def load_records(directory) -> list:
                 where = "/".join(str(k) for k in error.absolute_path) or "<root>"
                 raise ValueError(f"{p} is not a valid run record: {where}: {error.message}")
             records.append(data)
-    return records
+    return sorted(records, key=lambda r: (r["payload"]["config"]["name"],
+                                          r["payload"]["config"]["point_index"]))
 
 
 def emit_report(records, output_dir) -> list:
@@ -429,7 +389,10 @@ def emit_report(records, output_dir) -> list:
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
 
-    steps_path = outdir / "per_step.csv"
+    def write(name: str, lines: list) -> None:
+        written.append(outdir / name)
+        written[-1].write_text("\n".join(lines) + "\n")
+
     lines = ["run,source,metric,step,value"]
     for rec in records:
         payload = rec["payload"]
@@ -439,13 +402,11 @@ def emit_report(records, output_dir) -> list:
             for step, value in enumerate(s["values"]):
                 cell = "" if value is None else repr(value)
                 lines.append(f"{run_id},{src},{s['name']},{step},{cell}")
-    steps_path.write_text("\n".join(lines) + "\n")
-    written.append(steps_path)
+    write("per_step.csv", lines)
 
     search_recs = [r for r in records
                    if r["payload"]["config"]["walk"]["variant"] == "search"]
     if search_recs:
-        sweep_path = outdir / "sweep.csv"
         scalar_keys = sorted({k for r in search_recs
                               for k in r["payload"]["metrics"]["scalars"]})
         rows = ["N," + ",".join(scalar_keys)]
@@ -459,22 +420,14 @@ def emit_report(records, output_dir) -> list:
             ns.append(n)
             hits.append(sc.get("hitting_time"))
             peaks.append(sc.get("success_probability"))
-        sweep_path.write_text("\n".join(rows) + "\n")
-        written.append(sweep_path)
+        write("sweep.csv", rows)
 
         if len(ns) >= 2:
-            hit_fit = linear_fit(ns, hits)
-            peak_fit = inverse_fit(ns, peaks)
-            fits_path = outdir / "fits.csv"
-            fit_lines = ["fit,parameter,value"]
-            for k, v in hit_fit.items():
-                fit_lines.append(f"hitting_time_linear,{k},{v!r}")
-            for k, v in peak_fit.items():
-                fit_lines.append(f"success_probability_inverse,{k},{v!r}")
-            fits_path.write_text("\n".join(fit_lines) + "\n")
-            written.append(fits_path)
+            fits = {"hitting_time_linear": linear_fit(ns, hits),
+                    "success_probability_inverse": inverse_fit(ns, peaks)}
+            write("fits.csv", ["fit,parameter,value"] + [
+                f"{fit},{k},{v!r}" for fit, params in fits.items() for k, v in params.items()])
 
-    summary = outdir / "summary.txt"
     text_lines = []
     for rec in records:
         payload = rec["payload"]
@@ -486,6 +439,5 @@ def emit_report(records, output_dir) -> list:
         )
         for k, v in sorted(payload["metrics"]["scalars"].items()):
             text_lines.append(f"    {k} = {v}")
-    summary.write_text("\n".join(text_lines) + "\n")
-    written.append(summary)
+    write("summary.txt", text_lines)
     return written

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .states import require_count
+
 
 @dataclass(frozen=True)
 class Lattice:
@@ -23,8 +25,7 @@ class Lattice:
     def __post_init__(self):
         if self.kind not in ("cycle", "torus"):
             raise ValueError(f"unknown lattice kind {self.kind!r}")
-        if self.N < 2:
-            raise ValueError("lattice size must be at least 2")
+        require_count("N", self.N, 2)
 
     @property
     def vertex_count(self) -> int:

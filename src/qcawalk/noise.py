@@ -70,6 +70,7 @@ from .gates import SECTOR_GATES, GateSpec, StepOperator, apply_local
 from .states import (
     TRAJECTORY_STREAM,
     DensityMatrix,
+    Distribution,
     SectorDensity,
     SectorVector,
     StateVector,
@@ -567,8 +568,8 @@ def _sector_jump(psi: np.ndarray, idx: list, lowered: _Lowered, rng,
 
 
 def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: NoiseModel,
-                   n_traj: int, seed: int, steps: int = 1) -> list:
-    """Per-step mean vertex+leakage distributions over stochastic trajectories.
+                   n_traj: int, seed: int, steps: int = 1) -> Distribution:
+    """Per-step mean vertex+leakage distribution over stochastic trajectories.
 
     One Kraus branch of the exact per-gate channel is sampled per gate
     interval (branch m with probability ||K_m psi||^2), so the ensemble
@@ -576,7 +577,7 @@ def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: 
     draws one uniform number per trajectory, in gate order, and
     :func:`_sector_jump` picks the branch from it; the ensemble's work
     arrays are made once per call.  Deterministic under (seed, n_traj).
-    Returns one Distribution per step, step 0 included.
+    Returns one per-step Distribution, step 0 included.
 
     Trajectories run in the (V+1)-dimensional sector only.  A
     :class:`StateVector` is restricted to it by
@@ -598,7 +599,7 @@ def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: 
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
     work = _JumpBuffers(n_traj)
 
-    out = []
+    p = np.empty((steps + 1, V + 1))
     for t in range(steps + 1):
         if t:
             for idx, phase, lowered in _sector_channels(step, noise):
@@ -608,9 +609,8 @@ def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: 
                     _sector_jump(psi, idx, lowered, rng, work)
             psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
         # the trajectory mean of |psi|^2 estimates the density diagonal
-        p = np.mean(np.abs(psi) ** 2, axis=1)
-        out.append(vertex_distribution(p[1:], p[0]))
-    return out
+        p[t] = np.mean(np.abs(psi) ** 2, axis=1)
+    return vertex_distribution(p[:, 1:], p[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ qubits in row-major order, ``(i, j) -> i + N*j``; this single convention is
 used everywhere.
 
 A :class:`Distribution` is an array over one fixed outcome layout: the V
-vertices in order, then :data:`LEAKAGE` at index V.  Metrics and the
-sampler work on that array directly; only the run record spells the
-outcomes out as labels.
+vertices in order, then :data:`LEAKAGE` at index V.  A run holds each
+side as one such array with a leading step axis, ``(steps+1, V+1)``, from
+the backend's readout to the record.  Metrics and the sampler work on that
+array directly; only the run record spells the outcomes out as labels.
 """
 
 from __future__ import annotations
@@ -52,10 +53,8 @@ class _PureState:
         amplitudes = np.asarray(amplitudes, dtype=complex)
         dim = self.dimension(n_qubits)
         if amplitudes.shape != (dim,):
-            raise ValueError(
-                f"amplitude array has shape {amplitudes.shape}, "
-                f"expected ({dim},) for {n_qubits} qubits"
-            )
+            raise ValueError(f"amplitude array has shape {amplitudes.shape}, "
+                             f"expected ({dim},) for {n_qubits} qubits")
         self.n_qubits = n_qubits
         self.amplitudes = amplitudes
 
@@ -120,9 +119,23 @@ class SectorVector(_PureState):
 
 
 class _MixedState:
-    """Checks shared by the two density representations."""
+    """Density matrix of an ``n_qubits`` register, shared by the two mixed
+    representations; index 0 is the vacuum in both."""
 
     __slots__ = ("n_qubits", "entries")
+
+    def __init__(self, n_qubits: int, entries: np.ndarray):
+        entries = np.asarray(entries, dtype=complex)
+        dim = self.dimension(n_qubits)
+        if entries.shape != (dim, dim):
+            raise ValueError(f"{type(self).__name__} has shape {entries.shape}, "
+                             f"expected {(dim, dim)} for {n_qubits} qubits")
+        self.n_qubits = n_qubits
+        self.entries = entries
+
+    @staticmethod
+    def dimension(n_qubits: int) -> int:
+        raise NotImplementedError
 
     def copy(self):
         return type(self)(self.n_qubits, self.entries.copy())
@@ -149,15 +162,9 @@ class DensityMatrix(_MixedState):
 
     __slots__ = ()
 
-    def __init__(self, n_qubits: int, entries: np.ndarray):
-        entries = np.asarray(entries, dtype=complex)
-        dim = 2**n_qubits
-        if entries.shape != (dim, dim):
-            raise ValueError(
-                f"density matrix has shape {entries.shape}, expected {(dim, dim)}"
-            )
-        self.n_qubits = n_qubits
-        self.entries = entries
+    @staticmethod
+    def dimension(n_qubits: int) -> int:
+        return 2**n_qubits
 
     @classmethod
     def from_statevector(cls, state: StateVector) -> "DensityMatrix":
@@ -193,15 +200,9 @@ class SectorDensity(_MixedState):
 
     __slots__ = ()
 
-    def __init__(self, n_qubits: int, entries: np.ndarray):
-        entries = np.asarray(entries, dtype=complex)
-        dim = n_qubits + 1
-        if entries.shape != (dim, dim):
-            raise ValueError(
-                f"sector density has shape {entries.shape}, expected {(dim, dim)}"
-            )
-        self.n_qubits = n_qubits
-        self.entries = entries
+    @staticmethod
+    def dimension(n_qubits: int) -> int:
+        return n_qubits + 1
 
     @classmethod
     def from_statevector(cls, state: StateVector | SectorVector) -> "SectorDensity":
@@ -217,10 +218,13 @@ class SectorDensity(_MixedState):
 class Distribution:
     """Probability distribution over the V vertices plus :data:`LEAKAGE`.
 
-    ``probs`` is a float array of V+1 entries: ``probs[v]`` is vertex
-    ``v`` and ``probs[V]`` is leakage.  ``shots`` and ``counts`` (an int
-    array of the same shape) are present only on empirical distributions
-    obtained by sampling.
+    ``probs`` is a float array whose last axis has V+1 entries:
+    ``probs[..., v]`` is vertex ``v`` and ``probs[..., V]`` is leakage.  It
+    is ``(V+1,)`` for one step, or ``(steps+1, V+1)`` with one row per step
+    of a run; only then do ``len(d)`` and ``d[t]`` exist.  ``shots`` and
+    ``counts`` (an int array of the same shape) are present only on
+    empirical distributions obtained by sampling.  Every check holds per
+    row, and a row that fails names its step.
     """
 
     probs: np.ndarray
@@ -229,15 +233,20 @@ class Distribution:
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=float)
-        if self.probs.ndim != 1:
-            raise ValueError(f"probabilities have shape {self.probs.shape}, expected (V+1,)")
-        total = float(self.probs.sum())
-        if not np.isclose(total, 1.0, atol=1e-9):
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        bad = np.flatnonzero((self.probs < -1e-12) | (self.probs > 1 + 1e-12))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"probability {self.probs[i]!r} for outcome {i} out of [0, 1]")
+        if self.probs.ndim not in (1, 2) or self.probs.size == 0:
+            raise ValueError(f"probabilities have shape {self.probs.shape}, "
+                             "expected (V+1,) or (steps+1, V+1) with at least one step")
+        rows = self.probs.reshape(-1, self.probs.shape[-1])
+        totals = rows.sum(axis=1)
+        ok = np.abs(totals - 1.0) <= 1e-9 + 1e-5  # np.isclose's bound; False on NaN
+        if not ok.all():
+            t = int(np.argmin(ok))
+            raise ValueError(f"probabilities{self._at(t)} sum to {float(totals[t])!r}, expected 1")
+        outside = (rows < -1e-12) | (rows > 1 + 1e-12)
+        if outside.any():
+            t, i = (int(k) for k in np.argwhere(outside)[0])
+            raise ValueError(f"probability {float(rows[t, i])!r} for outcome {i}{self._at(t)} "
+                             "out of [0, 1]")
         if self.counts is not None:
             if self.shots is None:
                 raise ValueError("counts given without shots")
@@ -245,12 +254,26 @@ class Distribution:
             if self.counts.shape != self.probs.shape:
                 raise ValueError(f"counts have shape {self.counts.shape}, "
                                  f"probabilities {self.probs.shape}")
-            if self.counts.sum() != self.shots:
-                raise ValueError("counts do not sum to shots")
+            off = self.counts.reshape(rows.shape).sum(axis=1) != self.shots
+            if off.any():
+                raise ValueError(f"counts{self._at(int(np.argmax(off)))} do not sum to shots")
+
+    def _at(self, step: int) -> str:
+        return f" at step {step}" if self.probs.ndim == 2 else ""
+
+    def __len__(self) -> int:
+        if self.probs.ndim == 1:
+            raise TypeError("a single-step Distribution has no step axis")
+        return len(self.probs)
+
+    def __getitem__(self, step) -> "Distribution":
+        len(self)  # raises on a single-step distribution
+        return Distribution(self.probs[step], self.shots,
+                            None if self.counts is None else self.counts[step])
 
     def index(self, label) -> int:
-        """Array index of ``label``: vertex ``v`` in 0..V-1, or :data:`LEAKAGE`."""
-        V = self.probs.size - 1
+        """Outcome-axis index of vertex ``v`` in 0..V-1, or of :data:`LEAKAGE`."""
+        V = self.probs.shape[-1] - 1
         if isinstance(label, numbers.Integral) and not isinstance(label, bool):
             if 0 <= label < V:
                 return int(label)
@@ -258,8 +281,10 @@ class Distribution:
             return V
         raise ValueError(f"no outcome {label!r}: vertices are 0..{V - 1}, then {LEAKAGE!r}")
 
-    def get(self, label) -> float:
-        return float(self.probs[self.index(label)])
+    def get(self, label):
+        """Probability of ``label``: a float, or an array of one per step."""
+        p = self.probs[..., self.index(label)]
+        return float(p) if p.ndim == 0 else p
 
 
 @dataclass
@@ -280,14 +305,16 @@ class SectorState:
 
 def vertex_distribution(vertex_probs, leakage) -> Distribution:
     """The one readout of every backend: vertex ``v`` gets
-    ``vertex_probs[v]`` and :data:`LEAKAGE` gets ``leakage``.
+    ``vertex_probs[..., v]`` and :data:`LEAKAGE` gets ``leakage``, at one
+    step, or at every step when both carry a leading step axis.
 
     Negative rounding residue is clamped to 0, but nothing is rescaled: a
     state whose norm is off by more than :class:`Distribution`'s
     tolerance raises ``ValueError`` instead of being divided back to 1.
     """
     probs = np.maximum(np.asarray(vertex_probs, dtype=float), 0.0)
-    return Distribution(np.append(probs, max(float(leakage), 0.0)))
+    leakage = np.maximum(np.asarray(leakage, dtype=float), 0.0)
+    return Distribution(np.concatenate([probs, leakage[..., None]], axis=-1))
 
 
 def sector_project(state: StateVector | SectorVector, vertex_count: int) -> SectorState:
@@ -311,13 +338,15 @@ def sector_project(state: StateVector | SectorVector, vertex_count: int) -> Sect
 
 
 def sample_counts(dist: Distribution, shots: int, seed) -> Distribution:
-    """Multinomial sample of an exact distribution.
+    """Multinomial sample of an exact single-step distribution.
 
     Deterministic under a fixed ``seed`` (an int or a
     ``numpy.random.SeedSequence``).  Probabilities below
     :data:`PROB_CLAMP` are clamped to zero before drawing.
     """
     shots = require_count("shots", shots, 1, MAX_SHOTS)
+    if dist.probs.ndim != 1:
+        raise ValueError("sample_counts draws one step; sample each step with its own seed")
     probs = dist.probs.copy()
     probs[probs < PROB_CLAMP] = 0.0
     total = probs.sum()

@@ -7,11 +7,12 @@ at every step, including step 0.  All three start from the same
 :class:`SectorVector` (``initial_sector_state``): the initial state
 prepared directly on span{vacuum, one-hot}, where the ideal backend then
 stays, so no 2^V array is formed.  All three read that sector the same
-way, through :func:`vertex_distribution` (vertex v from index v+1,
-leakage from the vacuum at index 0, never renormalised), and one loop
-then draws the shots.  The dense ``qw_init``, ``search_initializer`` and
-``initial_state`` prepare the same states on the full register, as the
-reference the sector path is tested against.
+way, through one :func:`vertex_distribution` call per run (vertex v from
+index v+1, leakage from the vacuum at index 0, never renormalised), into
+one per-step :class:`Distribution`, and one loop then draws the shots.
+The dense ``qw_init``, ``search_initializer`` and ``initial_state``
+prepare the same states on the full register, as the reference the
+sector path is tested against.
 
 ``sector_oracle`` is a deliberately independent realisation of the same
 dynamics: each tessellation layer is written directly as a V x V matrix on
@@ -42,9 +43,9 @@ from .gates import (
 )
 from .lattice import Lattice, tessellations_for
 from .states import (
-    LEAKAGE,
     MAX_SHOTS,
     SHOT_STREAM,
+    Distribution,
     SectorDensity,
     SectorVector,
     StateVector,
@@ -122,22 +123,12 @@ class WalkConfig:
 
 @dataclass
 class WalkResult:
-    """Per-step (exact, empirical) distributions and the run's wall time."""
+    """A run's exact and empirical per-step distributions (steps+1 rows,
+    step 0 included) and its wall time."""
 
-    per_step: list  # [(Distribution exact, Distribution empirical), ...]
+    exact: Distribution
+    empirical: Distribution
     wall_time_s: float
-
-    @property
-    def exact(self) -> list:
-        return [pair[0] for pair in self.per_step]
-
-    @property
-    def empirical(self) -> list:
-        return [pair[1] for pair in self.per_step]
-
-    @property
-    def leakage_per_step(self) -> list:
-        return [pair[0].get(LEAKAGE) for pair in self.per_step]
 
 
 def qw_init(lattice: Lattice, site: int, symmetric: bool = False) -> StateVector:
@@ -304,10 +295,10 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
 
     ``noise`` (a :class:`qcawalk.noise.NoiseModel`) is required for the
     density and trajectory backends; the statevector backend is always
-    ideal.  Each backend yields its exact distributions through
-    :func:`vertex_distribution`; the empirical distribution at step t is
-    then drawn with the child seed (seed, shot-stream, t), so runs are
-    reproducible bit-exactly.
+    ideal.  Each backend collects every step's probabilities and reads
+    them out with one :func:`vertex_distribution` call; row t of the empirical
+    distribution is then drawn with the child seed (seed, shot-stream, t),
+    so runs are reproducible bit-exactly.
     """
     t_start = time.perf_counter()
     lattice = config.lattice
@@ -323,34 +314,32 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
     step_op = build_step_operator(lattice, schedule, config.variant)
     state = initial_sector_state(config)
 
-    exact: list = []
+    p = np.empty((config.steps + 1, V + 1))  # per step: leakage, then the vertices
     if backend == "statevector":
         for t in range(config.steps + 1):
             sector = sector_project(state, V)
-            exact.append(vertex_distribution(sector.probabilities(), sector.leakage_norm))
+            p[t, 0], p[t, 1:] = sector.leakage_norm, sector.probabilities()
             if t < config.steps:
                 step_op.apply(state)
+        exact = vertex_distribution(p[:, 1:], p[:, 0])
     elif backend == "density":
         from .noise import NoiseModel, evolve_density
 
         model = noise if noise is not None else NoiseModel()
         rho = SectorDensity.from_statevector(state)
         for t in range(config.steps + 1):
-            p = rho.diagonal_probabilities()
-            exact.append(vertex_distribution(p[1:], p[0]))
+            p[t] = rho.diagonal_probabilities()
             if t < config.steps:
                 rho = evolve_density(rho, step_op, model)
+        exact = vertex_distribution(p[:, 1:], p[:, 0])
     else:  # trajectories
         from .noise import NoiseModel, trajectory_run
 
         model = noise if noise is not None else NoiseModel()
-        exact = trajectory_run(
-            state, step_op, model,
-            n_traj=config.backend.n_trajectories,
-            seed=config.seed,
-            steps=config.steps,
-        )
+        exact = trajectory_run(state, step_op, model, n_traj=config.backend.n_trajectories,
+                               seed=config.seed, steps=config.steps)
 
-    per_step = [(dist, sample_counts(dist, config.shots, _shot_seed(config.seed, t)))
-                for t, dist in enumerate(exact)]
-    return WalkResult(per_step, time.perf_counter() - t_start)
+    counts = np.stack([sample_counts(exact[t], config.shots, _shot_seed(config.seed, t)).counts
+                       for t in range(len(exact))])
+    empirical = Distribution(counts / config.shots, shots=config.shots, counts=counts)
+    return WalkResult(exact, empirical, time.perf_counter() - t_start)

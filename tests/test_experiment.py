@@ -61,6 +61,14 @@ _UNEXPRESSIBLE = [
 ]
 
 
+def _record_with_empty(key: str) -> str:
+    """A real run record whose payload ``key`` is replaced by {}."""
+    point, = resolve_points(load_config(minimal_config()))
+    record = execute_point(point, None)
+    record["payload"][key] = {}
+    return json.dumps(record)
+
+
 class TestConfigValidation:
     def test_minimal_config_valid(self):
         assert validate_config(minimal_config()) == []
@@ -260,6 +268,20 @@ class TestEmitReport:
             load_records(tmp_path)
         assert isinstance(info.value.__cause__, json.JSONDecodeError)
 
+    def test_report_reproduces_run_tables(self, tmp_path):
+        # N=16 sorts before N=4 by file name; the report still lists the
+        # points in sweep order, as the run did
+        cfg = minimal_config(sweep={"sizes": [4, 16]}, walk={"variant": "search", "steps": 3},
+                             output={"directory": "results", "formats": ["json", "csv"]})
+        paths = run_experiment(cfg, output_dir=tmp_path / "run")
+        assert [p.name for p in sorted(paths)] == ["minimal_N16_p1.json", "minimal_N4_p0.json"]
+        written = emit_report(load_records(tmp_path / "run"), tmp_path / "report")
+        names = ["per_step.csv", "sweep.csv", "fits.csv", "summary.txt"]
+        assert sorted(p.name for p in written) == sorted(names)
+        for name in names:
+            assert (tmp_path / "report" / name).read_bytes() == \
+                (tmp_path / "run" / name).read_bytes(), name
+
     def test_report_from_directory(self, tmp_path):
         run_experiment(minimal_config(), output_dir=tmp_path)
         emit_report(load_records(tmp_path), tmp_path / "report")
@@ -292,8 +314,11 @@ class TestCli:
         rc = main(["report", str(tmp_path / "out")])
         assert rc == EXIT_OK
 
-    @pytest.mark.parametrize("record", [None, "{not json", '{"payload": {}}'],
-                             ids=["missing_dir", "not_json", "invalid_record"])
+    @pytest.mark.parametrize("record", [None, "{not json", '{"payload": {}}',
+                                        _record_with_empty("metrics"),
+                                        _record_with_empty("config")],
+                             ids=["missing_dir", "not_json", "invalid_record",
+                                  "empty_metrics", "empty_config"])
     def test_report_unreadable_records_exit_code(self, tmp_path, capsys, record):
         # one error line, exit 2, and nothing created: no directory, no tables
         records = tmp_path / "records"

@@ -89,6 +89,14 @@ class TestProperties:
         with pytest.raises(ValueError):
             Lattice("cycle", 1)
 
+    @pytest.mark.parametrize("N,match", [(4.0, "integer"), (True, "integer"), ("4", "integer"),
+                                         (1, ">= 2")],
+                             ids=["float", "bool", "str", "one"])
+    def test_size_must_be_an_integer_of_at_least_2(self, N, match):
+        # fails at construction, naming N, not later inside a range() call
+        with pytest.raises(ValueError, match=f"N must be .*{match}"):
+            Lattice("cycle", N)
+
     def test_vertex_id_row_major(self):
         lat = Lattice("torus", 4)
         assert lat.vertex_id(3, 0) == 3

@@ -79,18 +79,32 @@ class TestL1Distance:
 
 class TestSearchQuantities:
     def test_constant_series(self):
-        series = [dist(0.9, 0.0, 0.1, 0.0)] * 4
+        series = dist(*[[0.9, 0.0, 0.1, 0.0]] * 4)
         assert success_probability(series, 2) == (0.1, 0)
         assert hitting_time(series, 2) == 0
 
     def test_first_global_maximum(self):
-        series = [dist(1.0 - p, 0.0, p, 0.0) for p in (0.1, 0.5, 0.2, 0.5)]
+        series = dist(*[[1.0 - p, 0.0, p, 0.0] for p in (0.1, 0.5, 0.2, 0.5)])
         peak, step = success_probability(series, 2)
         assert peak == 0.5 and step == 1
+        assert type(peak) is float and type(step) is int
 
     def test_empty_series_rejected(self):
+        # a per-step distribution of zero steps cannot be formed
         with pytest.raises(ValueError):
-            success_probability([], 0)
+            success_probability(Distribution(np.empty((0, 3))), 0)
+
+    def test_single_step_rejected(self):
+        with pytest.raises(ValueError, match="per-step"):
+            success_probability(dist(0.5, 0.5, 0.0), 0)
+
+    @pytest.mark.parametrize("metric", [selectivity, success_probability, hitting_time])
+    def test_leakage_is_not_a_marked_vertex(self, metric):
+        # leakage outmasses every vertex here, so taking it as the marked
+        # outcome would return its peak instead of failing
+        series = dist(*[[0.1, 0.1, 0.8]] * 3)
+        with pytest.raises(ValueError, match="'leakage' is not a vertex"):
+            metric(series, LEAKAGE)
 
     def test_degraded_ratio(self):
         assert degraded_ratio(0.28, 0.28) == pytest.approx(1.0)
@@ -121,6 +135,46 @@ class TestSearchQuantities:
         with pytest.warns(UserWarning):
             out = selectivity(dist(1.0, 0.0, 0.0), 0)
         assert out == math.inf
+
+
+class TestPerStep:
+    """Given per-step distributions, a metric gives one value per step, each
+    bit-equal to the metric of that step's row and to the scalar formula."""
+
+    @pytest.fixture
+    def pair(self):
+        rng = np.random.default_rng(5)
+        return (Distribution(rng.dirichlet(np.ones(7), size=40)),
+                Distribution(rng.dirichlet(np.ones(7), size=40)))
+
+    def test_comparisons_reduce_over_outcomes(self, pair):
+        p, q = pair
+        for metric in (hellinger_fidelity, l1_distance):
+            values = metric(p, q)
+            assert values.shape == (40,)
+            assert values.tolist() == [metric(p[t], q[t]) for t in range(40)]
+        for t in range(40):
+            h2 = 0.5 * float(np.sum((np.sqrt(p.probs[t]) - np.sqrt(q.probs[t])) ** 2))
+            assert hellinger_fidelity(p, q)[t] == (1.0 - min(h2, 1.0)) ** 2
+
+    def test_selectivity_per_step(self, pair):
+        p, _ = pair
+        values = selectivity(p, 3)
+        assert values.shape == (40,)
+        for t in range(40):
+            best = max(np.delete(p.probs[t, :-1], 3))
+            assert values[t] == selectivity(p[t], 3) == math.log(p.probs[t, 3] / best)
+
+    def test_selectivity_infinite_steps(self):
+        series = dist([0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
+        with pytest.warns(UserWarning):
+            values = selectivity(series, 0)
+        assert values.tolist() == [0.0, -math.inf, math.inf]
+
+    def test_step_count_mismatch_rejected(self, pair):
+        p, q = pair
+        with pytest.raises(ValueError, match="steps and outcomes"):
+            hellinger_fidelity(p, q[:39])
 
 
 class TestFits:

@@ -17,7 +17,7 @@ from qcawalk import (
     sector_project,
 )
 from qcawalk.gates import apply_gate
-from qcawalk.states import vertex_distribution
+from qcawalk.states import DensityMatrix, SectorDensity, vertex_distribution
 
 
 class TestOnehotIndex:
@@ -136,6 +136,72 @@ class TestDistribution:
         d = Distribution([0.1, 0.2, 0.3, 0.15, 0.25])
         with pytest.raises(ValueError, match="no outcome"):
             d.get(label)
+
+
+class TestPerStepDistribution:
+    """A leading step axis: every check holds per row and names the row."""
+
+    RUN = [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]]
+
+    def test_rows_and_labels(self):
+        d = Distribution(self.RUN)
+        assert len(d) == 2
+        assert d.get(0).tolist() == [0.5, 0.25]
+        assert d.get(LEAKAGE).tolist() == [0.0, 0.5]
+        assert d[1].probs.tolist() == self.RUN[1] and d[-1].get(LEAKAGE) == 0.5
+        assert [row.get(1) for row in d] == [0.5, 0.25]
+
+    def test_row_keeps_counts(self):
+        d = Distribution([[1.0, 0.0], [0.5, 0.5]], shots=4, counts=[[4, 0], [2, 2]])
+        assert d[1].shots == 4 and d[1].counts.tolist() == [2, 2]
+
+    def test_single_step_has_no_step_axis(self):
+        d = Distribution(self.RUN[0])
+        assert d.get(0) == 0.5 and type(d.get(0)) is float
+        with pytest.raises(TypeError):
+            len(d)
+        with pytest.raises(TypeError):
+            d[0]
+
+    @pytest.mark.parametrize("probs", [np.empty((0, 3)), np.empty(0), np.ones((1, 1, 1))],
+                             ids=["zero_rows", "zero_outcomes", "three_axes"])
+    def test_no_steps_or_bad_rank_rejected(self, probs):
+        with pytest.raises(ValueError, match="shape"):
+            Distribution(probs)
+
+    @pytest.mark.parametrize("row,match", [
+        ([0.5, 0.4, 0.0], "probabilities at step 2 sum to"),
+        ([1.5, -0.5, 0.0], "outcome 0 at step 2 out of"),
+    ], ids=["sum", "range"])
+    def test_bad_row_names_its_step(self, row, match):
+        with pytest.raises(ValueError, match=match):
+            Distribution(self.RUN + [row])
+
+    def test_bad_count_row_names_its_step(self):
+        with pytest.raises(ValueError, match="counts at step 1 do not sum"):
+            Distribution(self.RUN, shots=4, counts=[[2, 2, 0], [1, 1, 1]])
+        with pytest.raises(ValueError, match="shape"):
+            Distribution(self.RUN, shots=4, counts=[2, 2, 0])
+
+    def test_vertex_distribution_broadcasts(self):
+        vertex = np.array([[0.5, 0.5], [0.25, -1e-17]])
+        leakage = np.array([-1e-17, 0.75])
+        d = vertex_distribution(vertex, leakage)
+        assert d.probs.tolist() == [[0.5, 0.5, 0.0], [0.25, 0.0, 0.75]]
+        for t in range(2):
+            assert np.array_equal(vertex_distribution(vertex[t], leakage[t]).probs, d.probs[t])
+
+    def test_sampling_takes_one_step(self):
+        with pytest.raises(ValueError, match="one step"):
+            sample_counts(Distribution(self.RUN), 10, 0)
+
+
+class TestMixedStateShape:
+    @pytest.mark.parametrize("cls,dim", [(DensityMatrix, 8), (SectorDensity, 4)])
+    def test_dimension_checked(self, cls, dim):
+        assert cls(3, np.eye(dim)).entries.shape == (dim, dim)
+        with pytest.raises(ValueError, match=f"{cls.__name__} has shape"):
+            cls(3, np.eye(dim + 1))
 
 
 class TestVertexDistribution:

@@ -16,6 +16,7 @@ from qcawalk import (
     build_step_operator,
     qw_init,
     run_walk,
+    sample_counts,
     search_initializer,
     search_initializer_gates,
     sector_oracle,
@@ -159,7 +160,7 @@ class TestRunWalk:
         lat = Lattice("cycle", 8)
         cfg = WalkConfig(lat, steps=0, init=InitSpec("symmetric", 3), seed=1)
         res = run_walk(cfg)
-        assert len(res.per_step) == 1
+        assert len(res.exact) == 1
         dist = res.exact[0]
         assert dist.get(3) == pytest.approx(0.5, abs=1e-12)
         assert dist.get(4) == pytest.approx(0.5, abs=1e-12)
@@ -167,8 +168,9 @@ class TestRunWalk:
     def test_per_step_length(self):
         cfg = WalkConfig(Lattice("cycle", 4), steps=5, seed=1)
         res = run_walk(cfg)
-        assert len(res.per_step) == 6
-        assert len(res.leakage_per_step) == 6
+        assert res.exact.probs.shape == res.empirical.probs.shape == (6, 5)
+        assert len(res.exact) == len(res.empirical) == 6
+        assert res.exact.get(LEAKAGE).shape == (6,)
 
     def test_one_step_matches_oracle(self):
         lat = Lattice("cycle", 4)
@@ -204,7 +206,7 @@ class TestRunWalk:
         cfg = WalkConfig(lat, steps=20, init=InitSpec("search_uniform"),
                          marked=2, seed=4)
         res = run_walk(cfg)
-        assert max(res.leakage_per_step) < 1e-12
+        assert res.exact.get(LEAKAGE).max() < 1e-12
 
     def test_reflection_symmetry(self):
         # symmetric init on bond (k, k+1): the distribution stays invariant
@@ -256,7 +258,7 @@ class TestRunWalk:
         t_layer = (math.pi / 2) / model.coupling
         want = [1 - math.exp(-model.relaxation_rate * t * 4 * t_layer)
                 for t in range(9)]
-        assert np.abs(np.array(res.leakage_per_step) - want).max() < 1e-12
+        assert np.abs(res.exact.get(LEAKAGE) - want).max() < 1e-12
         assert res.wall_time_s < 5.0  # about 0.05 s on 2 cores
 
     @pytest.mark.parametrize("kind,init,marked", [("cycle", "single", None),
@@ -279,7 +281,7 @@ class TestRunWalk:
         for want, got in zip(ideal.exact, res.exact):
             assert got.probs.shape == (lat.vertex_count + 1,)
             assert np.abs(got.probs - want.probs).max() < 1e-12
-        assert res.leakage_per_step == [d.get(LEAKAGE) for d in res.exact]
+        assert np.array_equal(res.exact.get(LEAKAGE), [d.get(LEAKAGE) for d in res.exact])
 
     def test_density_noise_off_matches_statevector(self):
         lat = Lattice("cycle", 4)
@@ -294,8 +296,12 @@ class TestRunWalk:
         cfg = WalkConfig(Lattice("cycle", 4), steps=3, seed=9, shots=500)
         a = run_walk(cfg)
         b = run_walk(cfg)
-        for (_, ea), (_, eb) in zip(a.per_step, b.per_step):
-            assert np.array_equal(ea.counts, eb.counts)
+        assert a.empirical.counts.shape == (4, 5)
+        assert np.array_equal(a.empirical.counts, b.empirical.counts)
+        # row t is one draw from the exact row t with the child seed (seed, 0, t)
+        for t in range(4):
+            want = sample_counts(a.exact[t], 500, np.random.SeedSequence([9, 0, t]))
+            assert np.array_equal(a.empirical.counts[t], want.counts)
 
     def test_marked_validation(self):
         with pytest.raises(ValueError):
@@ -381,7 +387,7 @@ class TestLargeRegisters:
                          marked=lat.vertex_id(3, 0), seed=4)
         res = run_walk(cfg)
         assert len(res.exact) == 4
-        assert res.leakage_per_step == [0.0] * 4
+        assert res.exact.get(LEAKAGE).tolist() == [0.0] * 4
         # the marked vertex gains amplitude from the first step on
         assert res.exact[1].get(cfg.marked) > res.exact[0].get(cfg.marked)
 
@@ -397,7 +403,7 @@ class TestLargeRegisters:
                          backend=WalkBackend("trajectories", n_traj))
         res = run_walk(cfg, noise=model)
         t_layer = (math.pi / 2) / model.coupling
-        for t, leak in enumerate(res.leakage_per_step):
+        for t, leak in enumerate(res.exact.get(LEAKAGE)):
             want = 1 - math.exp(-model.relaxation_rate * t * 4 * t_layer)
             se = math.sqrt(want * (1 - want) / n_traj)
             assert abs(leak - want) <= 5 * se + 1e-12
