@@ -39,14 +39,14 @@ that every step, backend and run of the process shares.
   average reproduces the density evolution with no time-discretisation
   bias.  A gate reads the 2-3 amplitudes it touches and draws one
   number per trajectory.  One small matrix product gives, for the whole
-  ensemble, the probability of the dominant (no-jump) branch and of the
-  branches on either side of it; only the few trajectories whose draw
-  misses the dominant branch form every branch.  The chosen branch
-  rewrites the touched amplitudes and scales the rest of each trajectory
-  by its scalar.  Trajectories are renormalised once per step, and the
-  mean of |psi|^2 at every step, step 0 included, is read out as the
-  density diagonal would be.  They have no dense counterpart: the exact
-  sector density is their reference.
+  ensemble, the probability of the last Kraus branch (the no-jump one at
+  realistic rates) and of all branches before it; only the few
+  trajectories whose draw misses the last branch form every branch.  The
+  chosen branch rewrites the touched amplitudes and scales the rest of
+  each trajectory by its scalar.  Trajectories are renormalised once per
+  step, and the mean of |psi|^2 at every step, step 0 included, is read
+  out as the density diagonal would be.  They have no dense counterpart:
+  the exact sector density is their reference.
 
 Rates are not published for the emulated processor; ``calibrate_rates``
 infers (K, delta) from the native gate-set's average fidelities.  It
@@ -370,9 +370,8 @@ class _Lowered(NamedTuple):
     blocks: np.ndarray  # (M, d, d): Kraus operator m on the touched indices
     T: np.ndarray  # density: vec(rho_SS) -> T vec(rho_SS)
     C: np.ndarray  # density: rho_SR -> C rho_SR
-    stack: np.ndarray  # trajectories: (3d, d), [R_<; B_{m*}; R_>]
-    weights: np.ndarray  # trajectories: |k00_m|^2 summed below, at and above m*
-    dominant: int  # m*, the branch with the largest |k00_m|
+    stack: np.ndarray  # trajectories: (2d, d), [R; B_{M-1}]
+    weights: np.ndarray  # trajectories: |k00_m|^2 summed below M-1, and at M-1
 
 
 def _gram_root(blocks: np.ndarray) -> np.ndarray:
@@ -398,10 +397,10 @@ def _sector_lowering(kraus: tuple) -> _Lowered:
 
     A trajectory takes branch m with probability
     |B_m x|^2 + |k00_m|^2 (1 - |x|^2) for touched amplitudes x.  Summed
-    over the branches below, at and above the dominant m*, these are
-    |R_< x|^2, |B_{m*} x|^2 and |R_> x|^2 plus ``weights`` times
-    (1 - |x|^2), where R^dag R is the sum of B_m^dag B_m over the group;
-    ``stack`` holds R_<, B_{m*} and R_> so one product gives all three.
+    over m < M-1, and at the last branch M-1 (the no-jump one at realistic
+    rates), these are |R x|^2 and |B_{M-1} x|^2 plus ``weights`` times
+    (1 - |x|^2), with R^dag R = sum_{m<M-1} B_m^dag B_m (R = 0 if M = 1);
+    ``stack`` holds R and B_{M-1}, so one product gives both.
     """
     k = np.array(kraus)
     excitations = np.array([bin(i).count("1") for i in range(k.shape[1])])
@@ -414,10 +413,9 @@ def _sector_lowering(kraus: tuple) -> _Lowered:
     T = sum(np.kron(b, b.conj()) for b in blocks)
     C = sum(np.conj(b[0, 0]) * b for b in blocks)
     w = np.abs(blocks[:, 0, 0]) ** 2
-    m = int(np.argmax(w))
-    stack = np.concatenate([_gram_root(blocks[:m]), blocks[m], _gram_root(blocks[m + 1:])])
-    weights = np.array([w[:m].sum(), w[m], w[m + 1:].sum()])
-    return _Lowered(blocks, T, C, stack, weights, m)
+    stack = np.concatenate([_gram_root(blocks[:-1]), blocks[-1]])
+    weights = np.array([w[:-1].sum(), w[-1]])
+    return _Lowered(blocks, T, C, stack, weights)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -507,9 +505,9 @@ class _JumpBuffers:
 
     def __init__(self, n: int):
         self.x = np.empty((3, n), dtype=complex)  # touched amplitudes, then their update
-        self.z = np.empty((9, n), dtype=complex)  # stack @ x
-        self.sq = np.empty((9, 2 * n))  # squared real and imaginary parts
-        self.abs2 = np.empty((9, n))  # squared magnitudes
+        self.z = np.empty((6, n), dtype=complex)  # stack @ x
+        self.sq = np.empty((6, 2 * n))  # squared real and imaginary parts
+        self.abs2 = np.empty((6, n))  # squared magnitudes
         self.r = np.empty(n)  # the channel's uniform draws
 
     def norms2(self, a: np.ndarray) -> np.ndarray:
@@ -528,25 +526,24 @@ def _sector_jump(psi: np.ndarray, idx: list, lowered: _Lowered, rng,
     amplitude to k00_m times itself, so it is taken with probability
     p_m = |B_m x|^2 + |k00_m|^2 (1 - |x|^2), by the cumulative rule of
     :func:`_choose_branches` on one uniform draw r per trajectory.  One
-    product with ``lowered.stack`` gives p_<, p_* and p_>, the sums of
-    p_m below, at and above the dominant branch m*.  A trajectory takes
-    m* iff p_< <= u < p_< + p_*, u = r (p_< + p_* + p_>): the same
-    boundaries the rule over all branches uses, up to rounding.  Only the
-    other columns form all M branches and run that rule.  The chosen
-    branch is written back divided by sqrt(p_m).
+    product with ``lowered.stack`` gives p_< and p_last, the sums of p_m
+    before and at the last branch M-1, the no-jump one at realistic
+    rates.  A trajectory takes the last branch iff u >= p_<,
+    u = r (p_< + p_last): the boundary the rule over all branches uses,
+    up to rounding, whichever branch is the most likely.  Only the other
+    columns form all M branches and run that rule.  The chosen branch is
+    written back divided by sqrt(p_m).
     """
     d = len(idx)
-    x, z = work.x[:d], work.z[:3 * d]
+    x, z = work.x[:d], work.z[:2 * d]
     np.take(psi, idx, axis=0, out=x, mode="clip")  # "raise" would copy via a buffer
     rest = np.maximum(1.0 - work.norms2(x).sum(axis=0), 0.0)
     np.matmul(lowered.stack, x, out=z)
-    coarse = work.norms2(z).reshape(3, d, -1).sum(axis=1)
+    coarse = work.norms2(z).reshape(2, d, -1).sum(axis=1)
     coarse += lowered.weights[:, None] * rest
     below = coarse[0]
-    upto = below + coarse[1]
     r = rng.random(out=work.r)
-    u = r * (upto + coarse[2])
-    other = np.flatnonzero((u < below) | (u >= upto))
+    other = np.flatnonzero(r * (below + coarse[1]) < below)
 
     if other.size:
         blocks = lowered.blocks
@@ -556,10 +553,10 @@ def _sector_jump(psi: np.ndarray, idx: list, lowered: _Lowered, rng,
         choice = _choose_branches(probs, r[other])
         cols = np.arange(other.size)
         inv_other = 1.0 / np.sqrt(probs[choice, cols])
-        coarse[1, other] = 1.0  # p_* may be 0 there; those columns are overwritten
+        coarse[1, other] = 1.0  # p_last may be 0 there; those columns are overwritten
     inv = 1.0 / np.sqrt(coarse[1])
-    scale = lowered.blocks[lowered.dominant, 0, 0] * inv
-    np.multiply(z[d:2 * d], inv, out=x)
+    scale = lowered.blocks[-1, 0, 0] * inv
+    np.multiply(z[d:], inv, out=x)
     if other.size:
         scale[other] = blocks[choice, 0, 0] * inv_other
         x[:, other] = y[choice, :, cols].T * inv_other

@@ -221,10 +221,11 @@ class Distribution:
     ``probs`` is a float array whose last axis has V+1 entries:
     ``probs[..., v]`` is vertex ``v`` and ``probs[..., V]`` is leakage.  It
     is ``(V+1,)`` for one step, or ``(steps+1, V+1)`` with one row per step
-    of a run; only then do ``len(d)`` and ``d[t]`` exist.  ``shots`` and
-    ``counts`` (an int array of the same shape) are present only on
-    empirical distributions obtained by sampling.  Every check holds per
-    row, and a row that fails names its step.
+    of a run; only then do ``len(d)`` and ``d[t]`` exist.  ``shots`` (an
+    integer in 1..:data:`MAX_SHOTS`) and ``counts`` (a non-negative int
+    array of the same shape) are present only on empirical distributions
+    obtained by sampling.  Every check holds per row, and a row that
+    fails names its step.
     """
 
     probs: np.ndarray
@@ -247,10 +248,14 @@ class Distribution:
             t, i = (int(k) for k in np.argwhere(outside)[0])
             raise ValueError(f"probability {float(rows[t, i])!r} for outcome {i}{self._at(t)} "
                              "out of [0, 1]")
+        if self.shots is not None:
+            self.shots = require_count("shots", self.shots, 1, MAX_SHOTS)
         if self.counts is not None:
             if self.shots is None:
                 raise ValueError("counts given without shots")
             self.counts = np.asarray(self.counts)
+            if not np.issubdtype(self.counts.dtype, np.integer) or (self.counts < 0).any():
+                raise ValueError("counts must be non-negative integers")
             if self.counts.shape != self.probs.shape:
                 raise ValueError(f"counts have shape {self.counts.shape}, "
                                  f"probabilities {self.probs.shape}")
@@ -338,21 +343,26 @@ def sector_project(state: StateVector | SectorVector, vertex_count: int) -> Sect
 
 
 def sample_counts(dist: Distribution, shots: int, seed) -> Distribution:
-    """Multinomial sample of an exact single-step distribution.
+    """Multinomial sample of an exact distribution, ``shots`` per step.
 
-    Deterministic under a fixed ``seed`` (an int or a
-    ``numpy.random.SeedSequence``).  Probabilities below
-    :data:`PROB_CLAMP` are clamped to zero before drawing.
+    A single-step ``dist`` is drawn from ``seed`` (an int or a
+    ``numpy.random.SeedSequence``).  For a per-step ``dist``, ``seed`` is
+    the run's integer root seed and row t is drawn from the child seed
+    SeedSequence([seed, SHOT_STREAM, t]), so every step has its own
+    stream.  Probabilities below :data:`PROB_CLAMP` are clamped to zero
+    before drawing.
     """
     shots = require_count("shots", shots, 1, MAX_SHOTS)
-    if dist.probs.ndim != 1:
-        raise ValueError("sample_counts draws one step; sample each step with its own seed")
-    probs = dist.probs.copy()
-    probs[probs < PROB_CLAMP] = 0.0
-    total = probs.sum()
-    if total <= 0:
+    probs = np.where(dist.probs < PROB_CLAMP, 0.0, dist.probs)
+    total = probs.sum(axis=-1, keepdims=True)
+    if not (total > 0).all():
         raise ValueError("distribution has no positive probability mass")
     probs /= total
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
+    if probs.ndim == 1:
+        counts = np.random.default_rng(seed).multinomial(shots, probs)
+    else:
+        seed = require_count("seed", seed, 0)
+        counts = np.array([
+            np.random.default_rng(np.random.SeedSequence([seed, SHOT_STREAM, t]))
+            .multinomial(shots, row) for t, row in enumerate(probs)])
     return Distribution(counts / shots, shots=shots, counts=counts)

@@ -9,7 +9,8 @@ prepared directly on span{vacuum, one-hot}, where the ideal backend then
 stays, so no 2^V array is formed.  All three read that sector the same
 way, through one :func:`vertex_distribution` call per run (vertex v from
 index v+1, leakage from the vacuum at index 0, never renormalised), into
-one per-step :class:`Distribution`, and one loop then draws the shots.
+one per-step :class:`Distribution`, and one :func:`sample_counts` call
+then draws the shots of every step.
 The dense ``qw_init``, ``search_initializer`` and ``initial_state``
 prepare the same states on the full register, as the reference the
 sector path is tested against.
@@ -44,7 +45,6 @@ from .gates import (
 from .lattice import Lattice, tessellations_for
 from .states import (
     MAX_SHOTS,
-    SHOT_STREAM,
     Distribution,
     SectorDensity,
     SectorVector,
@@ -57,9 +57,10 @@ from .states import (
 )
 
 
-#: Largest (V+1) x (V+1) complex density block the density backend
-#: allocates: V <= 4095, e.g. a 32x32 torus (16.8 MB), but not a 64x64 one.
-DENSITY_MAX_BYTES = 256 * 2**20
+#: Largest complex state array a backend allocates: the density backend's
+#: (V+1) x (V+1) block (V <= 4095, e.g. a 32x32 torus, 16.8 MB, but not a
+#: 64x64 one) or the trajectories backend's (V+1) x n_trajectories ensemble.
+STATE_MAX_BYTES = 256 * 2**20
 
 
 class ResourceLimitError(RuntimeError):
@@ -286,10 +287,6 @@ def initial_sector_state(config: WalkConfig) -> SectorVector:
     return apply_sector_stages(state, lower_to_sector(rest, V))
 
 
-def _shot_seed(seed: int, step: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([seed, SHOT_STREAM, step])
-
-
 def run_walk(config: WalkConfig, noise=None) -> WalkResult:
     """Run the configured walk and record distributions at every step.
 
@@ -298,17 +295,22 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
     ideal.  Each backend collects every step's probabilities and reads
     them out with one :func:`vertex_distribution` call; row t of the empirical
     distribution is then drawn with the child seed (seed, shot-stream, t),
-    so runs are reproducible bit-exactly.
+    so runs are reproducible bit-exactly.  A density block or trajectory
+    ensemble above :data:`STATE_MAX_BYTES` raises
+    :class:`ResourceLimitError` before anything is built.
     """
     t_start = time.perf_counter()
     lattice = config.lattice
     V = lattice.vertex_count
     backend = config.backend.kind
-    density_bytes = (V + 1) ** 2 * 16
-    if backend == "density" and density_bytes > DENSITY_MAX_BYTES:
+    columns = {"density": V + 1, "trajectories": config.backend.n_trajectories}
+    state_bytes = (V + 1) * columns.get(backend, 1) * 16
+    if state_bytes > STATE_MAX_BYTES:
+        advice = ("use the trajectories backend instead" if backend == "density"
+                  else "use fewer trajectories")
         raise ResourceLimitError(
-            f"density backend needs {density_bytes} bytes for {V} qubits, above its "
-            f"bound of {DENSITY_MAX_BYTES} bytes; use the trajectories backend instead"
+            f"{backend} backend needs {state_bytes} bytes for {V} qubits, above its "
+            f"bound of {STATE_MAX_BYTES} bytes; {advice}"
         )
     schedule = AngleSchedule(marked=config.marked)
     step_op = build_step_operator(lattice, schedule, config.variant)
@@ -339,7 +341,5 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
         exact = trajectory_run(state, step_op, model, n_traj=config.backend.n_trajectories,
                                seed=config.seed, steps=config.steps)
 
-    counts = np.stack([sample_counts(exact[t], config.shots, _shot_seed(config.seed, t)).counts
-                       for t in range(len(exact))])
-    empirical = Distribution(counts / config.shots, shots=config.shots, counts=counts)
+    empirical = sample_counts(exact, config.shots, config.seed)
     return WalkResult(exact, empirical, time.perf_counter() - t_start)

@@ -69,6 +69,15 @@ def _record_with_empty(key: str) -> str:
     return json.dumps(record)
 
 
+def _search_record_without(scalar: str) -> str:
+    """A real search record whose ``scalar`` is missing from its scalars."""
+    point, = resolve_points(load_config(minimal_config(
+        walk={"variant": "search", "steps": 2})))
+    record = execute_point(point, None)
+    del record["payload"]["metrics"]["scalars"][scalar]
+    return json.dumps(record)
+
+
 class TestConfigValidation:
     def test_minimal_config_valid(self):
         assert validate_config(minimal_config()) == []
@@ -316,9 +325,11 @@ class TestCli:
 
     @pytest.mark.parametrize("record", [None, "{not json", '{"payload": {}}',
                                         _record_with_empty("metrics"),
-                                        _record_with_empty("config")],
+                                        _record_with_empty("config"),
+                                        _search_record_without("hitting_time")],
                              ids=["missing_dir", "not_json", "invalid_record",
-                                  "empty_metrics", "empty_config"])
+                                  "empty_metrics", "empty_config",
+                                  "search_without_hitting_time"])
     def test_report_unreadable_records_exit_code(self, tmp_path, capsys, record):
         # one error line, exit 2, and nothing created: no directory, no tables
         records = tmp_path / "records"
@@ -351,6 +362,27 @@ class TestCli:
         )
         rc = main(["run", self._write(tmp_path, cfg), "--output-dir", str(tmp_path)])
         assert rc == EXIT_RESOURCE
+
+    def test_run_trajectory_ensemble_bound_exit_code(self, tmp_path, capsys):
+        # 5 sector rows x 10^9 trajectories x 16 B is 80 GB: refused with one
+        # line before the ensemble is allocated and before any record is written
+        out = tmp_path / "out"
+        cfg = minimal_config(backends=["trajectories"], n_trajectories=10**9,
+                             noise={"relaxation_rate": 1e4})
+        rc = main(["run", self._write(tmp_path, cfg), "--output-dir", str(out)])
+        assert rc == EXIT_RESOURCE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "trajectories backend needs 80000000000 bytes" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_formats_without_json_rejected(self, tmp_path, capsys, command):
+        # run records are always written, so a config must list them
+        out = tmp_path / "out"
+        cfg = minimal_config(output={"directory": str(out), "formats": ["csv"]})
+        assert main([command, self._write(tmp_path, cfg)]) == EXIT_CONFIG
+        assert "output/formats" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_invalid_config_exit_code(self, tmp_path):
         rc = main(["run", self._write(tmp_path, minimal_config(seed=-4))])

@@ -41,6 +41,7 @@ from qcawalk.noise import (
     _jump_operators,
     _liouvillian,
     _lowered,
+    _sector_channels,
     _sector_jump,
     _sector_lowering,
 )
@@ -541,14 +542,14 @@ class TestTrajectoryKernelEdges:
             trajectory_run(qw_init(lat, 0), op, RATES, seed=0, **args)
 
 
-    @pytest.mark.parametrize("dominant", [0, 1])
-    def test_dominant_branch_annihilating_a_state(self, dominant):
+    @pytest.mark.parametrize("no_jump_at", [0, 1])
+    def test_either_kraus_order_annihilating_a_state(self, no_jump_at):
         # full amplitude damping of one qubit: the no-jump branch |0><0|
-        # has the largest k00 and maps e_q to 0, so p_* = 0 in that column
+        # has the largest k00 and maps e_q to 0, so its p_m = 0 in that
+        # column, whether it is the last branch (the fast one) or not
         keep = np.array([[1, 0], [0, 0]], dtype=complex)
         decay = np.array([[0, 1], [0, 0]], dtype=complex)
-        lowered = _sector_lowering((keep, decay) if dominant == 0 else (decay, keep))
-        assert lowered.dominant == dominant
+        lowered = _sector_lowering((keep, decay) if no_jump_at == 0 else (decay, keep))
         psi = np.array([[0, 0, 0, 0.6],  # sector of V = 2: vacuum, e_0, e_1
                         [1, 0.6, 0, 0],
                         [0, 0.8j, 1, 0.8]], dtype=complex)
@@ -588,7 +589,7 @@ STRONG_MODELS = [NoiseModel(relaxation_rate=1e9),
 
 class TestTrajectoryKernelEquivalence:
     """_sector_jump, which forms all branches only for the columns whose
-    draw misses the dominant branch, against the kernel that formed them
+    draw misses the last branch, against the kernel that formed them
     for every column.  From the same generator state both must pick the
     same branch in every column; another branch would move that column's
     amplitudes by far more than 1e-12.  Five gates in a row also check
@@ -616,10 +617,27 @@ class TestTrajectoryKernelEquivalence:
         for _ in range(5):
             _sector_jump(psi, idx, lowered, rng, work)
             choice = _all_branch_sector_jump(ref, idx, lowered.blocks, ref_rng)
-            jumps += np.count_nonzero(choice != lowered.dominant)
+            jumps += np.count_nonzero(choice != len(lowered.blocks) - 1)
             assert np.abs(psi - ref).max() < 1e-12
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert jumps > 0  # the columns off the dominant branch ran too
+        assert jumps > 0  # the columns off the last branch ran too
+
+    @pytest.mark.parametrize("model", ["calibrated", RATES], ids=["calibrated", "rates"])
+    def test_last_branch_is_the_no_jump_branch(self, model, calibrated_noise):
+        # the premise that makes the kernel's fast path the no-jump path:
+        # every lowered channel of a torus search and a cycle walk has its
+        # largest |k00| on the last Kraus branch
+        model = calibrated_noise if model == "calibrated" else model
+        seen = 0
+        for lat, variant, marked in [(Lattice("torus", 4), "search", 3),
+                                     (Lattice("cycle", 8), "walk", None)]:
+            op = build_step_operator(lat, AngleSchedule(marked=marked), variant)
+            for _idx, _phase, lowered in _sector_channels(op, model):
+                if lowered is not None:
+                    k00 = np.abs(lowered.blocks[:, 0, 0])
+                    assert np.argmax(k00) == len(k00) - 1
+                    seen += 1
+        assert seen > 0
 
 
 class TestDegradedRatio:

@@ -17,7 +17,7 @@ from qcawalk import (
     sector_project,
 )
 from qcawalk.gates import apply_gate
-from qcawalk.states import DensityMatrix, SectorDensity, vertex_distribution
+from qcawalk.states import SHOT_STREAM, DensityMatrix, SectorDensity, vertex_distribution
 
 
 class TestOnehotIndex:
@@ -123,6 +123,19 @@ class TestDistribution:
         with pytest.raises(ValueError, match="shape"):
             Distribution([1.0, 0.0], shots=10, counts=[10])
 
+    @pytest.mark.parametrize("shots,counts,match", [
+        (1, [0.5, 0.5], "counts must be non-negative integers"),
+        (2, [-1, 3], "counts must be non-negative integers"),
+        (2, [True, True], "counts must be non-negative integers"),
+        (True, [1, 0], "shots must be an integer"),
+        (2.0, [2, 0], "shots must be an integer"),
+        (0, [0, 0], "shots must be >= 1"),
+    ], ids=["fractional_counts", "negative_count", "bool_counts", "bool_shots",
+            "float_shots", "zero_shots"])
+    def test_bad_counts_or_shots_rejected(self, shots, counts, match):
+        with pytest.raises(ValueError, match=match):
+            Distribution([0.5, 0.5], shots=shots, counts=counts)
+
     def test_leakage_is_plain_outcome(self):
         d = Distribution([0.75, 0.25])
         assert d.get(LEAKAGE) == 0.25
@@ -191,9 +204,15 @@ class TestPerStepDistribution:
         for t in range(2):
             assert np.array_equal(vertex_distribution(vertex[t], leakage[t]).probs, d.probs[t])
 
-    def test_sampling_takes_one_step(self):
-        with pytest.raises(ValueError, match="one step"):
-            sample_counts(Distribution(self.RUN), 10, 0)
+    def test_sampling_draws_each_step_from_its_child_seed(self):
+        emp = sample_counts(Distribution(self.RUN), 10, 5)
+        assert emp.counts.shape == (2, 3) and emp.shots == 10
+        for t in range(2):
+            want = sample_counts(Distribution(self.RUN[t]), 10,
+                                 np.random.SeedSequence([5, SHOT_STREAM, t]))
+            assert np.array_equal(emp.counts[t], want.counts)
+        with pytest.raises(ValueError, match="seed"):
+            sample_counts(Distribution(self.RUN), 10, np.random.SeedSequence(5))
 
 
 class TestMixedStateShape:
