@@ -37,16 +37,19 @@ that every step, backend and run of the process shares.
   Monte Carlo wave-function method): for every gate interval a Kraus
   branch is sampled with probability |K_m psi|^2, so the trajectory
   average reproduces the density evolution with no time-discretisation
-  bias.  A gate reads the 2-3 amplitudes it touches and draws one
-  number per trajectory.  One small matrix product gives, for the whole
-  ensemble, the probability of the last Kraus branch (the no-jump one at
-  realistic rates) and of all branches before it; only the few
-  trajectories whose draw misses the last branch form every branch.  The
-  chosen branch rewrites the touched amplitudes and scales the rest of
-  each trajectory by its scalar.  Trajectories are renormalised once per
-  step, and the mean of |psi|^2 at every step, step 0 included, is read
-  out as the density diagonal would be.  They have no dense counterpart:
-  the exact sector density is their reference.
+  bias.  Each trajectory carries a pending complex scalar c beside its
+  stored amplitudes, so its state is c times them.  A gate reads the 2-3
+  amplitudes it touches and draws one number per trajectory.  One small
+  matrix product gives, for the whole ensemble, the probability of the
+  last Kraus branch (the no-jump one at realistic rates); a trajectory
+  that takes it writes only its touched amplitudes and c, since the
+  branch's scalar on the rest goes into c.  Only the few trajectories
+  whose draw misses the last branch form every branch, and they rewrite
+  their whole column.  So a gate costs O(n_traj), whatever V.  Once per
+  step c is folded into the amplitudes with the renormalisation, and the
+  mean of |psi|^2 at every step, step 0 included, is read out as the
+  density diagonal would be.  They have no dense counterpart: the exact
+  sector density is their reference.
 
 Rates are not published for the emulated processor; ``calibrate_rates``
 infers (K, delta) from the native gate-set's average fidelities.  It
@@ -370,15 +373,6 @@ class _Lowered(NamedTuple):
     blocks: np.ndarray  # (M, d, d): Kraus operator m on the touched indices
     T: np.ndarray  # density: vec(rho_SS) -> T vec(rho_SS)
     C: np.ndarray  # density: rho_SR -> C rho_SR
-    stack: np.ndarray  # trajectories: (2d, d), [R; B_{M-1}]
-    weights: np.ndarray  # trajectories: |k00_m|^2 summed below M-1, and at M-1
-
-
-def _gram_root(blocks: np.ndarray) -> np.ndarray:
-    """Hermitian R with R^dag R = sum_m B_m^dag B_m (zero for no blocks)."""
-    gram = np.einsum("mji,mjk->ik", blocks.conj(), blocks)
-    vals, vecs = np.linalg.eigh(gram)
-    return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
 
 
 def _sector_lowering(kraus: tuple) -> _Lowered:
@@ -393,14 +387,9 @@ def _sector_lowering(kraus: tuple) -> _Lowered:
     vec(rho_SS) -> T vec(rho_SS) with T = sum B_m (x) conj(B_m) and
     rho_SR -> C rho_SR with C = sum conj(k00_m) B_m.  rho_RR is left
     alone: with no raising, K_m|00> = k00_m|00>, so trace preservation
-    gives sum |k00_m|^2 = <00| sum K_m^dag K_m |00> = 1.
-
-    A trajectory takes branch m with probability
-    |B_m x|^2 + |k00_m|^2 (1 - |x|^2) for touched amplitudes x.  Summed
-    over m < M-1, and at the last branch M-1 (the no-jump one at realistic
-    rates), these are |R x|^2 and |B_{M-1} x|^2 plus ``weights`` times
-    (1 - |x|^2), with R^dag R = sum_{m<M-1} B_m^dag B_m (R = 0 if M = 1);
-    ``stack`` holds R and B_{M-1}, so one product gives both.
+    gives sum |k00_m|^2 = <00| sum K_m^dag K_m |00> = 1.  A trajectory
+    takes branch m with probability |B_m x|^2 + |k00_m|^2 (1 - |x|^2)
+    for touched amplitudes x; these sum to 1 for the same reason.
     """
     k = np.array(kraus)
     excitations = np.array([bin(i).count("1") for i in range(k.shape[1])])
@@ -412,10 +401,7 @@ def _sector_lowering(kraus: tuple) -> _Lowered:
     blocks[:, 1:, 0] = 0.0
     T = sum(np.kron(b, b.conj()) for b in blocks)
     C = sum(np.conj(b[0, 0]) * b for b in blocks)
-    w = np.abs(blocks[:, 0, 0]) ** 2
-    stack = np.concatenate([_gram_root(blocks[:-1]), blocks[-1]])
-    weights = np.array([w[:-1].sum(), w[-1]])
-    return _Lowered(blocks, T, C, stack, weights)
+    return _Lowered(blocks, T, C)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -500,68 +486,89 @@ class _JumpBuffers:
 
     Sized for the widest channel (d = 3 touched indices) and ``n``
     trajectories; every gate writes into them in place, so no ensemble
-    array is reallocated gate after gate.
+    array is reallocated gate after gate.  With the pending scalars they
+    take :data:`qcawalk.walks.TRAJECTORY_WORK_BYTES` per trajectory.
     """
 
     def __init__(self, n: int):
-        self.x = np.empty((3, n), dtype=complex)  # touched amplitudes, then their update
-        self.z = np.empty((6, n), dtype=complex)  # stack @ x
-        self.sq = np.empty((6, 2 * n))  # squared real and imaginary parts
-        self.abs2 = np.empty((6, n))  # squared magnitudes
+        self.x = np.empty((3, n), dtype=complex)  # stored touched amplitudes
+        self.z = np.empty((3, n), dtype=complex)  # B_last x, then the rows written back
+        self.pairs = np.empty(2 * n)  # sums of squares per real and imaginary part; scratch
+        self.c2 = np.empty(n)  # |c|^2
+        self.rest = np.empty(n)  # weight off the touched indices, 1 - |c x|^2
+        self.p = np.empty(n)  # p_last, then 1 / sqrt(p_last)
         self.r = np.empty(n)  # the channel's uniform draws
+        self.jump = np.empty(n, dtype=bool)  # the draw misses the last branch
 
-    def norms2(self, a: np.ndarray) -> np.ndarray:
-        """|a|^2 elementwise for one of the complex work arrays."""
-        rows = a.shape[0]
-        sq = np.square(a.view(float), out=self.sq[:rows])
-        return np.add(sq[:, 0::2], sq[:, 1::2], out=self.abs2[:rows])
+    def abs2(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """|a|^2 per column of a complex (rows, n) or (n,) array, summed
+        over the rows, into ``out``; read through the real view, so no
+        array of a's size is made."""
+        f = a.view(float).reshape(-1, self.pairs.size)
+        np.einsum("ij,ij->j", f, f, out=self.pairs)
+        return np.add(self.pairs[0::2], self.pairs[1::2], out=out)
 
 
-def _sector_jump(psi: np.ndarray, idx: list, lowered: _Lowered, rng,
+def _sector_jump(psi: np.ndarray, c: np.ndarray, idx: list, lowered: _Lowered, rng,
                  work: _JumpBuffers) -> None:
     """Sample one Kraus branch per trajectory for a channel on sector ``idx``.
 
-    Each column of ``psi`` is a normalised trajectory with touched
-    amplitudes x = psi[idx].  Branch m maps x to B_m x and every other
+    Trajectory j is ``psi[:, j] * c[j]``, normalised, with ``c`` a
+    pending complex scalar, so its touched amplitudes are c x with
+    x = psi[idx].  Branch m maps them to B_m c x and every other
     amplitude to k00_m times itself, so it is taken with probability
-    p_m = |B_m x|^2 + |k00_m|^2 (1 - |x|^2), by the cumulative rule of
-    :func:`_choose_branches` on one uniform draw r per trajectory.  One
-    product with ``lowered.stack`` gives p_< and p_last, the sums of p_m
-    before and at the last branch M-1, the no-jump one at realistic
-    rates.  A trajectory takes the last branch iff u >= p_<,
-    u = r (p_< + p_last): the boundary the rule over all branches uses,
-    up to rounding, whichever branch is the most likely.  Only the other
-    columns form all M branches and run that rule.  The chosen branch is
-    written back divided by sqrt(p_m).
+    p_m = |B_m c x|^2 + |k00_m|^2 (1 - |c x|^2), by the cumulative rule of
+    :func:`_choose_branches` on one uniform draw r per trajectory.  Trace
+    preservation makes the p_m sum to 1, so a trajectory takes the last
+    branch M-1 (the no-jump one at realistic rates) iff r >= 1 - p_last:
+    the boundary the rule over all branches uses, up to rounding.  Such a
+    column writes only its touched rows, B_{M-1} x / k00, and its scalar,
+    c k00 / sqrt(p_last); its other rows are not touched.  The other
+    columns read their whole column before any write, form all M
+    branches from the true amplitudes, and write back the chosen one
+    divided by sqrt(p_m), with c reset to 1.  A last branch with k00 = 0
+    annihilates the rest of every column, so then every column takes
+    that path.
     """
     d = len(idx)
-    x, z = work.x[:d], work.z[:2 * d]
+    x, scratch = work.x[:d], work.pairs[:psi.shape[1]]
     np.take(psi, idx, axis=0, out=x, mode="clip")  # "raise" would copy via a buffer
-    rest = np.maximum(1.0 - work.norms2(x).sum(axis=0), 0.0)
-    np.matmul(lowered.stack, x, out=z)
-    coarse = work.norms2(z).reshape(2, d, -1).sum(axis=1)
-    coarse += lowered.weights[:, None] * rest
-    below = coarse[0]
+    c2 = work.abs2(c, work.c2)
+    rest = work.abs2(x, work.rest)
+    rest *= c2
+    np.subtract(1.0, rest, out=rest)
+    np.maximum(rest, 0.0, out=rest)
     r = rng.random(out=work.r)
-    other = np.flatnonzero(r * (below + coarse[1]) < below)
-
+    blocks = lowered.blocks
+    k00 = blocks[-1, 0, 0]
+    if k00 == 0:
+        other = np.arange(psi.shape[1])
+    else:
+        z = np.matmul(blocks[-1], x, out=work.z[:d])
+        p = work.abs2(z, work.p)
+        p *= c2
+        p += np.multiply(rest, abs(k00) ** 2, out=scratch)
+        other = np.flatnonzero(np.less(r, np.subtract(1.0, p, out=scratch), out=work.jump))
     if other.size:
-        blocks = lowered.blocks
+        cols = psi[:, other]
+        cols *= c[other]
         m = blocks.shape[0]
-        y = (blocks.reshape(m * d, d) @ x[:, other]).reshape(m, d, -1)
+        y = (blocks.reshape(m * d, d) @ cols[idx]).reshape(m, d, -1)
         probs = np.sum(np.abs(y) ** 2, axis=1) + np.abs(blocks[:, 0, 0])[:, None] ** 2 * rest[other]
         choice = _choose_branches(probs, r[other])
-        cols = np.arange(other.size)
-        inv_other = 1.0 / np.sqrt(probs[choice, cols])
-        coarse[1, other] = 1.0  # p_last may be 0 there; those columns are overwritten
-    inv = 1.0 / np.sqrt(coarse[1])
-    scale = lowered.blocks[-1, 0, 0] * inv
-    np.multiply(z[d:], inv, out=x)
+        picked = np.arange(other.size)
+        inv = 1.0 / np.sqrt(probs[choice, picked])
+        cols *= blocks[choice, 0, 0] * inv
+        cols[idx] = y[choice, :, picked].T * inv
+    if k00 != 0:
+        p[other] = 1.0  # p_last may be 0 there; those columns are overwritten
+        c *= np.divide(1.0, np.sqrt(p, out=p), out=p)  # a complex divide costs 5x
+        c *= k00
+        z *= 1.0 / k00
+        psi[idx] = z
     if other.size:
-        scale[other] = blocks[choice, 0, 0] * inv_other
-        x[:, other] = y[choice, :, cols].T * inv_other
-    psi *= scale
-    psi[idx] = x
+        psi[:, other] = cols
+        c[other] = 1.0
 
 
 def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: NoiseModel,
@@ -572,15 +579,19 @@ def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: 
     interval (branch m with probability ||K_m psi||^2), so the ensemble
     mean converges to the density-matrix evolution.  Each noisy gate
     draws one uniform number per trajectory, in gate order, and
-    :func:`_sector_jump` picks the branch from it; the ensemble's work
-    arrays are made once per call.  Deterministic under (seed, n_traj).
-    Returns one per-step Distribution, step 0 included.
+    :func:`_sector_jump` picks the branch from it.  A gate writes only
+    the rows it touches and each trajectory's pending scalar; the scalars
+    are folded into the ensemble once per step, together with the
+    renormalisation.  The ensemble's work arrays are made once per call.
+    Deterministic under (seed, n_traj).  Returns one per-step
+    Distribution, step 0 included.
 
     Trajectories run in the (V+1)-dimensional sector only.  A
     :class:`StateVector` is restricted to it by
     :meth:`SectorVector.from_statevector`, which raises ``ValueError`` if
-    the state has weight outside; a step with gates other than XY/RZ, or
-    on a register of another size, raises ``ValueError`` too.
+    the state has weight outside; a step with gates other than XY/RZ, on
+    a register of another size, or an initial state of zero norm raises
+    ``ValueError`` too.
     """
     n_traj = require_count("n_traj", n_traj, 1)
     steps = require_count("steps", steps, 0)
@@ -588,13 +599,19 @@ def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: 
     _require_sector_gates(step)
     if isinstance(init, StateVector):
         init = SectorVector.from_statevector(init)
+    norm = float(np.linalg.norm(init.amplitudes))
+    if not 0.0 < norm < math.inf:  # NaN fails both
+        raise ValueError(f"initial state has norm {norm}; trajectories need a finite, "
+                         "nonzero one")
     V = init.n_qubits
     rng = np.random.default_rng(np.random.SeedSequence([seed, TRAJECTORY_STREAM]))
-    # one column per trajectory, so a gate's touched indices are whole rows
-    psi = np.zeros((V + 1, n_traj), dtype=complex)
-    psi[:] = init.amplitudes[:, None]
-    psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
+    # one column per trajectory, so a gate's touched indices are whole rows;
+    # trajectory j is psi[:, j] * c[j]
+    psi = np.empty((V + 1, n_traj), dtype=complex)
+    psi[:] = (init.amplitudes / norm)[:, None]
+    c = np.ones(n_traj, dtype=complex)
     work = _JumpBuffers(n_traj)
+    real = psi.view(float)
 
     p = np.empty((steps + 1, V + 1))
     for t in range(steps + 1):
@@ -603,10 +620,15 @@ def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: 
                 if lowered is None:
                     psi[idx[1]] *= phase
                 else:
-                    _sector_jump(psi, idx, lowered, rng, work)
-            psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
+                    _sector_jump(psi, c, idx, lowered, rng, work)
+            # fold the pending scalars in and renormalise: c / |c psi|
+            norm2 = work.abs2(psi, work.p)
+            norm2 *= work.abs2(c, work.c2)
+            c /= np.sqrt(norm2, out=norm2)
+            psi *= c
+            c[:] = 1.0
         # the trajectory mean of |psi|^2 estimates the density diagonal
-        p[t] = np.mean(np.abs(psi) ** 2, axis=1)
+        p[t] = np.einsum("ij,ij->i", real, real) / n_traj
     return vertex_distribution(p[:, 1:], p[:, 0])
 
 

@@ -57,10 +57,17 @@ from .states import (
 )
 
 
-#: Largest complex state array a backend allocates: the density backend's
+#: Most memory a backend's state may take: the density backend's
 #: (V+1) x (V+1) block (V <= 4095, e.g. a 32x32 torus, 16.8 MB, but not a
-#: 64x64 one) or the trajectories backend's (V+1) x n_trajectories ensemble.
+#: 64x64 one) or the trajectories backend's (V+1) x n_trajectories
+#: ensemble plus its work arrays.
 STATE_MAX_BYTES = 256 * 2**20
+
+#: Bytes a trajectory takes beside its (V+1) x 16 B of amplitudes: its
+#: pending complex scalar (16 B) and the kernel's work arrays,
+#: ``noise._JumpBuffers`` (two 3-row complex arrays, 96 B; six floats,
+#: 48 B; one bool).
+TRAJECTORY_WORK_BYTES = 161
 
 
 class ResourceLimitError(RuntimeError):
@@ -295,8 +302,9 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
     ideal.  Each backend collects every step's probabilities and reads
     them out with one :func:`vertex_distribution` call; row t of the empirical
     distribution is then drawn with the child seed (seed, shot-stream, t),
-    so runs are reproducible bit-exactly.  A density block or trajectory
-    ensemble above :data:`STATE_MAX_BYTES` raises
+    so runs are reproducible bit-exactly.  A density block, or a
+    trajectory ensemble with its :data:`TRAJECTORY_WORK_BYTES` per
+    trajectory, above :data:`STATE_MAX_BYTES` raises
     :class:`ResourceLimitError` before anything is built.
     """
     t_start = time.perf_counter()
@@ -305,11 +313,15 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
     backend = config.backend.kind
     columns = {"density": V + 1, "trajectories": config.backend.n_trajectories}
     state_bytes = (V + 1) * columns.get(backend, 1) * 16
+    need, advice = f"{state_bytes} bytes", "use the trajectories backend instead"
+    if backend == "trajectories":
+        work_bytes = config.backend.n_trajectories * TRAJECTORY_WORK_BYTES
+        state_bytes += work_bytes
+        need += f" plus {work_bytes} of work arrays"
+        advice = "use fewer trajectories"
     if state_bytes > STATE_MAX_BYTES:
-        advice = ("use the trajectories backend instead" if backend == "density"
-                  else "use fewer trajectories")
         raise ResourceLimitError(
-            f"{backend} backend needs {state_bytes} bytes for {V} qubits, above its "
+            f"{backend} backend needs {need} for {V} qubits, above its "
             f"bound of {STATE_MAX_BYTES} bytes; {advice}"
         )
     schedule = AngleSchedule(marked=config.marked)

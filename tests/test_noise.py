@@ -541,6 +541,15 @@ class TestTrajectoryKernelEdges:
         with pytest.raises(ValueError, match=name):
             trajectory_run(qw_init(lat, 0), op, RATES, seed=0, **args)
 
+    def test_zero_norm_initial_state_rejected(self):
+        # refused before any step, not left to divide by zero and end in a
+        # NaN distribution (Tier-1 turns the RuntimeWarnings into errors)
+        lat = Lattice("cycle", 4)
+        op = build_step_operator(lat, AngleSchedule(), "walk")
+        zero = SectorVector(4, np.zeros(5, dtype=complex))
+        with pytest.raises(ValueError, match="norm 0.0"):
+            trajectory_run(zero, op, RATES, n_traj=2, seed=0)
+
 
     @pytest.mark.parametrize("no_jump_at", [0, 1])
     def test_either_kraus_order_annihilating_a_state(self, no_jump_at):
@@ -553,7 +562,9 @@ class TestTrajectoryKernelEdges:
         psi = np.array([[0, 0, 0, 0.6],  # sector of V = 2: vacuum, e_0, e_1
                         [1, 0.6, 0, 0],
                         [0, 0.8j, 1, 0.8]], dtype=complex)
-        _sector_jump(psi, [0, 1], lowered, np.random.default_rng(0), _JumpBuffers(4))
+        c = np.ones(4, dtype=complex)
+        _sector_jump(psi, c, [0, 1], lowered, np.random.default_rng(0), _JumpBuffers(4))
+        psi *= c  # the folded state
         assert np.all(np.isfinite(psi))
         assert np.abs(np.sum(np.abs(psi) ** 2, axis=0) - 1.0).max() < 1e-12
         assert np.array_equal(psi[:, 0], [1, 0, 0])  # e_0 decayed to the vacuum
@@ -587,40 +598,106 @@ STRONG_MODELS = [NoiseModel(relaxation_rate=1e9),
                  NoiseModel(dephasing_rate=1e8)]
 
 
+def _random_ensemble(rows: int, n: int) -> np.ndarray:
+    """n normalised random trajectories over ``rows`` sector indices."""
+    gen = np.random.default_rng(11)
+    psi = gen.normal(size=(rows, n)) + 1j * gen.normal(size=(rows, n))
+    return psi / np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
+
+
+_KERNEL_CHANNELS = pytest.mark.parametrize("key,idx", [
+    (("XY", math.pi / 2, 2), [0, 3, 5]),
+    (("XY", math.pi / 4, 2), [0, 6, 2]),
+    (("idle", (math.pi / 4) / DEFAULT_COUPLING), [0, 4]),
+], ids=["iswap", "sqrt_iswap", "idle"])
+_KERNEL_MODELS = pytest.mark.parametrize(
+    "model", ["calibrated"] + STRONG_MODELS,
+    ids=["calibrated", "relaxation_1e9", "both_3e7", "dephasing_1e8"])
+
+
 class TestTrajectoryKernelEquivalence:
     """_sector_jump, which forms all branches only for the columns whose
     draw misses the last branch, against the kernel that formed them
     for every column.  From the same generator state both must pick the
     same branch in every column; another branch would move that column's
-    amplitudes by far more than 1e-12.  Five gates in a row also check
-    that both consume the same draws."""
+    amplitudes by far more than 1e-12.  _sector_jump leaves a pending
+    scalar c per column, so its state is psi * c, compared unfolded
+    gate after gate.  Several gates in a row also check that both
+    consume the same draws."""
 
-    @pytest.mark.parametrize("key,idx", [
-        (("XY", math.pi / 2, 2), [0, 3, 5]),
-        (("XY", math.pi / 4, 2), [0, 6, 2]),
-        (("idle", (math.pi / 4) / DEFAULT_COUPLING), [0, 4]),
-    ], ids=["iswap", "sqrt_iswap", "idle"])
-    @pytest.mark.parametrize("model", ["calibrated"] + STRONG_MODELS,
-                             ids=["calibrated", "relaxation_1e9", "both_3e7",
-                                  "dephasing_1e8"])
+    @_KERNEL_CHANNELS
+    @_KERNEL_MODELS
     def test_same_branches_as_all_branch_kernel(self, key, idx, model, calibrated_noise):
         model = calibrated_noise if model == "calibrated" else model
         lowered = _lowered(key, model)
         n = 4000
-        gen = np.random.default_rng(11)
-        psi = gen.normal(size=(7, n)) + 1j * gen.normal(size=(7, n))
-        psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
+        psi = _random_ensemble(7, n)
         ref = psi.copy()
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         work = _JumpBuffers(n)
+        c = np.ones(n, dtype=complex)
         jumps = 0
         for _ in range(5):
-            _sector_jump(psi, idx, lowered, rng, work)
+            _sector_jump(psi, c, idx, lowered, rng, work)
             choice = _all_branch_sector_jump(ref, idx, lowered.blocks, ref_rng)
             jumps += np.count_nonzero(choice != len(lowered.blocks) - 1)
-            assert np.abs(psi - ref).max() < 1e-12
+            assert np.abs(psi * c - ref).max() < 1e-12  # the folded state
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert jumps > 0  # the columns off the last branch ran too
+
+    @_KERNEL_CHANNELS
+    @_KERNEL_MODELS
+    def test_last_branch_leaves_untouched_rows_bit_identical(self, key, idx, model,
+                                                             calibrated_noise):
+        # a column on the last branch writes only its touched rows and its
+        # scalar: every other row keeps its stored bits
+        model = calibrated_noise if model == "calibrated" else model
+        lowered = _lowered(key, model)
+        n = 4000
+        psi = _random_ensemble(7, n)
+        ref = psi.copy()
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        work = _JumpBuffers(n)
+        c = np.ones(n, dtype=complex)
+        untouched = [i for i in range(7) if i not in idx]
+        fast = 0
+        for _ in range(5):
+            before = psi[untouched].copy()
+            _sector_jump(psi, c, idx, lowered, rng, work)
+            last = _all_branch_sector_jump(ref, idx, lowered.blocks, ref_rng) == len(
+                lowered.blocks) - 1
+            if lowered.blocks[-1, 0, 0] != 0:
+                assert np.array_equal(psi[untouched][:, last], before[:, last])
+                fast += np.count_nonzero(last)
+        assert fast > 0 or lowered.blocks[-1, 0, 0] == 0
+
+    @_KERNEL_MODELS
+    def test_torus_search_step_stream_matches_all_branch_kernel(self, model,
+                                                                calibrated_noise):
+        # one whole step of channels, RZ phases and idle gaps included, with
+        # no fold in between: the pending scalars carry across gates
+        model = calibrated_noise if model == "calibrated" else model
+        lat = Lattice("torus", 4)
+        op = build_step_operator(lat, AngleSchedule(marked=3), "search")
+        n = 2000
+        psi = _random_ensemble(lat.vertex_count + 1, n)
+        ref = psi.copy()
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        work = _JumpBuffers(n)
+        c = np.ones(n, dtype=complex)
+        phases = jumps = 0
+        for idx, phase, lowered in _sector_channels(op, model):
+            if lowered is None:
+                psi[idx[1]] *= phase
+                ref[idx[1]] *= phase
+                phases += 1
+            else:
+                _sector_jump(psi, c, idx, lowered, rng, work)
+                choice = _all_branch_sector_jump(ref, idx, lowered.blocks, ref_rng)
+                jumps += np.count_nonzero(choice != len(lowered.blocks) - 1)
+            assert np.abs(psi * c - ref).max() < 1e-12
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert phases > 0 and jumps > 0
 
     @pytest.mark.parametrize("model", ["calibrated", RATES], ids=["calibrated", "rates"])
     def test_last_branch_is_the_no_jump_branch(self, model, calibrated_noise):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from qcawalk import (
     sector_basis,
     success_probability,
 )
-from qcawalk.walks import initial_sector_state, initial_state
+from qcawalk.walks import TRAJECTORY_WORK_BYTES, initial_sector_state, initial_state
 
 RELAXATION_ONLY = NoiseModel(relaxation_rate=3.5e4, dephasing_rate=0.0)
 
@@ -346,6 +347,13 @@ class TestRelaxationLaw:
         cfg = WalkConfig(Lattice(kind, N), steps=12, init=init, marked=marked, seed=1)
         _check_relaxation_law(cfg, RELAXATION_ONLY, "trajectories")
 
+    def test_trajectories_on_a_64x64_torus_search(self):
+        # V = 4096, past the density bound, so trajectories are the only
+        # noisy backend; the ideal side is the sector run
+        cfg = WalkConfig(Lattice("torus", 64), steps=2, init=InitSpec("search_uniform"),
+                         marked=3, seed=1)
+        _check_relaxation_law(cfg, RELAXATION_ONLY, "trajectories")
+
 
 class TestInitialSectorState:
     @pytest.mark.parametrize("kind,N", [("cycle", 4), ("cycle", 8), ("torus", 4)])
@@ -407,3 +415,31 @@ class TestLargeRegisters:
             want = 1 - math.exp(-model.relaxation_rate * t * 4 * t_layer)
             se = math.sqrt(want * (1 - want) / n_traj)
             assert abs(leak - want) <= 5 * se + 1e-12
+
+
+class TestTrajectoryMemory:
+    """The trajectories bound counts what a run allocates: the ensemble
+    and TRAJECTORY_WORK_BYTES per trajectory, with no whole-ensemble
+    temporaries on top."""
+
+    def test_work_bytes_are_the_kernels_arrays(self):
+        from qcawalk.noise import _JumpBuffers
+
+        n = 1000
+        work = sum(a.nbytes for a in vars(_JumpBuffers(n)).values())
+        assert work + n * 16 == n * TRAJECTORY_WORK_BYTES  # plus the scalars c
+
+    @pytest.mark.parametrize("kind,N,n_traj", [("cycle", 4, 100_000), ("torus", 8, 20_000)])
+    def test_peak_within_counted_bytes(self, kind, N, n_traj):
+        lat = Lattice(kind, N)
+        cfg = WalkConfig(lat, steps=2, init=InitSpec("search_uniform"), marked=1, seed=1,
+                         backend=WalkBackend("trajectories", n_traj))
+        model = NoiseModel(relaxation_rate=3.5e4, dephasing_rate=1e3)
+        counted = n_traj * ((lat.vertex_count + 1) * 16 + TRAJECTORY_WORK_BYTES)
+        tracemalloc.start()
+        try:
+            run_walk(cfg, noise=model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted + 2**20, (peak, counted)
