@@ -1,11 +1,13 @@
 """Simulator for quantum walks and walk search driven by layered XY gates
-on cycles and tori, with ideal and Lindblad-noisy backends."""
+on cycles and tori, with ideal and Lindblad-noisy backends.
+
+The dense 2^n reference the backends are tested against is
+:mod:`qcawalk.reference`; it is not imported here."""
 
 from .gates import (
     AngleSchedule,
     GateSpec,
     StepOperator,
-    apply_local,
     build_step_operator,
     pauli_rotation,
     xy_gate,
@@ -34,18 +36,14 @@ from .noise import (
     calibrate_rates,
     evolve_density,
     idle_channel,
-    lindblad_rhs,
     noisy_gate_channel,
     trajectory_run,
 )
 from .states import (
     LEAKAGE,
-    DensityMatrix,
     Distribution,
     SectorDensity,
-    SectorState,
     SectorVector,
-    StateVector,
     sample_counts,
     sector_basis,
     sector_project,
@@ -56,9 +54,7 @@ from .walks import (
     WalkBackend,
     WalkConfig,
     WalkResult,
-    qw_init,
     run_walk,
-    search_initializer,
     search_initializer_gates,
     sector_oracle,
 )
@@ -69,7 +65,6 @@ __all__ = [
     "AngleSchedule",
     "CalibrationResult",
     "DEFAULT_FIDELITY_TARGETS",
-    "DensityMatrix",
     "Distribution",
     "GateChannel",
     "GateSpec",
@@ -79,15 +74,12 @@ __all__ = [
     "NoiseModel",
     "ResourceLimitError",
     "SectorDensity",
-    "SectorState",
     "SectorVector",
-    "StateVector",
     "StepOperator",
     "Tessellation",
     "WalkBackend",
     "WalkConfig",
     "WalkResult",
-    "apply_local",
     "average_gate_fidelity",
     "build_cycle_tessellations",
     "build_step_operator",
@@ -99,13 +91,10 @@ __all__ = [
     "hitting_time",
     "idle_channel",
     "l1_distance",
-    "lindblad_rhs",
     "noisy_gate_channel",
     "pauli_rotation",
-    "qw_init",
     "run_walk",
     "sample_counts",
-    "search_initializer",
     "search_initializer_gates",
     "sector_basis",
     "sector_oracle",

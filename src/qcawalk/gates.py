@@ -17,15 +17,13 @@ XY(pi/4) on every pair.  The search step uses XY(pi/4) on pairs incident
 to the marked vertex and RZ(-pi/2) x RZ(-pi/2) . XY(pi/2) (iSWAP first,
 then the phase corrections on both qubits) everywhere else.
 
-``StepOperator.apply`` has two kernels.  On a dense :class:`StateVector`
-it applies gate by gate to the 2^n amplitudes (the reference) through
-:func:`apply_local`, the one dense kernel, which the dense density
-reference in :mod:`qcawalk.noise` also uses.  On a
-:class:`SectorVector` it uses a lowering computed once per operator:
-every layer is a perfect matching (staggered tessellation model), so it
-becomes the 2x2 central blocks of its XY gates on (e_b, e_a) plus one
-phase vector holding its RZ gates, and a layer costs a few O(V) array
-operations.
+``StepOperator.apply`` runs a :class:`SectorVector` on a lowering
+computed once per operator: every layer is a perfect matching (staggered
+tessellation model), so it becomes the 2x2 central blocks of its XY gates
+on (e_b, e_a) plus one phase vector holding its RZ gates, and a layer
+costs a few O(V) array operations.  The gate-by-gate kernel on the dense
+2^n amplitudes, which this one is tested against, is
+:func:`qcawalk.reference.apply_step`.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import Lattice, Tessellation, tessellations_for
-from .states import SectorVector, StateVector
+from .states import SectorVector, require_sector
 
 PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -120,41 +118,13 @@ class GateSpec:
         return PAULI[self.name[1]] / 2
 
 
-def apply_local(amplitudes: np.ndarray, matrix: np.ndarray, targets) -> np.ndarray:
-    """Apply a 2^k x 2^k ``matrix`` to qubits ``targets`` of an n-qubit
-    amplitude array (C-contiguous, 2^n entries, any shape) in place, and
-    return the array.
-
-    The one statement of the register's axis order: bit q of a basis index
-    is qubit q, so qubit q is axis n-1-q of the array reshaped to [2]*n,
-    and the bit of ``targets[0]`` is the most significant bit of the
-    matrix's row and column index.
-    """
-    n = amplitudes.size.bit_length() - 1
-    k = len(targets)
-    if len(set(targets)) != k or not all(0 <= q < n for q in targets):
-        raise ValueError(f"targets {tuple(targets)} must be distinct qubits of 0..{n - 1}")
-    if matrix.shape != (2**k, 2**k) or not amplitudes.flags.c_contiguous:
-        raise ValueError(f"need a {2**k}x{2**k} matrix and C-contiguous amplitudes")
-    # a view of ``amplitudes`` with the target axes first, in target order
-    moved = np.moveaxis(amplitudes.reshape([2] * n), [n - 1 - q for q in targets], range(k))
-    moved[...] = (matrix @ moved.reshape(2**k, -1)).reshape(moved.shape)
-    return amplitudes
-
-
-def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
-    """Apply ``gate`` to the dense amplitudes of ``state`` in place."""
-    apply_local(state.amplitudes, gate.matrix(), gate.targets)
-    return state
-
-
 class SectorStage(NamedTuple):
     """Disjoint XY gates followed by a diagonal phase, on (n+1) sector indices.
 
     ``blocks[k]`` is the central 2x2 block of pair k's gate, acting on the
-    amplitudes at ``(b[k], a[k])`` -- the local basis order |01>, |10>
-    of :func:`apply_local`.  ``phase`` (None when the stage has no RZ)
-    multiplies every index afterwards.
+    amplitudes at ``(b[k], a[k])`` -- the order |01>, |10> of the gate's
+    |q_a q_b> basis (see :func:`xy_gate`).  ``phase`` (None when the stage
+    has no RZ) multiplies every index afterwards.
     """
 
     b: np.ndarray
@@ -178,7 +148,7 @@ def lower_to_sector(gates, n_qubits: int) -> list:
     for g in gates:
         if g.name not in SECTOR_GATES:
             raise ValueError(f"gate {g.name} leaves span{{vacuum, one-hot}}; "
-                             "apply it to a StateVector instead")
+                             "run it on the dense qcawalk.reference instead")
         if not all(0 <= q < n_qubits for q in g.targets):
             raise ValueError(f"qubits {g.targets} out of range for {n_qubits} qubits")
         if g.name == "XY" and touched.intersection(g.targets):
@@ -250,22 +220,14 @@ class StepOperator:
     layers: tuple  # ((Tessellation, (GateSpec, ...)), ...)
     n_qubits: int
 
-    def apply(self, state: StateVector | SectorVector):
-        """Apply one step to ``state`` in place and return it.
-
-        A :class:`SectorVector` runs on the cached sector lowering (XY/RZ
-        gates only, else ``ValueError``); a :class:`StateVector` runs gate
-        by gate on the dense amplitudes.
-        """
-        if isinstance(state, SectorVector):
-            if state.n_qubits != self.n_qubits:
-                raise ValueError(f"state has {state.n_qubits} qubits, "
-                                 f"step operator {self.n_qubits}")
-            return apply_sector_stages(state, self.sector_stages)
-        for _tess, gates in self.layers:
-            for g in gates:
-                apply_gate(state, g)
-        return state
+    def apply(self, state: SectorVector) -> SectorVector:
+        """Apply one step to ``state`` in place and return it, on the cached
+        sector lowering (XY/RZ gates only, else ``ValueError``)."""
+        require_sector(state, SectorVector, "StepOperator.apply")
+        if state.n_qubits != self.n_qubits:
+            raise ValueError(f"state has {state.n_qubits} qubits, "
+                             f"step operator {self.n_qubits}")
+        return apply_sector_stages(state, self.sector_stages)
 
     @cached_property
     def sector_stages(self) -> list:

@@ -28,11 +28,9 @@ that every step, backend and run of the process shares.
   for part of a layer decay under the pure dissipator for the gap.  A
   gate costs O(V): it writes its touched rows, its touched columns and
   its 3x3 block, and leaves the rest alone, because trace preservation
-  fixes the rest's scalar at 1.  A dense :class:`DensityMatrix` is
-  evolved on the full 2^n x 2^n matrix, read as a 2n-qubit amplitude
-  array: each Kraus operator goes through :func:`qcawalk.gates.apply_local`
-  on the row qubits and its conjugate on the column qubits.  That path is
-  the independent reference the sector path is tested against.
+  fixes the rest's scalar at 1.  It is tested against
+  :func:`qcawalk.reference.evolve_density`, which applies the same
+  channels' Kraus operators to the full 2^n x 2^n matrix.
 * ``trajectory_run`` unravels the same channels stochastically (the
   Monte Carlo wave-function method): for every gate interval a Kraus
   branch is sampled with probability |K_m psi|^2, so the trajectory
@@ -48,8 +46,8 @@ that every step, backend and run of the process shares.
   their whole column.  So a gate costs O(n_traj), whatever V.  Once per
   step c is folded into the amplitudes with the renormalisation, and the
   mean of |psi|^2 at every step, step 0 included, is read out as the
-  density diagonal would be.  They have no dense counterpart: the exact
-  sector density is their reference.
+  density diagonal would be.  Their reference is the exact sector
+  density.
 
 Rates are not published for the emulated processor; ``calibrate_rates``
 infers (K, delta) from the native gate-set's average fidelities.  It
@@ -69,15 +67,14 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import least_squares
 
-from .gates import SECTOR_GATES, GateSpec, StepOperator, apply_local
+from .gates import SECTOR_GATES, GateSpec, StepOperator
 from .states import (
     TRAJECTORY_STREAM,
-    DensityMatrix,
     Distribution,
     SectorDensity,
     SectorVector,
-    StateVector,
     require_count,
+    require_sector,
     vertex_distribution,
 )
 
@@ -184,24 +181,6 @@ def _jump_operators(n: int, relaxation: float, dephasing: float) -> list:
     return jumps
 
 
-def lindblad_rhs(rho, hamiltonian: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """Right-hand side drho/dt of the master equation, evaluated directly."""
-    arr = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("density matrix must be square")
-    h = np.asarray(hamiltonian, dtype=complex)
-    if h.shape != arr.shape:
-        raise ValueError("Hamiltonian dimension mismatch")
-    n = int(math.log2(arr.shape[0]))
-    if 2**n != arr.shape[0]:
-        raise ValueError("dimension is not a power of two")
-    out = -1j * (h @ arr - arr @ h)
-    for a in _jump_operators(n, noise.relaxation_rate, noise.dephasing_rate):
-        ada = a.conj().T @ a
-        out += a @ arr @ a.conj().T - 0.5 * (ada @ arr + arr @ ada)
-    return out
-
-
 def _liouvillian(h: np.ndarray, jumps: list) -> np.ndarray:
     """Column-stacking superoperator: d vec(rho)/dt = L vec(rho)."""
     d = h.shape[0]
@@ -298,18 +277,6 @@ def idle_channel(duration: float, noise: NoiseModel) -> GateChannel:
     return GateChannel(_I2.copy(), _kraus_from_superop(s, 2))
 
 
-def _apply_kraus_to_density(arr: np.ndarray, kraus: tuple, targets: tuple, n: int) -> np.ndarray:
-    """rho -> sum_m K_m rho K_m^dag with K_m acting on ``targets`` only.
-
-    Row-major, the 2^n x 2^n ``arr`` is a 2n-qubit amplitude array: qubit
-    q + n is qubit q of the row (ket) index and qubit q that of the column
-    (bra) index, so K_m acts on the ket qubits and conj(K_m) on the bra ones.
-    """
-    ket = tuple(q + n for q in targets)
-    return sum(apply_local(apply_local(arr.copy(), k, ket), k.conj(), targets)
-               for k in kraus)
-
-
 def _layer_schedule(gates: tuple, noise: NoiseModel, n: int):
     """Busy time per qubit and the layer's wall-clock duration."""
     busy = np.zeros(n)
@@ -359,11 +326,14 @@ def _require_register(n: int, step: StepOperator) -> None:
         raise ValueError(f"state has {n} qubits, step operator {step.n_qubits}")
 
 
-def _require_sector_gates(step: StepOperator) -> None:
+def _require_sector_run(state, cls: type, step: StepOperator, caller: str) -> None:
+    """A sector backend's checks before any work: state type, size, gates."""
+    require_sector(state, cls, caller)
+    _require_register(state.n_qubits, step)
     foreign = step.gate_names() - SECTOR_GATES
     if foreign:
         raise ValueError(f"gates {sorted(foreign)} leave span{{vacuum, one-hot}}; "
-                         "only a dense DensityMatrix can run them")
+                         "only the dense qcawalk.reference can run them")
 
 
 class _Lowered(NamedTuple):
@@ -426,29 +396,18 @@ def _sector_channels(step: StepOperator, noise: NoiseModel):
             yield idx, None, _lowered(key, noise)
 
 
-def evolve_density(rho: DensityMatrix | SectorDensity, step: StepOperator,
-                   noise: NoiseModel):
-    """One noisy step on the density backend; returns the same representation.
+def evolve_density(rho: SectorDensity, step: StepOperator, noise: NoiseModel) -> SectorDensity:
+    """One noisy step of the (V+1) x (V+1) block, returned as a new one.
 
-    A :class:`SectorDensity` is evolved on its (V+1) x (V+1) block: each
-    channel acts as a 3x3 (two-qubit) or 2x2 (one-qubit) block on
+    Each channel acts as a 3x3 (two-qubit) or 2x2 (one-qubit) block on
     (vacuum, touched one-hots) and maps their rows and columns; trace
     preservation fixes its scalar on every other index at 1 (see
     :func:`_sector_lowering`), so the rest is not touched.  A gate thus
-    costs O(V) and no 2^V array is formed; RZ is a diagonal phase.
-    Only XY and RZ gates keep the state in that block, so any other gate
-    raises ``ValueError``.  A :class:`DensityMatrix` is evolved densely on
-    the full 2^n x 2^n matrix; that path is the reference the sector path
-    is tested against.
+    costs O(V); RZ is a diagonal phase.  Only XY and RZ gates keep the
+    state in that block, so any other gate raises ``ValueError``.
     """
-    n = rho.n_qubits
-    _require_register(n, step)
+    _require_sector_run(rho, SectorDensity, step, "evolve_density")
     arr = rho.entries.copy()
-    if isinstance(rho, DensityMatrix):
-        for key, targets in _step_channels(step, noise):
-            arr = _apply_kraus_to_density(arr, _channel(key, noise).kraus, targets, n)
-        return DensityMatrix(n, arr)
-    _require_sector_gates(step)
     for idx, phase, lowered in _sector_channels(step, noise):
         if lowered is None:
             arr[idx[1], :] *= phase
@@ -459,7 +418,7 @@ def evolve_density(rho: DensityMatrix | SectorDensity, step: StepOperator,
         arr[idx, :] = C @ rows
         arr[:, idx] = cols @ C.conj().T
         arr[np.ix_(idx, idx)] = (T @ rows[:, idx].reshape(-1)).reshape(len(idx), len(idx))
-    return SectorDensity(n, arr)
+    return SectorDensity(rho.n_qubits, arr)
 
 
 def average_gate_fidelity(channel: GateChannel) -> float:
@@ -571,7 +530,7 @@ def _sector_jump(psi: np.ndarray, c: np.ndarray, idx: list, lowered: _Lowered, r
         c[other] = 1.0
 
 
-def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: NoiseModel,
+def trajectory_run(init: SectorVector, step: StepOperator, noise: NoiseModel,
                    n_traj: int, seed: int, steps: int = 1) -> Distribution:
     """Per-step mean vertex+leakage distribution over stochastic trajectories.
 
@@ -586,19 +545,14 @@ def trajectory_run(init: StateVector | SectorVector, step: StepOperator, noise: 
     Deterministic under (seed, n_traj).  Returns one per-step
     Distribution, step 0 included.
 
-    Trajectories run in the (V+1)-dimensional sector only.  A
-    :class:`StateVector` is restricted to it by
-    :meth:`SectorVector.from_statevector`, which raises ``ValueError`` if
-    the state has weight outside; a step with gates other than XY/RZ, on
-    a register of another size, or an initial state of zero norm raises
-    ``ValueError`` too.
+    Trajectories run in the (V+1)-dimensional sector only: an ``init``
+    that is not a :class:`SectorVector` raises ``TypeError``, and a step
+    with gates other than XY/RZ, on a register of another size, or an
+    initial state of zero norm raises ``ValueError``.
     """
+    _require_sector_run(init, SectorVector, step, "trajectory_run")
     n_traj = require_count("n_traj", n_traj, 1)
     steps = require_count("steps", steps, 0)
-    _require_register(init.n_qubits, step)
-    _require_sector_gates(step)
-    if isinstance(init, StateVector):
-        init = SectorVector.from_statevector(init)
     norm = float(np.linalg.norm(init.amplitudes))
     if not 0.0 < norm < math.inf:  # NaN fails both
         raise ValueError(f"initial state has norm {norm}; trajectories need a finite, "

@@ -1,13 +1,12 @@
-"""State representations (dense vectors and densities, and the vector and
-density restricted to the one-particle sector), the outcome distribution
-every backend reads out, and shot sampling.
+"""Sector states (vector and density on span{vacuum, one-hot}), the
+outcome distribution every backend reads out, and shot sampling.
 
-The register encodes one lattice vertex per qubit: vertex ``v`` occupied
-means qubit ``v`` is |1>.  Basis indices are little-endian, i.e. bit ``k``
-of the index is the state of qubit ``k``, so :func:`sector_basis` is the
-one map from vertices to one-hot indices.  Vertex labels of a torus map to
-qubits in row-major order, ``(i, j) -> i + N*j``; this single convention is
-used everywhere.
+The register has one qubit per lattice vertex: vertex ``v`` occupied
+means qubit ``v`` is |1>.  In both sector states index 0 is the vacuum
+and index v+1 the one-hot state of vertex v.  Vertex labels of a torus
+map to qubits in row-major order, ``(i, j) -> i + N*j``; this single
+convention is used everywhere.  The dense 2^n states the sector ones
+are tested against are in :mod:`qcawalk.reference`.
 
 A :class:`Distribution` is an array over one fixed outcome layout: the V
 vertices in order, then :data:`LEAKAGE` at index V.  A run holds each
@@ -44,12 +43,13 @@ MAX_SHOTS = 2**63 - 1
 
 
 class _PureState:
-    """Amplitude array of an ``n_qubits`` register, shared by the two pure
-    representations; index 0 is the vacuum in both."""
+    """Amplitude array of an ``n_qubits`` register, shared by the sector
+    and the dense pure representations; index 0 is the vacuum in both."""
 
     __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray):
+        n_qubits = require_count("n_qubits", n_qubits, 0)
         amplitudes = np.asarray(amplitudes, dtype=complex)
         dim = self.dimension(n_qubits)
         if amplitudes.shape != (dim,):
@@ -65,31 +65,15 @@ class _PureState:
     @classmethod
     def vacuum(cls, n_qubits: int):
         """All-qubits-|0> state."""
-        amp = np.zeros(cls.dimension(n_qubits), dtype=complex)
+        amp = np.zeros(cls.dimension(require_count("n_qubits", n_qubits, 0)), dtype=complex)
         amp[0] = 1.0
         return cls(n_qubits, amp)
-
-    def copy(self):
-        return type(self)(self.n_qubits, self.amplitudes.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n_qubits={self.n_qubits})"
-
-
-class StateVector(_PureState):
-    """Pure state of an ``n_qubits`` register as a dense amplitude array."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def dimension(n_qubits: int) -> int:
-        return 2**n_qubits
 
 
 class SectorVector(_PureState):
@@ -107,24 +91,15 @@ class SectorVector(_PureState):
     def dimension(n_qubits: int) -> int:
         return n_qubits + 1
 
-    @classmethod
-    def from_statevector(cls, state: StateVector) -> "SectorVector":
-        """Restrict a dense state to the sector; raise if it has weight outside."""
-        keep = sector_basis(state.n_qubits)
-        outside = np.ones(state.amplitudes.shape, dtype=bool)
-        outside[keep] = False
-        if float(np.abs(state.amplitudes[outside]).max(initial=0.0)) >= 1e-12:
-            raise ValueError("state has weight outside span{vacuum, one-hot}")
-        return cls(state.n_qubits, state.amplitudes[keep])
-
 
 class _MixedState:
-    """Density matrix of an ``n_qubits`` register, shared by the two mixed
-    representations; index 0 is the vacuum in both."""
+    """Density matrix of an ``n_qubits`` register, shared by the sector and
+    the dense mixed representations; index 0 is the vacuum in both."""
 
     __slots__ = ("n_qubits", "entries")
 
     def __init__(self, n_qubits: int, entries: np.ndarray):
+        n_qubits = require_count("n_qubits", n_qubits, 0)
         entries = np.asarray(entries, dtype=complex)
         dim = self.dimension(n_qubits)
         if entries.shape != (dim, dim):
@@ -136,9 +111,6 @@ class _MixedState:
     @staticmethod
     def dimension(n_qubits: int) -> int:
         raise NotImplementedError
-
-    def copy(self):
-        return type(self)(self.n_qubits, self.entries.copy())
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.entries)))
@@ -157,21 +129,6 @@ class _MixedState:
         return f"{type(self).__name__}(n_qubits={self.n_qubits})"
 
 
-class DensityMatrix(_MixedState):
-    """Mixed state of an ``n_qubits`` register as a dense 2^n x 2^n matrix."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def dimension(n_qubits: int) -> int:
-        return 2**n_qubits
-
-    @classmethod
-    def from_statevector(cls, state: StateVector) -> "DensityMatrix":
-        amp = state.amplitudes
-        return cls(state.n_qubits, np.outer(amp, amp.conj()))
-
-
 def require_count(name: str, value, minimum: int, maximum: int | None = None) -> int:
     """``value`` as an int; ``ValueError`` naming ``name`` unless it is an
     integer (a bool is not) of at least ``minimum`` and at most ``maximum``."""
@@ -184,6 +141,14 @@ def require_count(name: str, value, minimum: int, maximum: int | None = None) ->
     return int(value)
 
 
+def require_sector(state, cls: type, caller: str) -> None:
+    """``TypeError`` unless ``state`` is a ``cls``: a dense state would be misread."""
+    if not isinstance(state, cls):
+        raise TypeError(f"{caller} takes a {cls.__name__}, got {type(state).__name__}; "
+                        "restrict a dense state with qcawalk.reference.to_sector, "
+                        "or run it on qcawalk.reference")
+
+
 def sector_basis(n_qubits: int) -> np.ndarray:
     """Register basis indices spanning {vacuum, one-hot}: 0, then 1 << v."""
     return np.concatenate([[0], np.left_shift(1, np.arange(n_qubits))])
@@ -193,8 +158,8 @@ class SectorDensity(_MixedState):
     """Mixed state confined to span{vacuum, one-hot} of an ``n_qubits`` register.
 
     ``entries`` is (n+1) x (n+1): index 0 is the vacuum, index v+1 the
-    one-hot state of vertex v, i.e. the dense matrix restricted to
-    :func:`sector_basis`.  XY/RZ gates and excitation-lowering
+    one-hot state of vertex v, i.e. the register's density matrix
+    restricted to :func:`sector_basis`.  XY/RZ gates and excitation-lowering
     dissipators never leave this block, so it evolves exactly.
     """
 
@@ -205,11 +170,9 @@ class SectorDensity(_MixedState):
         return n_qubits + 1
 
     @classmethod
-    def from_statevector(cls, state: StateVector | SectorVector) -> "SectorDensity":
-        """Outer product of a pure state restricted to the sector, as
-        :meth:`SectorVector.from_statevector` restricts it."""
-        if isinstance(state, StateVector):
-            state = SectorVector.from_statevector(state)
+    def from_statevector(cls, state: SectorVector) -> "SectorDensity":
+        """The pure state's outer product."""
+        require_sector(state, SectorVector, "SectorDensity.from_statevector")
         amp = state.amplitudes
         return cls(state.n_qubits, np.outer(amp, amp.conj()))
 
@@ -292,22 +255,6 @@ class Distribution:
         return float(p) if p.ndim == 0 else p
 
 
-@dataclass
-class SectorState:
-    """One-particle-sector view of a register state.
-
-    ``amplitudes[v]`` is the amplitude of the basis state with the single
-    excitation at vertex ``v``; ``leakage_norm`` is whatever squared norm
-    of the source state lies outside those basis states.
-    """
-
-    amplitudes: np.ndarray
-    leakage_norm: float
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
 def vertex_distribution(vertex_probs, leakage) -> Distribution:
     """The one readout of every backend: vertex ``v`` gets
     ``vertex_probs[..., v]`` and :data:`LEAKAGE` gets ``leakage``, at one
@@ -322,24 +269,12 @@ def vertex_distribution(vertex_probs, leakage) -> Distribution:
     return Distribution(np.concatenate([probs, leakage[..., None]], axis=-1))
 
 
-def sector_project(state: StateVector | SectorVector, vertex_count: int) -> SectorState:
-    """Project a register state onto the one-particle sector.
-
-    Leakage (norm outside the sector) is reported, never raised.  For a
-    :class:`SectorVector` it is summed from the amplitudes outside the
-    first ``vertex_count`` one-hot states (just the vacuum when they cover
-    the register) rather than as a difference of norms.
-    """
-    if vertex_count > state.n_qubits:
-        raise ValueError("vertex count exceeds register size")
-    if isinstance(state, SectorVector):
-        probs = state.probabilities()
-        leakage = float(probs[0] + probs[vertex_count + 1:].sum())
-        return SectorState(state.amplitudes[1:vertex_count + 1].copy(), leakage)
-    amps = state.amplitudes[sector_basis(vertex_count)[1:]]
-    total = float(np.vdot(state.amplitudes, state.amplitudes).real)
-    leakage = total - float(np.vdot(amps, amps).real)
-    return SectorState(amps, max(leakage, 0.0))
+def sector_project(state: SectorVector) -> np.ndarray:
+    """The statevector backend's readout: the V+1 weights |amplitude|^2,
+    vacuum first, so index 0 is the leakage and index v+1 vertex v -- the
+    layout of :meth:`SectorDensity.diagonal_probabilities`."""
+    require_sector(state, SectorVector, "sector_project")
+    return np.abs(state.amplitudes) ** 2
 
 
 def sample_counts(dist: Distribution, shots: int, seed) -> Distribution:

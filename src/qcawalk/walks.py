@@ -10,10 +10,9 @@ stays, so no 2^V array is formed.  All three read that sector the same
 way, through one :func:`vertex_distribution` call per run (vertex v from
 index v+1, leakage from the vacuum at index 0, never renormalised), into
 one per-step :class:`Distribution`, and one :func:`sample_counts` call
-then draws the shots of every step.
-The dense ``qw_init``, ``search_initializer`` and ``initial_state``
-prepare the same states on the full register, as the reference the
-sector path is tested against.
+then draws the shots of every step.  The same states prepared on the
+full 2^V register, which the sector path is tested against, are in
+:mod:`qcawalk.reference`.
 
 ``sector_oracle`` is a deliberately independent realisation of the same
 dynamics: each tessellation layer is written directly as a V x V matrix on
@@ -36,8 +35,6 @@ from .gates import (
     WALK_ANGLE,
     AngleSchedule,
     GateSpec,
-    StepOperator,
-    apply_gate,
     apply_sector_stages,
     build_step_operator,
     lower_to_sector,
@@ -48,10 +45,8 @@ from .states import (
     Distribution,
     SectorDensity,
     SectorVector,
-    StateVector,
     require_count,
     sample_counts,
-    sector_basis,
     sector_project,
     vertex_distribution,
 )
@@ -139,21 +134,6 @@ class WalkResult:
     wall_time_s: float
 
 
-def qw_init(lattice: Lattice, site: int, symmetric: bool = False) -> StateVector:
-    """Prepare the walk's initial state by the literal gate sequence.
-
-    ``symmetric=False``: flip qubit ``site`` (one-hot state up to a global
-    phase).  ``symmetric=True``: additionally split onto the bond
-    (site, site+1) with XY(pi/4) and correct the relative phase with
-    RZ(-pi/2), giving (|site> + |site+1>)/sqrt(2) up to a global phase;
-    both sites then carry probability 1/2.
-    """
-    state = StateVector.vacuum(lattice.vertex_count)
-    for g in _walk_init_gates(lattice, site, symmetric):
-        apply_gate(state, g)
-    return state
-
-
 def _walk_init_gates(lattice: Lattice, site: int, symmetric: bool) -> list[GateSpec]:
     if not 0 <= site < lattice.vertex_count:
         raise ValueError(f"init site {site} out of range")
@@ -193,26 +173,6 @@ def search_initializer_gates(vertex_count: int) -> list[GateSpec]:
         occupied = occupied + newly
         half //= 2
     return gates
-
-
-def search_initializer(lattice: Lattice, mode: str = "exact") -> StateVector:
-    """Uniform superposition over all one-hot vertex states.
-
-    ``mode="exact"`` writes amplitudes 1/sqrt(V) directly.
-    ``mode="literal"`` runs the butterfly circuit; every one-hot
-    probability is 1/V within 1e-10 but amplitudes carry circuit phases.
-    """
-    V = lattice.vertex_count
-    if mode == "exact":
-        amps = np.zeros(2**V, dtype=complex)
-        amps[sector_basis(V)[1:]] = 1 / math.sqrt(V)
-        return StateVector(V, amps)
-    if mode != "literal":
-        raise ValueError(f"unknown initializer mode {mode!r}")
-    state = StateVector.vacuum(V)
-    for g in search_initializer_gates(V):
-        apply_gate(state, g)
-    return state
 
 
 def sector_oracle(lattice: Lattice, schedule: AngleSchedule,
@@ -260,21 +220,12 @@ def sector_oracle(lattice: Lattice, schedule: AngleSchedule,
     return step
 
 
-def initial_state(config: WalkConfig) -> StateVector:
-    """The configured initial state on the dense 2^V register (reference)."""
-    init = config.init
-    if init.kind == "single":
-        return qw_init(config.lattice, init.site, symmetric=False)
-    if init.kind == "symmetric":
-        return qw_init(config.lattice, init.site, symmetric=True)
-    return search_initializer(config.lattice, config.initializer_mode)
-
-
 def initial_sector_state(config: WalkConfig) -> SectorVector:
-    """The state of :func:`initial_state`, prepared on span{vacuum, one-hot}.
+    """The configured initial state, prepared on span{vacuum, one-hot}.
 
     The uniform ``exact`` start is written directly.  Every other start
-    is the same gate sequence as the dense preparation: its leading RX
+    is the gate sequence of the dense preparation
+    (:func:`qcawalk.reference.initial_state`): its leading RX
     acts on the vacuum, leaving the gate's first column on (vacuum, e_q);
     the XY/RZ gates after it run through :func:`lower_to_sector`.
     """
@@ -331,8 +282,7 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
     p = np.empty((config.steps + 1, V + 1))  # per step: leakage, then the vertices
     if backend == "statevector":
         for t in range(config.steps + 1):
-            sector = sector_project(state, V)
-            p[t, 0], p[t, 1:] = sector.leakage_norm, sector.probabilities()
+            p[t] = sector_project(state)
             if t < config.steps:
                 step_op.apply(state)
         exact = vertex_distribution(p[:, 1:], p[:, 0])

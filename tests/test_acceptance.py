@@ -22,7 +22,6 @@ import numpy as np
 
 from qcawalk import (
     AngleSchedule,
-    DensityMatrix,
     Distribution,
     GateSpec,
     InitSpec,
@@ -32,22 +31,27 @@ from qcawalk import (
     WalkConfig,
     average_gate_fidelity,
     build_step_operator,
-    evolve_density,
     hellinger_fidelity,
     l1_distance,
     noisy_gate_channel,
-    qw_init,
     run_walk,
-    search_initializer,
     search_initializer_gates,
     sector_oracle,
-    sector_project,
     success_probability,
     trajectory_run,
     xy_gate,
 )
 from qcawalk.experiment import payload_text, run_experiment
 from qcawalk.metrics import linear_fit
+from qcawalk.reference import (
+    DensityMatrix,
+    apply_step,
+    evolve_density,
+    qw_init,
+    search_initializer,
+    sector_project,
+    to_sector,
+)
 from qcawalk.states import vertex_distribution
 
 
@@ -95,7 +99,7 @@ def test_criterion_02_oracle_equivalence():
                 state = qw_init(lat, 1, symmetric=True)
             vec = sector_project(state, lat.vertex_count).amplitudes
             for _step in range(20):
-                op.apply(state)
+                apply_step(op, state)
                 vec = oracle @ vec
                 sec = sector_project(state, lat.vertex_count)
                 worst = max(worst, float(np.abs(sec.amplitudes - vec).max()))
@@ -186,7 +190,8 @@ def test_criterion_07_backend_agreement(calibrated_noise):
     for _ in range(5):
         rho = evolve_density(rho, op, calibrated_noise)
     dist_density = _dense_vertex_distribution(rho, 4)
-    dist_traj = trajectory_run(init, op, calibrated_noise, n_traj=10000, seed=12, steps=5)[-1]
+    dist_traj = trajectory_run(to_sector(init), op, calibrated_noise, n_traj=10000, seed=12,
+                               steps=5)[-1]
     err = l1_distance(dist_density, dist_traj)
     ok = err < 0.05
     _report(7, "trajectories match density backend",

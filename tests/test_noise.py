@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qcawalk import (
     AngleSchedule,
-    DensityMatrix,
     GateChannel,
     GateSpec,
     InitSpec,
@@ -25,11 +24,8 @@ from qcawalk import (
     hellinger_fidelity,
     idle_channel,
     l1_distance,
-    lindblad_rhs,
     noisy_gate_channel,
-    qw_init,
     run_walk,
-    search_initializer,
     sector_basis,
     trajectory_run,
 )
@@ -45,8 +41,17 @@ from qcawalk.noise import (
     _sector_jump,
     _sector_lowering,
 )
+from qcawalk import reference
+from qcawalk.reference import (
+    DensityMatrix,
+    StateVector,
+    initial_state,
+    lindblad_rhs,
+    qw_init,
+    search_initializer,
+    to_sector,
+)
 from qcawalk.states import vertex_distribution
-from qcawalk.walks import initial_state
 
 RATES = NoiseModel(relaxation_rate=3e4, dephasing_rate=2e3)
 
@@ -170,7 +175,7 @@ class TestEvolveDensity:
         op = build_step_operator(lat, AngleSchedule(), "walk")
         rho = DensityMatrix.from_statevector(qw_init(lat, 0, symmetric=True))
         for _ in range(25):
-            rho = evolve_density(rho, op, calibrated_noise)
+            rho = reference.evolve_density(rho, op, calibrated_noise)
         assert rho.trace() == pytest.approx(1.0, abs=1e-9)
         assert rho.hermiticity_defect() < 1e-10
         assert rho.min_eigenvalue() > -1e-9
@@ -197,15 +202,13 @@ class TestEvolveDensity:
         op = StepOperator(((tess, (GateSpec("XY", math.pi / 2, (0, 1)),)),), 3)
         amps = np.zeros(8, dtype=complex)
         amps[0b100] = 1.0  # excitation on the idle qubit
-        from qcawalk import StateVector
-
         rho = DensityMatrix.from_statevector(StateVector(3, amps))
-        out = evolve_density(rho, op, model)
+        out = reference.evolve_density(rho, op, model)
         t_gate = (math.pi / 2) / model.coupling
         survived = out.entries[0b100, 0b100].real
         assert survived == pytest.approx(math.exp(-5e4 * t_gate), rel=1e-9)
         # and switching idle decay off leaves the idle qubit untouched
-        out2 = evolve_density(rho, op, replace(model, idle_decay=False))
+        out2 = reference.evolve_density(rho, op, replace(model, idle_decay=False))
         assert out2.entries[0b100, 0b100].real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -231,14 +234,14 @@ class TestSectorDensity:
         op = build_step_operator(lat, AngleSchedule(marked=marked), variant)
         model = NoiseModel(relaxation_rate=K, dephasing_rate=delta, idle_decay=idle_decay)
         init = initial_state(cfg)
-        sector = SectorDensity.from_statevector(init)
+        sector = SectorDensity.from_statevector(to_sector(init))
         dense = DensityMatrix.from_statevector(init)
         keep = sector_basis(N)
         outside = np.ones(2**N, dtype=bool)
         outside[keep] = False
         for _ in range(steps):
             sector = evolve_density(sector, op, model)
-            dense = evolve_density(dense, op, model)
+            dense = reference.evolve_density(dense, op, model)
             assert np.abs(sector.entries - dense.entries[np.ix_(keep, keep)]).max() < 1e-12
             assert dense.diagonal_probabilities()[outside].sum() <= 1e-12
             assert sector.trace() == pytest.approx(1.0, abs=1e-12)
@@ -293,21 +296,17 @@ class TestSectorDensity:
             evolve_density(rho, op, RATES)
 
     def test_out_of_sector_state_rejected(self):
-        from qcawalk import StateVector
-
         amps = np.zeros(16, dtype=complex)
         amps[0b0011] = 1.0
-        # both restrictions share SectorVector.from_statevector
-        for restrict in (SectorVector.from_statevector, SectorDensity.from_statevector):
-            with pytest.raises(ValueError, match="outside"):
-                restrict(StateVector(4, amps))
+        with pytest.raises(ValueError, match="outside"):
+            to_sector(StateVector(4, amps))
 
 
 class TestTrajectories:
     def test_noiseless_equals_statevector(self):
         lat = Lattice("cycle", 4)
         op = build_step_operator(lat, AngleSchedule(), "walk")
-        init = qw_init(lat, 0)
+        init = to_sector(qw_init(lat, 0))
         dists = trajectory_run(init, op, NoiseModel(), n_traj=3, seed=0, steps=4)
         sv = run_walk(WalkConfig(lat, steps=4, init=InitSpec("single", 0), seed=0))
         for d_tr, d_sv in zip(dists, sv.exact):
@@ -319,9 +318,10 @@ class TestTrajectories:
         init = qw_init(lat, 0)
         rho = DensityMatrix.from_statevector(init)
         for _ in range(5):
-            rho = evolve_density(rho, op, calibrated_noise)
+            rho = reference.evolve_density(rho, op, calibrated_noise)
         dist_rho = _dense_vertex_distribution(rho, 4)
-        dist_tr = trajectory_run(init, op, calibrated_noise, n_traj=4000, seed=5, steps=5)[-1]
+        dist_tr = trajectory_run(to_sector(init), op, calibrated_noise, n_traj=4000, seed=5,
+                                 steps=5)[-1]
         assert l1_distance(dist_rho, dist_tr) < 0.05
 
     def test_more_trajectories_reduce_error(self, calibrated_noise):
@@ -330,25 +330,15 @@ class TestTrajectories:
         init = qw_init(lat, 0)
         rho = DensityMatrix.from_statevector(init)
         for _ in range(3):
-            rho = evolve_density(rho, op, calibrated_noise)
+            rho = reference.evolve_density(rho, op, calibrated_noise)
         oracle = _dense_vertex_distribution(rho, 4)
         errs = {n: [] for n in (250, 500)}
         for seed in range(5):
             for n in errs:
-                d = trajectory_run(init, op, calibrated_noise, n_traj=n,
+                d = trajectory_run(to_sector(init), op, calibrated_noise, n_traj=n,
                                    seed=seed, steps=3)[-1]
                 errs[n].append(l1_distance(oracle, d))
         assert np.mean(errs[500]) < np.mean(errs[250])
-
-    def test_out_of_sector_state_rejected(self):
-        # two excitations: trajectories have no engine outside the sector
-        from qcawalk import StateVector
-
-        op = build_step_operator(Lattice("cycle", 4), AngleSchedule(), "walk")
-        amps = np.zeros(16, dtype=complex)
-        amps[0b0011] = 1.0
-        with pytest.raises(ValueError, match="outside"):
-            trajectory_run(StateVector(4, amps), op, RATES, n_traj=2, seed=1, steps=2)
 
     @pytest.mark.parametrize("state_n,cycle_n", [(8, 4), (4, 8)])
     def test_register_size_mismatch_raises(self, state_n, cycle_n):
@@ -360,7 +350,7 @@ class TestTrajectories:
     def test_deterministic_under_seed(self, calibrated_noise):
         lat = Lattice("cycle", 4)
         op = build_step_operator(lat, AngleSchedule(), "walk")
-        init = qw_init(lat, 0)
+        init = to_sector(qw_init(lat, 0))
         a = trajectory_run(init, op, calibrated_noise, n_traj=300, seed=21, steps=3)[-1]
         b = trajectory_run(init, op, calibrated_noise, n_traj=300, seed=21, steps=3)[-1]
         assert np.array_equal(a.probs, b.probs)
@@ -406,7 +396,7 @@ class TestTrajectoryGolden:
     def test_pinned_per_step_outputs(self, kind, marked, n_traj, golden):
         lat = Lattice(kind, 4)
         op = build_step_operator(lat, AngleSchedule(marked=marked), "search")
-        init = search_initializer(lat, "exact")
+        init = to_sector(search_initializer(lat, "exact"))
         dists = trajectory_run(init, op, RATES, n_traj=n_traj, seed=3,
                                steps=len(golden) - 1)
         V = lat.vertex_count
@@ -427,7 +417,8 @@ class TestTrajectorySectorStart:
                          backend=WalkBackend("trajectories", 200))
         res = run_walk(cfg, noise=RATES)
         op = build_step_operator(lat, AngleSchedule(marked=marked), cfg.variant)
-        ref = trajectory_run(initial_state(cfg), op, RATES, n_traj=200, seed=3, steps=cfg.steps)
+        ref = trajectory_run(to_sector(initial_state(cfg)), op, RATES, n_traj=200, seed=3,
+                             steps=cfg.steps)
         labels = list(range(N)) + ["leakage"]
         got = np.array([[d.get(k) for k in labels] for d in res.exact])
         want = np.array([[d.get(k) for k in labels] for d in ref])
@@ -513,7 +504,7 @@ class TestTrajectoryKernelEdges:
     def test_strong_noise_pinned(self, model, leakage):
         lat = Lattice("cycle", 8)
         op = build_step_operator(lat, AngleSchedule(marked=2), "search")
-        dists = trajectory_run(search_initializer(lat, "exact"), op, model, n_traj=300,
+        dists = trajectory_run(to_sector(search_initializer(lat, "exact")), op, model, n_traj=300,
                                seed=5, steps=4)
         got = [d.get("leakage") for d in dists]
         assert np.abs(np.array(got) - leakage).max() < 1e-12
@@ -524,7 +515,7 @@ class TestTrajectoryKernelEdges:
     def test_single_trajectory(self, model):
         lat = Lattice("cycle", 8)
         op = build_step_operator(lat, AngleSchedule(marked=2), "search")
-        dists = trajectory_run(search_initializer(lat, "exact"), op, model, n_traj=1,
+        dists = trajectory_run(to_sector(search_initializer(lat, "exact")), op, model, n_traj=1,
                                seed=5, steps=4)
         for d in dists:
             assert np.all(np.isfinite(d.probs))
@@ -539,7 +530,7 @@ class TestTrajectoryKernelEdges:
         op = build_step_operator(lat, AngleSchedule(), "walk")
         args = {"n_traj": 2, "steps": 1, **kwargs}
         with pytest.raises(ValueError, match=name):
-            trajectory_run(qw_init(lat, 0), op, RATES, seed=0, **args)
+            trajectory_run(to_sector(qw_init(lat, 0)), op, RATES, seed=0, **args)
 
     def test_zero_norm_initial_state_rejected(self):
         # refused before any step, not left to divide by zero and end in a

@@ -9,15 +9,20 @@ from qcawalk import (
     Distribution,
     GateSpec,
     Lattice,
-    StateVector,
     build_step_operator,
-    qw_init,
     sample_counts,
     sector_basis,
+)
+from qcawalk.reference import (
+    DensityMatrix,
+    StateVector,
+    apply_gate,
+    apply_step,
+    qw_init,
     sector_project,
 )
-from qcawalk.gates import apply_gate
-from qcawalk.states import SHOT_STREAM, DensityMatrix, SectorDensity, vertex_distribution
+from qcawalk import states
+from qcawalk.states import SHOT_STREAM, SectorDensity, SectorVector, vertex_distribution
 
 
 class TestOnehotIndex:
@@ -56,7 +61,7 @@ class TestSectorProject:
         state = qw_init(lat, 0)
         op = build_step_operator(lat, AngleSchedule(), "walk")
         for _ in range(3):
-            op.apply(state)
+            apply_step(op, state)
         sec = sector_project(state, 4)
         assert sec.leakage_norm < 1e-12
 
@@ -223,6 +228,35 @@ class TestMixedStateShape:
             cls(3, np.eye(dim + 1))
 
 
+class TestRegisterSize:
+    @pytest.mark.parametrize("cls", [SectorVector, SectorDensity, StateVector, DensityMatrix])
+    @pytest.mark.parametrize("n,message", [(-1, "must be >= 0"), (2.5, "must be an integer"),
+                                           (True, "must be an integer")])
+    def test_register_size_checked(self, cls, n, message):
+        with pytest.raises(ValueError, match=f"n_qubits {message}"):
+            cls(n, np.zeros(0))
+        if hasattr(cls, "vacuum"):
+            with pytest.raises(ValueError, match=f"n_qubits {message}"):
+                cls.vacuum(n)
+
+    def test_empty_register_is_the_vacuum(self):
+        assert SectorVector.vacuum(0).amplitudes.tolist() == [1.0]
+        assert sector_project(StateVector.vacuum(0), 0).leakage_norm == 1.0
+
+    @pytest.mark.parametrize("count,message", [(-1, "must be >= 0"), (5, "must be <= 4"),
+                                               (2.0, "must be an integer")])
+    def test_reference_vertex_count_checked(self, count, message):
+        with pytest.raises(ValueError, match=f"vertex_count {message}"):
+            sector_project(StateVector.vacuum(4), count)
+
+    def test_sector_readout_takes_the_state_only(self):
+        # the sector's weights, vacuum (the leakage) first, as a density's diagonal
+        state = SectorVector(3, np.array([0.6, 0, 0.8j, 0]))
+        assert states.sector_project(state).tolist() == pytest.approx([0.36, 0, 0.64, 0])
+        with pytest.raises(TypeError):
+            states.sector_project(state, 3)
+
+
 class TestVertexDistribution:
     def test_negative_residue_clamped(self):
         d = vertex_distribution(np.array([0.5, -1e-17, 0.5]), -1e-17)
@@ -269,5 +303,5 @@ class TestNormPreservation:
         op = build_step_operator(lat, sched, "walk")
         state = qw_init(lat, 2, symmetric=True)
         for _ in range(10):
-            op.apply(state)
+            apply_step(op, state)
         assert sector_project(state, 8).leakage_norm < 1e-12

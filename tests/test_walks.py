@@ -15,17 +15,21 @@ from qcawalk import (
     WalkBackend,
     WalkConfig,
     build_step_operator,
-    qw_init,
     run_walk,
     sample_counts,
-    search_initializer,
     search_initializer_gates,
     sector_oracle,
-    sector_project,
     sector_basis,
     success_probability,
 )
-from qcawalk.walks import TRAJECTORY_WORK_BYTES, initial_sector_state, initial_state
+from qcawalk.reference import (
+    apply_step,
+    initial_state,
+    qw_init,
+    search_initializer,
+    sector_project,
+)
+from qcawalk.walks import TRAJECTORY_WORK_BYTES, initial_sector_state
 
 RELAXATION_ONLY = NoiseModel(relaxation_rate=3.5e4, dephasing_rate=0.0)
 
@@ -135,7 +139,7 @@ class TestSectorOracle:
         state = qw_init(lat, 0)
         vec = sector_project(state, 4).amplitudes
         for _ in range(10):
-            op.apply(state)
+            apply_step(op, state)
             vec = m @ vec
             sec = sector_project(state, 4)
             assert np.abs(sec.amplitudes - vec).max() < 1e-10
@@ -149,7 +153,7 @@ class TestSectorOracle:
         state = search_initializer(lat, "exact")
         vec = sector_project(state, 6).amplitudes
         for _ in range(12):
-            op.apply(state)
+            apply_step(op, state)
             vec = m @ vec
             sec = sector_project(state, 6)
             assert np.abs(sec.amplitudes - vec).max() < 1e-10
