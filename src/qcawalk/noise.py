@@ -35,19 +35,19 @@ that every step, backend and run of the process shares.
   Monte Carlo wave-function method): for every gate interval a Kraus
   branch is sampled with probability |K_m psi|^2, so the trajectory
   average reproduces the density evolution with no time-discretisation
-  bias.  Each trajectory carries a pending complex scalar c beside its
-  stored amplitudes, so its state is c times them.  A gate reads the 2-3
-  amplitudes it touches and draws one number per trajectory.  One small
-  matrix product gives, for the whole ensemble, the probability of the
-  last Kraus branch (the no-jump one at realistic rates); a trajectory
-  that takes it writes only its touched amplitudes and c, since the
-  branch's scalar on the rest goes into c.  Only the few trajectories
-  whose draw misses the last branch form every branch, and they rewrite
-  their whole column.  So a gate costs O(n_traj), whatever V.  Once per
-  step c is folded into the amplitudes with the renormalisation, and the
-  mean of |psi|^2 at every step, step 0 included, is read out as the
-  density diagonal would be.  Their reference is the exact sector
-  density.
+  bias.  In the gauge that :func:`_sector_lowering` fixes, the last Kraus
+  branch is the no-jump one and every jump branch annihilates the
+  untouched indices.  Each trajectory carries a pending real scalar c
+  beside its stored amplitudes, so its state is c times them.  A gate
+  reads the 2-3 amplitudes it touches and draws one number per
+  trajectory.  One small matrix product gives, for the whole ensemble,
+  the probability of no jump; a trajectory that takes it writes only its
+  touched amplitudes and its renormalisation into c.  Only the few
+  trajectories that jump form every branch, and they rewrite their whole
+  column.  So a gate costs O(n_traj), whatever V.  Once per step c is
+  folded into the amplitudes with the renormalisation, and the mean of
+  |psi|^2 at every step, step 0 included, is read out as the density
+  diagonal would be.  Their reference is the exact sector density.
 
 Rates are not published for the emulated processor; ``calibrate_rates``
 infers (K, delta) from the native gate-set's average fidelities.  It
@@ -95,7 +95,7 @@ DEFAULT_FIDELITY_TARGETS = {
     "sqrt_iswap": 0.9991,
 }
 
-_RAISING_TOL = 1e-10
+_SECTOR_TOL = 1e-10  # on the raising entries and on sum |k00_m|^2 - 1
 
 
 @dataclass(frozen=True)
@@ -342,7 +342,6 @@ class _Lowered(NamedTuple):
 
     blocks: np.ndarray  # (M, d, d): Kraus operator m on the touched indices
     T: np.ndarray  # density: vec(rho_SS) -> T vec(rho_SS)
-    C: np.ndarray  # density: rho_SR -> C rho_SR
 
 
 def _sector_lowering(kraus: tuple) -> _Lowered:
@@ -352,26 +351,41 @@ def _sector_lowering(kraus: tuple) -> _Lowered:
     one qubit; local basis |q_a q_b>: 0 = |00>, 1 = |01>, 2 = |10> -- and
     R every other index, each Kraus operator acts as a block B_m on S
     (``blocks``, shape (M, d, d)) and as the scalar k00_m = B_m[0, 0] on
-    R.  Raising entries must vanish for the sector to be invariant; the
-    dissipators only lower, so they do.  On a density matrix,
-    vec(rho_SS) -> T vec(rho_SS) with T = sum B_m (x) conj(B_m) and
-    rho_SR -> C rho_SR with C = sum conj(k00_m) B_m.  rho_RR is left
-    alone: with no raising, K_m|00> = k00_m|00>, so trace preservation
-    gives sum |k00_m|^2 = <00| sum K_m^dag K_m |00> = 1.  A trajectory
-    takes branch m with probability |B_m x|^2 + |k00_m|^2 (1 - |x|^2)
-    for touched amplitudes x; these sum to 1 for the same reason.
+    R.  Raising entries must vanish for the sector to be invariant; then
+    trace preservation gives sum |k00_m|^2 = <00| sum K_m^dag K_m |00> = 1.
+    A set that breaks either beyond its tolerance raises ``RuntimeError``.
+    The Kraus index is fixed only up to a unitary mix, so a Householder
+    reflection, with a phase on its last row, mixes k00 to (0, ..., 0, 1);
+    a k00 that is already some e_j is only reordered, bit for bit.  The
+    last branch is then the no-jump operator sum conj(k00_m) B_m of the
+    Monte Carlo wave-function method and every jump branch annihilates R:
+    a trajectory with touched amplitudes x takes jump m with probability
+    |B_m x|^2 and no jump with |B_last x|^2 + 1 - |x|^2.  On a density
+    matrix, vec(rho_SS) -> T vec(rho_SS) with T = sum B_m (x) conj(B_m),
+    rho_SR -> B_last rho_SR, and rho_RR is left alone.
     """
     k = np.array(kraus)
     excitations = np.array([bin(i).count("1") for i in range(k.shape[1])])
     raising = excitations[:, None] > excitations[None, :]
-    if np.abs(k[:, raising]).max() > _RAISING_TOL:
+    if np.abs(k[:, raising]).max() > _SECTOR_TOL:
         raise RuntimeError("channel raises excitation number; sector path invalid")
+    a = k[:, 0, 0]
+    s = np.vdot(a[:-1], a[:-1]).real  # the weight off the last branch
+    norm = math.sqrt(s + abs(a[-1]) ** 2)
+    if abs(norm * norm - 1.0) > _SECTOR_TOL:
+        raise RuntimeError(f"Kraus set is not trace-preserving: sum |k00|^2 = {norm * norm!r}")
+    phase = a[-1] / abs(a[-1]) if a[-1] else 1.0
+    v = np.append(a[:-1], -phase * s / (abs(a[-1]) + norm))  # a - phase |a| e_last, stably
+    mix = np.eye(len(a), dtype=complex)
+    if s:
+        mix -= (2.0 / np.vdot(v, v).real) * np.outer(v, v.conj())
+    mix[-1] *= np.conj(phase)
     d = 3 if k.shape[1] == 4 else 2
-    blocks = k[:, :d, :d].copy()
-    blocks[:, 1:, 0] = 0.0
+    blocks = np.tensordot(mix, k[:, :d, :d], axes=1)
+    blocks[:, :, 0] = 0.0  # the raising entries, and k00 made exact
+    blocks[-1, 0, 0] = 1.0
     T = sum(np.kron(b, b.conj()) for b in blocks)
-    C = sum(np.conj(b[0, 0]) * b for b in blocks)
-    return _Lowered(blocks, T, C)
+    return _Lowered(blocks, T)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -413,7 +427,7 @@ def evolve_density(rho: SectorDensity, step: StepOperator, noise: NoiseModel) ->
             arr[idx[1], :] *= phase
             arr[:, idx[1]] *= np.conj(phase)
             continue
-        T, C = lowered.T, lowered.C
+        T, C = lowered.T, lowered.blocks[-1]
         rows, cols = arr[idx, :], arr[:, idx]
         arr[idx, :] = C @ rows
         arr[:, idx] = cols @ C.conj().T
@@ -451,18 +465,17 @@ class _JumpBuffers:
 
     def __init__(self, n: int):
         self.x = np.empty((3, n), dtype=complex)  # stored touched amplitudes
-        self.z = np.empty((3, n), dtype=complex)  # B_last x, then the rows written back
+        self.z = np.empty((3, n), dtype=complex)  # B_last x: the no-jump rows written back
         self.pairs = np.empty(2 * n)  # sums of squares per real and imaginary part; scratch
-        self.c2 = np.empty(n)  # |c|^2
+        self.c2 = np.empty(n)  # c^2
         self.rest = np.empty(n)  # weight off the touched indices, 1 - |c x|^2
-        self.p = np.empty(n)  # p_last, then 1 / sqrt(p_last)
+        self.p = np.empty(n)  # p_last, then sqrt(p_last)
         self.r = np.empty(n)  # the channel's uniform draws
         self.jump = np.empty(n, dtype=bool)  # the draw misses the last branch
 
     def abs2(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """|a|^2 per column of a complex (rows, n) or (n,) array, summed
-        over the rows, into ``out``; read through the real view, so no
-        array of a's size is made."""
+        """|a|^2 per column of a complex (rows, n) array into ``out``, read
+        through the real view, so no array of a's size is made."""
         f = a.view(float).reshape(-1, self.pairs.size)
         np.einsum("ij,ij->j", f, f, out=self.pairs)
         return np.add(self.pairs[0::2], self.pairs[1::2], out=out)
@@ -472,59 +485,48 @@ def _sector_jump(psi: np.ndarray, c: np.ndarray, idx: list, lowered: _Lowered, r
                  work: _JumpBuffers) -> None:
     """Sample one Kraus branch per trajectory for a channel on sector ``idx``.
 
-    Trajectory j is ``psi[:, j] * c[j]``, normalised, with ``c`` a
-    pending complex scalar, so its touched amplitudes are c x with
-    x = psi[idx].  Branch m maps them to B_m c x and every other
-    amplitude to k00_m times itself, so it is taken with probability
-    p_m = |B_m c x|^2 + |k00_m|^2 (1 - |c x|^2), by the cumulative rule of
-    :func:`_choose_branches` on one uniform draw r per trajectory.  Trace
-    preservation makes the p_m sum to 1, so a trajectory takes the last
-    branch M-1 (the no-jump one at realistic rates) iff r >= 1 - p_last:
-    the boundary the rule over all branches uses, up to rounding.  Such a
-    column writes only its touched rows, B_{M-1} x / k00, and its scalar,
-    c k00 / sqrt(p_last); its other rows are not touched.  The other
-    columns read their whole column before any write, form all M
-    branches from the true amplitudes, and write back the chosen one
-    divided by sqrt(p_m), with c reset to 1.  A last branch with k00 = 0
-    annihilates the rest of every column, so then every column takes
-    that path.
+    Trajectory j is ``psi[:, j] * c[j]``, normalised, with ``c`` a pending
+    real scalar, so its touched amplitudes are c x with x = psi[idx].  In
+    the gauge of :func:`_sector_lowering`, jump branch m maps them to
+    B_m c x and annihilates every other amplitude, so p_m = |B_m c x|^2;
+    the last, no-jump branch keeps the others, so p_last = |B_last c x|^2
+    + 1 - |c x|^2.  One uniform draw r per trajectory picks the branch by
+    the cumulative rule of :func:`_choose_branches`; the p_m sum to 1, so
+    a trajectory takes the last branch iff r >= 1 - p_last, up to rounding.
+    Such a column writes only its touched rows, B_last x, and its scalar,
+    c / sqrt(p_last).  The other columns read their whole column before
+    any write, form all M branches from the true amplitudes, and write
+    back the chosen one divided by sqrt(p_m), with c reset to 1.
     """
     d = len(idx)
     x, scratch = work.x[:d], work.pairs[:psi.shape[1]]
     np.take(psi, idx, axis=0, out=x, mode="clip")  # "raise" would copy via a buffer
-    c2 = work.abs2(c, work.c2)
+    c2 = np.multiply(c, c, out=work.c2)
     rest = work.abs2(x, work.rest)
     rest *= c2
     np.subtract(1.0, rest, out=rest)
     np.maximum(rest, 0.0, out=rest)
     r = rng.random(out=work.r)
     blocks = lowered.blocks
-    k00 = blocks[-1, 0, 0]
-    if k00 == 0:
-        other = np.arange(psi.shape[1])
-    else:
-        z = np.matmul(blocks[-1], x, out=work.z[:d])
-        p = work.abs2(z, work.p)
-        p *= c2
-        p += np.multiply(rest, abs(k00) ** 2, out=scratch)
-        other = np.flatnonzero(np.less(r, np.subtract(1.0, p, out=scratch), out=work.jump))
+    z = np.matmul(blocks[-1], x, out=work.z[:d])
+    p = work.abs2(z, work.p)
+    p *= c2
+    p += rest
+    other = np.flatnonzero(np.less(r, np.subtract(1.0, p, out=scratch), out=work.jump))
     if other.size:
         cols = psi[:, other]
         cols *= c[other]
-        m = blocks.shape[0]
-        y = (blocks.reshape(m * d, d) @ cols[idx]).reshape(m, d, -1)
-        probs = np.sum(np.abs(y) ** 2, axis=1) + np.abs(blocks[:, 0, 0])[:, None] ** 2 * rest[other]
+        y = (blocks.reshape(-1, d) @ cols[idx]).reshape(len(blocks), d, -1)
+        probs = np.sum(np.abs(y) ** 2, axis=1)
+        probs[-1] += rest[other]
         choice = _choose_branches(probs, r[other])
         picked = np.arange(other.size)
         inv = 1.0 / np.sqrt(probs[choice, picked])
-        cols *= blocks[choice, 0, 0] * inv
+        cols *= np.where(choice == len(blocks) - 1, inv, 0.0)  # a jump zeroes the rest
         cols[idx] = y[choice, :, picked].T * inv
-    if k00 != 0:
         p[other] = 1.0  # p_last may be 0 there; those columns are overwritten
-        c *= np.divide(1.0, np.sqrt(p, out=p), out=p)  # a complex divide costs 5x
-        c *= k00
-        z *= 1.0 / k00
-        psi[idx] = z
+    c /= np.sqrt(p, out=p)
+    psi[idx] = z
     if other.size:
         psi[:, other] = cols
         c[other] = 1.0
@@ -563,7 +565,7 @@ def trajectory_run(init: SectorVector, step: StepOperator, noise: NoiseModel,
     # trajectory j is psi[:, j] * c[j]
     psi = np.empty((V + 1, n_traj), dtype=complex)
     psi[:] = (init.amplitudes / norm)[:, None]
-    c = np.ones(n_traj, dtype=complex)
+    c = np.ones(n_traj)
     work = _JumpBuffers(n_traj)
     real = psi.view(float)
 
@@ -575,11 +577,9 @@ def trajectory_run(init: SectorVector, step: StepOperator, noise: NoiseModel,
                     psi[idx[1]] *= phase
                 else:
                     _sector_jump(psi, c, idx, lowered, rng, work)
-            # fold the pending scalars in and renormalise: c / |c psi|
+            # fold c in and renormalise: c > 0, so psi c / |psi c| = psi / |psi|
             norm2 = work.abs2(psi, work.p)
-            norm2 *= work.abs2(c, work.c2)
-            c /= np.sqrt(norm2, out=norm2)
-            psi *= c
+            psi *= np.divide(1.0, np.sqrt(norm2, out=norm2), out=norm2)
             c[:] = 1.0
         # the trajectory mean of |psi|^2 estimates the density diagonal
         p[t] = np.einsum("ij,ij->i", real, real) / n_traj

@@ -59,10 +59,10 @@ from .states import (
 STATE_MAX_BYTES = 256 * 2**20
 
 #: Bytes a trajectory takes beside its (V+1) x 16 B of amplitudes: its
-#: pending complex scalar (16 B) and the kernel's work arrays,
+#: pending real scalar (8 B) and the kernel's work arrays,
 #: ``noise._JumpBuffers`` (two 3-row complex arrays, 96 B; six floats,
 #: 48 B; one bool).
-TRAJECTORY_WORK_BYTES = 161
+TRAJECTORY_WORK_BYTES = 153
 
 
 class ResourceLimitError(RuntimeError):

@@ -95,6 +95,11 @@ class TestConfigValidation:
         problems = validate_config(minimal_config(backends=["gpu"]))
         assert problems
 
+    def test_duplicate_sweep_sizes_rejected(self):
+        # a fit through one distinct size would be written with r_squared 1
+        problems = validate_config(minimal_config(sweep={"sizes": [4, 4]}))
+        assert len(problems) == 1 and problems[0].startswith("sweep/sizes: ")
+
     def test_load_raises_config_error(self):
         with pytest.raises(ConfigError):
             load_config(minimal_config(seed=-1))
@@ -382,6 +387,15 @@ class TestCli:
         cfg = minimal_config(output={"directory": str(out), "formats": ["csv"]})
         assert main([command, self._write(tmp_path, cfg)]) == EXIT_CONFIG
         assert "output/formats" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_duplicate_sweep_sizes_exit_code(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        cfg = minimal_config(sweep={"sizes": [4, 8, 4]},
+                             output={"directory": str(out), "formats": ["json", "csv"]})
+        assert main([command, self._write(tmp_path, cfg)]) == EXIT_CONFIG
+        assert "sweep/sizes" in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_invalid_config_exit_code(self, tmp_path):
