@@ -375,15 +375,25 @@ def load_records(directory) -> list:
                                           r["payload"]["config"]["point_index"]))
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted when it holds a comma, a quote or
+    a line break."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def emit_report(records, output_dir) -> list:
     """Write per-step and sweep CSVs plus a plain-text summary of
     ``records``, a list of run records (as :func:`load_records` reads them).
 
     The per-step CSV holds every metric series as (run, backend(s),
     metric, step, value) rows, a null value as an empty cell; the sweep
-    CSV one row per lattice size with the search scalars; scaling fits
-    (hitting time vs size, success probability vs 1/size) go to fits.csv
-    when at least two sizes exist.
+    CSV one row per config ``name`` and lattice size with the search
+    scalars, in (name, size) order; scaling fits (hitting time vs size,
+    success probability vs 1/size) go to fits.csv for every name with at
+    least two sizes, so experiments that share a directory are never
+    mixed.
     """
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -409,24 +419,30 @@ def emit_report(records, output_dir) -> list:
     if search_recs:
         scalar_keys = sorted({k for r in search_recs
                               for k in r["payload"]["metrics"]["scalars"]})
-        rows = ["N," + ",".join(scalar_keys)]
-        ns, hits, peaks = [], [], []
-        for rec in sorted(search_recs, key=lambda r: r["payload"]["config"]["lattice"]["N"]):
-            payload = rec["payload"]
-            n = payload["config"]["lattice"]["N"]
-            sc = payload["metrics"]["scalars"]
-            rows.append(str(n) + "," + ",".join(
+        rows = ["name,N," + ",".join(scalar_keys)]
+        series = {}  # config name -> (sizes, hitting times, success probabilities)
+        for rec in sorted(search_recs, key=lambda r: (r["payload"]["config"]["name"],
+                                                      r["payload"]["config"]["lattice"]["N"])):
+            cfgp = rec["payload"]["config"]
+            name, n = cfgp["name"], cfgp["lattice"]["N"]
+            sc = rec["payload"]["metrics"]["scalars"]
+            rows.append(f"{_csv_field(name)},{n}," + ",".join(
                 "" if sc.get(k) is None else repr(sc.get(k)) for k in scalar_keys))
+            ns, hits, peaks = series.setdefault(name, ([], [], []))
             ns.append(n)
             hits.append(sc.get("hitting_time"))
             peaks.append(sc.get("success_probability"))
         write("sweep.csv", rows)
 
-        if len(ns) >= 2:
-            fits = {"hitting_time_linear": linear_fit(ns, hits),
-                    "success_probability_inverse": inverse_fit(ns, peaks)}
-            write("fits.csv", ["fit,parameter,value"] + [
-                f"{fit},{k},{v!r}" for fit, params in fits.items() for k, v in params.items()])
+        fit_rows = []
+        for name, (ns, hits, peaks) in series.items():
+            if len(ns) >= 2:
+                fits = {"hitting_time_linear": linear_fit(ns, hits),
+                        "success_probability_inverse": inverse_fit(ns, peaks)}
+                fit_rows += [f"{_csv_field(name)},{fit},{k},{v!r}"
+                             for fit, params in fits.items() for k, v in params.items()]
+        if fit_rows:
+            write("fits.csv", ["name,fit,parameter,value"] + fit_rows)
 
     text_lines = []
     for rec in records:

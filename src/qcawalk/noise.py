@@ -36,18 +36,19 @@ that every step, backend and run of the process shares.
   branch is sampled with probability |K_m psi|^2, so the trajectory
   average reproduces the density evolution with no time-discretisation
   bias.  In the gauge that :func:`_sector_lowering` fixes, the last Kraus
-  branch is the no-jump one and every jump branch annihilates the
-  untouched indices.  Each trajectory carries a pending real scalar c
-  beside its stored amplitudes, so its state is c times them.  A gate
-  reads the 2-3 amplitudes it touches and draws one number per
-  trajectory.  One small matrix product gives, for the whole ensemble,
-  the probability of no jump; a trajectory that takes it writes only its
-  touched amplitudes and its renormalisation into c.  Only the few
-  trajectories that jump form every branch, and they rewrite their whole
-  column.  So a gate costs O(n_traj), whatever V.  Once per step c is
-  folded into the amplitudes with the renormalisation, and the mean of
-  |psi|^2 at every step, step 0 included, is read out as the density
-  diagonal would be.  Their reference is the exact sector density.
+  branch is the no-jump one, the identity on the untouched indices, and
+  every jump branch annihilates them.  So each trajectory keeps its
+  amplitudes unnormalised beside their squared norm n2, as in the
+  textbook unnormalised-state method: a gate reads the 2-3 amplitudes it
+  touches, writes the no-jump branch there, and takes the weight the
+  jump branches carry off n2.  One draw per trajectory, compared with
+  that lost weight, decides whether it jumps; only the few that do form
+  their jump branches, from the amplitudes already read, and zero the
+  rest of their column.  So a gate costs O(n_traj), whatever V, with no
+  square root or division.  Once per step the ensemble is renormalised,
+  and the mean of |psi|^2 at every step, step 0 included, is read out as
+  the density diagonal would be.  Their reference is the exact sector
+  density.
 
 Rates are not published for the emulated processor; ``calibrate_rates``
 infers (K, delta) from the native gate-set's average fidelities.  It
@@ -445,21 +446,12 @@ def average_gate_fidelity(channel: GateChannel) -> float:
 # quantum-trajectory backend
 
 
-def _choose_branches(probs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Branch per column of ``probs`` (M branches x columns) for uniform
-    draws ``r``: the first m whose cumulative probability exceeds
-    r times the column's total, clipped to the last branch."""
-    cum = np.cumsum(probs, axis=0)
-    u = r * cum[-1]
-    return np.minimum((u[None, :] >= cum).sum(axis=0), probs.shape[0] - 1)
-
-
 class _JumpBuffers:
     """Work arrays of :func:`_sector_jump`, made once per trajectory run.
 
     Sized for the widest channel (d = 3 touched indices) and ``n``
     trajectories; every gate writes into them in place, so no ensemble
-    array is reallocated gate after gate.  With the pending scalars they
+    array is reallocated gate after gate.  With the squared norms they
     take :data:`qcawalk.walks.TRAJECTORY_WORK_BYTES` per trajectory.
     """
 
@@ -467,11 +459,10 @@ class _JumpBuffers:
         self.x = np.empty((3, n), dtype=complex)  # stored touched amplitudes
         self.z = np.empty((3, n), dtype=complex)  # B_last x: the no-jump rows written back
         self.pairs = np.empty(2 * n)  # sums of squares per real and imaginary part; scratch
-        self.c2 = np.empty(n)  # c^2
-        self.rest = np.empty(n)  # weight off the touched indices, 1 - |c x|^2
-        self.p = np.empty(n)  # p_last, then sqrt(p_last)
-        self.r = np.empty(n)  # the channel's uniform draws
-        self.jump = np.empty(n, dtype=bool)  # the draw misses the last branch
+        self.loss = np.empty(n)  # |x|^2 - |z|^2: the jump branches' weight
+        self.kept = np.empty(n)  # |z|^2
+        self.r = np.empty(n)  # the channel's uniform draws, then r n2
+        self.jump = np.empty(n, dtype=bool)  # the draw falls in the jump weight
 
     def abs2(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         """|a|^2 per column of a complex (rows, n) array into ``out``, read
@@ -481,55 +472,46 @@ class _JumpBuffers:
         return np.add(self.pairs[0::2], self.pairs[1::2], out=out)
 
 
-def _sector_jump(psi: np.ndarray, c: np.ndarray, idx: list, lowered: _Lowered, rng,
+def _sector_jump(psi: np.ndarray, n2: np.ndarray, idx: list, lowered: _Lowered, rng,
                  work: _JumpBuffers) -> None:
     """Sample one Kraus branch per trajectory for a channel on sector ``idx``.
 
-    Trajectory j is ``psi[:, j] * c[j]``, normalised, with ``c`` a pending
-    real scalar, so its touched amplitudes are c x with x = psi[idx].  In
-    the gauge of :func:`_sector_lowering`, jump branch m maps them to
-    B_m c x and annihilates every other amplitude, so p_m = |B_m c x|^2;
-    the last, no-jump branch keeps the others, so p_last = |B_last c x|^2
-    + 1 - |c x|^2.  One uniform draw r per trajectory picks the branch by
-    the cumulative rule of :func:`_choose_branches`; the p_m sum to 1, so
-    a trajectory takes the last branch iff r >= 1 - p_last, up to rounding.
-    Such a column writes only its touched rows, B_last x, and its scalar,
-    c / sqrt(p_last).  The other columns read their whole column before
-    any write, form all M branches from the true amplitudes, and write
-    back the chosen one divided by sqrt(p_m), with c reset to 1.
+    Trajectory j is ``psi[:, j] / sqrt(n2[j])``: the amplitudes are stored
+    unnormalised beside their squared norm ``n2``.  In the gauge of
+    :func:`_sector_lowering` the no-jump branch B_last keeps every
+    untouched amplitude and jump branch m annihilates them, so with
+    x = psi[idx] the jumps carry the weight loss = |x|^2 - |B_last x|^2
+    out of n2.  One uniform draw r per trajectory picks the branch: a
+    trajectory jumps iff r n2 < loss, and then takes the first m with
+    r n2 < sum_{m' <= m} |B_m' x|^2.  Every column writes B_last x to its
+    touched rows and loses ``loss`` from n2; a jumping column then zeroes
+    its column, writes the unnormalised B_m x to its touched rows and sets
+    n2 = |B_m x|^2.  A jump reads only the x already gathered.  A column
+    whose draw lands past every jump's cumulative weight (rounding, or no
+    jump weight at all) keeps the no-jump branch, so no branch of weight 0
+    is written, and a one-branch channel never jumps.
     """
     d = len(idx)
-    x, scratch = work.x[:d], work.pairs[:psi.shape[1]]
-    np.take(psi, idx, axis=0, out=x, mode="clip")  # "raise" would copy via a buffer
-    c2 = np.multiply(c, c, out=work.c2)
-    rest = work.abs2(x, work.rest)
-    rest *= c2
-    np.subtract(1.0, rest, out=rest)
-    np.maximum(rest, 0.0, out=rest)
-    r = rng.random(out=work.r)
+    x = np.take(psi, idx, axis=0, out=work.x[:d], mode="clip")  # "raise" copies via a buffer
     blocks = lowered.blocks
     z = np.matmul(blocks[-1], x, out=work.z[:d])
-    p = work.abs2(z, work.p)
-    p *= c2
-    p += rest
-    other = np.flatnonzero(np.less(r, np.subtract(1.0, p, out=scratch), out=work.jump))
-    if other.size:
-        cols = psi[:, other]
-        cols *= c[other]
-        y = (blocks.reshape(-1, d) @ cols[idx]).reshape(len(blocks), d, -1)
-        probs = np.sum(np.abs(y) ** 2, axis=1)
-        probs[-1] += rest[other]
-        choice = _choose_branches(probs, r[other])
-        picked = np.arange(other.size)
-        inv = 1.0 / np.sqrt(probs[choice, picked])
-        cols *= np.where(choice == len(blocks) - 1, inv, 0.0)  # a jump zeroes the rest
-        cols[idx] = y[choice, :, picked].T * inv
-        p[other] = 1.0  # p_last may be 0 there; those columns are overwritten
-    c /= np.sqrt(p, out=p)
+    loss = np.subtract(work.abs2(x, work.loss), work.abs2(z, work.kept), out=work.loss)
+    u = rng.random(out=work.r)
+    u *= n2
     psi[idx] = z
-    if other.size:
-        psi[:, other] = cols
-        c[other] = 1.0
+    n2 -= loss
+    if len(blocks) == 1:
+        return
+    jump = np.flatnonzero(np.less(u, loss, out=work.jump))
+    if jump.size:
+        y = (blocks[:-1].reshape(-1, d) @ x[:, jump]).reshape(len(blocks) - 1, d, -1)
+        w = np.sum(np.abs(y) ** 2, axis=1)
+        m = np.sum(u[jump] >= np.cumsum(w, axis=0), axis=0)
+        hit = np.flatnonzero(m < len(w))
+        cols, m = jump[hit], m[hit]
+        psi[:, cols] = 0.0
+        psi[idx, cols[:, None]] = y[m, :, hit]
+        n2[cols] = w[m, hit]
 
 
 def trajectory_run(init: SectorVector, step: StepOperator, noise: NoiseModel,
@@ -541,10 +523,10 @@ def trajectory_run(init: SectorVector, step: StepOperator, noise: NoiseModel,
     mean converges to the density-matrix evolution.  Each noisy gate
     draws one uniform number per trajectory, in gate order, and
     :func:`_sector_jump` picks the branch from it.  A gate writes only
-    the rows it touches and each trajectory's pending scalar; the scalars
-    are folded into the ensemble once per step, together with the
-    renormalisation.  The ensemble's work arrays are made once per call.
-    Deterministic under (seed, n_traj).  Returns one per-step
+    the rows it touches, except that a jump zeroes its trajectory's other
+    rows, and tracks each trajectory's squared norm; the ensemble is
+    renormalised once per step.  The ensemble's work arrays are made once
+    per call.  Deterministic under (seed, n_traj).  Returns one per-step
     Distribution, step 0 included.
 
     Trajectories run in the (V+1)-dimensional sector only: an ``init``
@@ -562,10 +544,10 @@ def trajectory_run(init: SectorVector, step: StepOperator, noise: NoiseModel,
     V = init.n_qubits
     rng = np.random.default_rng(np.random.SeedSequence([seed, TRAJECTORY_STREAM]))
     # one column per trajectory, so a gate's touched indices are whole rows;
-    # trajectory j is psi[:, j] * c[j]
+    # trajectory j is psi[:, j] / sqrt(n2[j])
     psi = np.empty((V + 1, n_traj), dtype=complex)
     psi[:] = (init.amplitudes / norm)[:, None]
-    c = np.ones(n_traj)
+    n2 = np.ones(n_traj)
     work = _JumpBuffers(n_traj)
     real = psi.view(float)
 
@@ -576,11 +558,11 @@ def trajectory_run(init: SectorVector, step: StepOperator, noise: NoiseModel,
                 if lowered is None:
                     psi[idx[1]] *= phase
                 else:
-                    _sector_jump(psi, c, idx, lowered, rng, work)
-            # fold c in and renormalise: c > 0, so psi c / |psi c| = psi / |psi|
-            norm2 = work.abs2(psi, work.p)
+                    _sector_jump(psi, n2, idx, lowered, rng, work)
+            # renormalise from the amplitudes, so rounding in n2 never builds up
+            norm2 = work.abs2(psi, work.loss)
             psi *= np.divide(1.0, np.sqrt(norm2, out=norm2), out=norm2)
-            c[:] = 1.0
+            n2[:] = 1.0
         # the trajectory mean of |psi|^2 estimates the density diagonal
         p[t] = np.einsum("ij,ij->i", real, real) / n_traj
     return vertex_distribution(p[:, 1:], p[:, 0])

@@ -59,10 +59,9 @@ from .states import (
 STATE_MAX_BYTES = 256 * 2**20
 
 #: Bytes a trajectory takes beside its (V+1) x 16 B of amplitudes: its
-#: pending real scalar (8 B) and the kernel's work arrays,
-#: ``noise._JumpBuffers`` (two 3-row complex arrays, 96 B; six floats,
-#: 48 B; one bool).
-TRAJECTORY_WORK_BYTES = 153
+#: squared norm (8 B) and the kernel's work arrays, ``noise._JumpBuffers``
+#: (two 3-row complex arrays, 96 B; five floats, 40 B; one bool).
+TRAJECTORY_WORK_BYTES = 145
 
 
 class ResourceLimitError(RuntimeError):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -270,11 +271,35 @@ class TestEmitReport:
         }
         run_experiment(cfg, output_dir=tmp_path)
         sweep_lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
-        assert sweep_lines[0].startswith("N,")
+        assert sweep_lines[0].startswith("name,N,")
         assert len(sweep_lines) == 3  # header + one row per size
         fits = (tmp_path / "fits.csv").read_text()
         assert "hitting_time_linear,slope" in fits
         assert "success_probability_inverse,coefficient" in fits
+
+    def test_report_keeps_experiments_apart(self, tmp_path):
+        # a torus search and a cycle sweep in one directory: one row per
+        # (name, N), and the cycles are fitted alone, as their own run did
+        search = {"variant": "search", "steps": 3}
+        cycles = minimal_config(name="cycles, small", walk=search, sweep={"sizes": [4, 8]},
+                                output={"directory": "results", "formats": ["json", "csv"]})
+        torus = minimal_config(name="torus", lattice={"kind": "torus", "N": 4}, walk=search)
+        run_experiment(cycles, output_dir=tmp_path / "cycles")
+        for cfg in (cycles, torus):
+            run_experiment(cfg, output_dir=tmp_path / "both")
+        emit_report(load_records(tmp_path / "both"), tmp_path / "report")
+
+        def table(path):
+            return list(csv.reader(path.read_text().splitlines()))
+
+        sweep = table(tmp_path / "report" / "sweep.csv")
+        assert sweep[0][:2] == ["name", "N"]
+        assert [row[:2] for row in sweep[1:]] == [["cycles, small", "4"],
+                                                  ["cycles, small", "8"], ["torus", "4"]]
+        fits = table(tmp_path / "report" / "fits.csv")
+        assert fits[0] == ["name", "fit", "parameter", "value"]
+        assert fits[1:] == table(tmp_path / "cycles" / "fits.csv")[1:]
+        assert {row[0] for row in fits[1:]} == {"cycles, small"}
 
     def test_file_that_is_not_json_is_named(self, tmp_path):
         (tmp_path / "run.json").write_text("{not json")

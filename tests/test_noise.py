@@ -519,7 +519,8 @@ class TestTrajectoryKernelEdges:
         if model.relaxation_rate == 0.0:
             assert dists[-1].get(2) == pytest.approx(0.136666666667, abs=1e-12)
 
-    @pytest.mark.parametrize("model", [RATES, NoiseModel(relaxation_rate=1e9)])
+    @pytest.mark.parametrize("model", [RATES, NoiseModel(relaxation_rate=1e9),
+                                       NoiseModel(relaxation_rate=1e12)])
     def test_single_trajectory(self, model):
         lat = Lattice("cycle", 8)
         op = build_step_operator(lat, AngleSchedule(marked=2), "search")
@@ -561,13 +562,58 @@ class TestTrajectoryKernelEdges:
         psi = np.array([[0, 0, 0, 0.6],  # sector of V = 2: vacuum, e_0, e_1
                         [1, 0.6, 0, 0],
                         [0, 0.8j, 1, 0.8]], dtype=complex)
-        c = np.ones(4)
-        _sector_jump(psi, c, [0, 1], lowered, np.random.default_rng(0), _JumpBuffers(4))
-        psi *= c  # the folded state
+        n2 = np.ones(4)
+        _sector_jump(psi, n2, [0, 1], lowered, np.random.default_rng(0), _JumpBuffers(4))
+        psi /= np.sqrt(n2)  # the folded state
         assert np.all(np.isfinite(psi))
         assert np.abs(np.sum(np.abs(psi) ** 2, axis=0) - 1.0).max() < 1e-12
         assert np.array_equal(psi[:, 0], [1, 0, 0])  # e_0 decayed to the vacuum
         assert np.array_equal(psi[:, 2], [0, 0, 1])  # e_1 is untouched
+
+    @pytest.mark.parametrize("channel", ["noiseless", "zero_angle", "calibrated",
+                                         "rotating_damping"])
+    def test_zero_draws(self, channel, calibrated_noise):
+        # a draw of 0 sits on the edge of every branch.  A one-branch
+        # channel, whose jump weight may round to a tiny positive, never
+        # jumps; a column with no jump weight (the vacuum, or under
+        # "rotating_damping" any column without e_a) keeps the no-jump
+        # branch rather than take a branch of weight 0
+        if channel == "rotating_damping":
+            lowered = _sector_lowering(_rotating_damping(0.3, 0.7))
+        else:
+            key = ("XY", 0.0 if channel == "zero_angle" else math.pi / 2, 2)
+            model = {"noiseless": NoiseModel(), "zero_angle": RATES,
+                     "calibrated": calibrated_noise}[channel]
+            lowered = _lowered(key, model)
+        n = 4000
+        psi = _random_ensemble(7, n)
+        psi[5, : n // 2] = 0.0  # no e_a: no weight on the damping's jump
+        psi[:, 0] = [1, 0, 0, 0, 0, 0, 0]
+        n2 = np.ones(n)
+        _sector_jump(psi, n2, [0, 3, 5], lowered, _ZeroDraws(), _JumpBuffers(n))
+        assert np.all(np.isfinite(n2)) and np.all(n2 > 0)
+        assert np.array_equal(psi[:, 0], [1, 0, 0, 0, 0, 0, 0])
+
+
+def _rotating_damping(g: float, theta: float) -> tuple:
+    """Kraus pair on |q_a q_b>: amplitude damping of qubit a with
+    probability g, whose no-jump branch also rotates |01> into |10> by
+    theta, so it changes the rounding of |B_last x|^2 on columns the jump
+    cannot reach."""
+    jump = np.zeros((4, 4), dtype=complex)
+    jump[0, 2] = jump[1, 3] = math.sqrt(g)
+    rotate = np.eye(4, dtype=complex)
+    rotate[1:3, 1:3] = [[math.cos(theta), -math.sin(theta)],
+                        [math.sin(theta), math.cos(theta)]]
+    return jump, rotate @ np.diag([1, 1, math.sqrt(1 - g), math.sqrt(1 - g)])
+
+
+class _ZeroDraws:
+    """A generator stub whose every uniform draw is 0."""
+
+    def random(self, out):
+        out[:] = 0.0
+        return out
 
 
 def _all_branch_sector_jump(psi, idx, blocks, rng):
@@ -602,6 +648,15 @@ def _unit_columns(psi: np.ndarray) -> np.ndarray:
     return psi / np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
 
 
+def _assert_tracked_norms(psi: np.ndarray, n2: np.ndarray, before: np.ndarray) -> None:
+    """n2 is each stored column's squared norm, to 1e-12 relative to the
+    larger of it and the norm ``before`` the gate: a no-jump branch that
+    keeps a fraction p_last of a column leaves n2 - loss known only to
+    about 1e-16 / p_last of what it keeps."""
+    stored = np.sum(np.abs(psi) ** 2, axis=0)
+    assert np.all(np.abs(n2 - stored) <= 1e-12 * np.maximum(stored, before))
+
+
 def _random_ensemble(rows: int, n: int) -> np.ndarray:
     """n normalised random trajectories over ``rows`` sector indices."""
     gen = np.random.default_rng(11)
@@ -619,17 +674,19 @@ _KERNEL_MODELS = pytest.mark.parametrize(
 
 
 class TestTrajectoryKernelEquivalence:
-    """_sector_jump, which forms all branches only for the columns whose
-    draw misses the last branch, against the kernel that formed them
-    for every column.  From the same generator state both must pick the
-    same branch in every column; another branch would move that column's
-    amplitudes by far more than 1e-12.  _sector_jump leaves a pending
-    scalar c per column, so its state is psi * c, compared gate after
-    gate with no fold in between, each column scaled to unit norm as the
-    fold scales it.  After a jump a column's weight sits on its touched
-    rows, so a later p_last near 2e-5 (strong dephasing) is known only to
-    about 1e-16 / p_last, and so is the unscaled column.  Several gates
-    in a row also check that both consume the same draws."""
+    """_sector_jump, which forms the jump branches only for the columns
+    whose draw falls in the weight the no-jump branch lost, and only from
+    their touched rows, against the kernel that formed every branch for
+    every column.  From the same generator state both must pick the same
+    branch in every column; another branch would move that column's
+    amplitudes by far more than 1e-12.  _sector_jump keeps its columns
+    unnormalised beside their squared norms n2, compared gate after gate
+    with no fold in between, each column scaled to unit norm as the fold
+    scales it, and n2 must stay the stored columns' squared norm.  After
+    a jump a column's weight sits on its touched rows, so a later p_last
+    near 2e-5 (strong dephasing) is known only to about 1e-16 / p_last,
+    and so is the unscaled column.  Several gates in a row also check
+    that both consume the same draws."""
 
     @_KERNEL_CHANNELS
     @_KERNEL_MODELS
@@ -641,13 +698,15 @@ class TestTrajectoryKernelEquivalence:
         ref = psi.copy()
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         work = _JumpBuffers(n)
-        c = np.ones(n)
+        n2 = np.ones(n)
         jumps = 0
         for _ in range(5):
-            _sector_jump(psi, c, idx, lowered, rng, work)
+            before = n2.copy()
+            _sector_jump(psi, n2, idx, lowered, rng, work)
             choice = _all_branch_sector_jump(ref, idx, lowered.blocks, ref_rng)
             jumps += np.count_nonzero(choice != len(lowered.blocks) - 1)
-            assert np.abs(_unit_columns(psi * c) - _unit_columns(ref)).max() < 1e-12
+            assert np.abs(_unit_columns(psi) - _unit_columns(ref)).max() < 1e-12
+            _assert_tracked_norms(psi, n2, before)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert jumps > 0  # the columns off the last branch ran too
 
@@ -664,12 +723,12 @@ class TestTrajectoryKernelEquivalence:
         ref = psi.copy()
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         work = _JumpBuffers(n)
-        c = np.ones(n)
+        n2 = np.ones(n)
         untouched = [i for i in range(7) if i not in idx]
         fast = 0
         for _ in range(5):
             before = psi[untouched].copy()
-            _sector_jump(psi, c, idx, lowered, rng, work)
+            _sector_jump(psi, n2, idx, lowered, rng, work)
             last = _all_branch_sector_jump(ref, idx, lowered.blocks, ref_rng) == len(
                 lowered.blocks) - 1
             assert np.array_equal(psi[untouched][:, last], before[:, last])
@@ -680,7 +739,7 @@ class TestTrajectoryKernelEquivalence:
     def test_torus_search_step_stream_matches_all_branch_kernel(self, model,
                                                                 calibrated_noise):
         # one whole step of channels, RZ phases and idle gaps included, with
-        # no fold in between: the pending scalars carry across gates
+        # no fold in between: the squared norms carry across gates
         model = calibrated_noise if model == "calibrated" else model
         lat = Lattice("torus", 4)
         op = build_step_operator(lat, AngleSchedule(marked=3), "search")
@@ -689,18 +748,20 @@ class TestTrajectoryKernelEquivalence:
         ref = psi.copy()
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         work = _JumpBuffers(n)
-        c = np.ones(n)
+        n2 = np.ones(n)
         phases = jumps = 0
         for idx, phase, lowered in _sector_channels(op, model):
+            before = n2.copy()
             if lowered is None:
                 psi[idx[1]] *= phase
                 ref[idx[1]] *= phase
                 phases += 1
             else:
-                _sector_jump(psi, c, idx, lowered, rng, work)
+                _sector_jump(psi, n2, idx, lowered, rng, work)
                 choice = _all_branch_sector_jump(ref, idx, lowered.blocks, ref_rng)
                 jumps += np.count_nonzero(choice != len(lowered.blocks) - 1)
-            assert np.abs(_unit_columns(psi * c) - _unit_columns(ref)).max() < 1e-12
+            assert np.abs(_unit_columns(psi) - _unit_columns(ref)).max() < 1e-12
+            _assert_tracked_norms(psi, n2, before)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert phases > 0 and jumps > 0
 

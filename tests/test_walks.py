@@ -431,7 +431,7 @@ class TestTrajectoryMemory:
 
         n = 1000
         work = sum(a.nbytes for a in vars(_JumpBuffers(n)).values())
-        assert work + n * 8 == n * TRAJECTORY_WORK_BYTES  # plus the real scalars c
+        assert work + n * 8 == n * TRAJECTORY_WORK_BYTES  # plus the squared norms n2
 
     @pytest.mark.parametrize("kind,N,n_traj", [("cycle", 4, 100_000), ("torus", 8, 20_000)])
     def test_peak_within_counted_bytes(self, kind, N, n_traj):
