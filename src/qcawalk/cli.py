@@ -88,11 +88,7 @@ def _cmd_calibrate(args) -> int:
         except ValueError as exc:
             print(f"error: --coupling: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-    try:
-        result = calibrate_rates(grid_points=args.grid_points, **kwargs)
-    except ValueError as exc:
-        print(f"error: --grid-points: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    result = calibrate_rates(**kwargs)
     if args.json:
         print(json.dumps({
             "noise": result.model.to_dict(),
@@ -137,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="fit relaxation/dephasing rates to the native gate fidelities")
     p_cal.add_argument("--coupling", type=float, default=None,
                        help="qubit-qubit coupling in rad/s")
-    p_cal.add_argument("--grid-points", type=int, default=17)
     p_cal.add_argument("--json", action="store_true", help="machine-readable output")
     p_cal.set_defaults(func=_cmd_calibrate)
     return parser
