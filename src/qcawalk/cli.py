@@ -9,6 +9,7 @@ import sys
 from . import __version__
 from .experiment import (
     ConfigError,
+    OutputDirError,
     emit_report,
     load_config,
     load_records,
@@ -54,6 +55,9 @@ def _cmd_run(args) -> int:
         print(f"error: invalid config {args.config}: {'; '.join(exc.messages)}",
               file=sys.stderr)
         return EXIT_CONFIG
+    except OutputDirError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -73,7 +77,12 @@ def _cmd_report(args) -> int:
         return EXIT_CONFIG
     if not records:
         print(f"warning: no run records found in {args.records_dir}", file=sys.stderr)
-    for p in emit_report(records, args.output_dir or args.records_dir):
+    try:
+        paths = emit_report(records, args.output_dir or args.records_dir)
+    except OutputDirError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    for p in paths:
         print(p)
     return EXIT_OK
 

@@ -41,7 +41,7 @@ from .metrics import (
     success_probability,
 )
 from .noise import NoiseModel, calibrate_rates
-from .states import LEAKAGE, Distribution
+from .states import LEAKAGE, Distribution, require_count
 from .walks import (
     InitSpec,
     WalkBackend,
@@ -67,6 +67,10 @@ class ConfigError(ValueError):
     def __init__(self, messages):
         self.messages = list(messages)
         super().__init__("\n".join(self.messages))
+
+
+class OutputDirError(OSError):
+    """The output directory is not a directory and cannot be made one."""
 
 
 def _load_schema(name: str) -> dict:
@@ -279,19 +283,33 @@ def resolve_workers(workers=None) -> int:
     """Concurrent sweep workers: ``workers`` if given, else the
     QCAWALK_WORKERS env var, else 1.
 
-    Raises ``ValueError`` unless the value is an integer >= 1.
+    Raises ``ValueError`` unless the value is an integer >= 1; a bool or
+    a non-integral number is not one, and a string is read with ``int``.
     """
     if workers is None:
         name, raw = WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")
     else:
         name, raw = "workers", workers
     try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        value = 0
-    if value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {raw!r}")
-    return value
+        return require_count(name, int(raw) if isinstance(raw, str) else raw, 1)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer >= 1, got {raw!r}") from None
+
+
+def _require_output_dir(outdir: Path) -> None:
+    """:class:`OutputDirError` unless ``outdir`` is a directory or can be
+    made one: the nearest of it and its parents that exists must be a
+    directory.  Creates nothing."""
+    existing = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not existing.is_dir():
+        raise OutputDirError(f"output directory {outdir}: {existing} is not a directory")
+
+
+def _make_output_dir(outdir: Path) -> None:
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputDirError(f"cannot create output directory {outdir}: {exc}") from exc
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -305,11 +323,16 @@ def run_experiment(source, output_dir=None, workers: int | None = None) -> list:
 
     Returns the written record paths.  Sweep points run concurrently up
     to ``workers`` (default: the QCAWALK_WORKERS env var, else 1); outputs
-    are independent of the worker count.
+    are independent of the worker count.  An output directory that cannot
+    be made raises :class:`OutputDirError` before calibration and before
+    any point runs; the records are validated together, so an invalid one
+    raises ``jsonschema.ValidationError`` before any is written.
     """
     cfg = load_config(source)
     points = resolve_points(cfg)
     workers = resolve_workers(workers)
+    outdir = Path(output_dir) if output_dir else Path(cfg["output"]["directory"])
+    _require_output_dir(outdir)
     noise = resolve_noise(cfg["noise"])
 
     if workers == 1 or len(points) == 1:
@@ -318,12 +341,10 @@ def run_experiment(source, output_dir=None, workers: int | None = None) -> list:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(lambda p: execute_point(p, noise), points))
 
-    outdir = Path(output_dir) if output_dir else Path(cfg["output"]["directory"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    schema = run_record_schema()
+    jsonschema.validate(records, {"type": "array", "items": run_record_schema()})
+    _make_output_dir(outdir)
     paths = []
     for point, record in zip(points, records):
-        jsonschema.validate(record, schema)
         name = f"{cfg['name']}_N{point['lattice']['N']}_p{point['point_index']}.json"
         path = outdir / name
         _atomic_write(path, _record_text(record))
@@ -393,10 +414,11 @@ def emit_report(records, output_dir) -> list:
     scalars, in (name, size) order; scaling fits (hitting time vs size,
     success probability vs 1/size) go to fits.csv for every name with at
     least two sizes, so experiments that share a directory are never
-    mixed.
+    mixed.  An output directory that cannot be made raises
+    :class:`OutputDirError`.
     """
     outdir = Path(output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_output_dir(outdir)
     written = []
 
     def write(name: str, lines: list) -> None:

@@ -12,6 +12,8 @@ exp(-K t), single-qubit coherence under pure dephasing as exp(-2 delta t)).
 Each gate's channel is the exact matrix exponential of the corresponding
 Liouvillian over the gate time; XY(theta) runs for theta/coupling seconds,
 single-qubit rotations for a fixed time, RZ is instantaneous and noiseless.
+Every channel -- backend gate, idle gap, calibration gate -- is that
+one ``expm``, taken by :func:`_superop` from three cached unit parts.
 
 Two noisy backends consume those channels.  The walks start in
 span{vacuum, one-hot} and the channels never raise the excitation
@@ -53,10 +55,9 @@ that every step, backend and run of the process shares.
 Rates are not published for the emulated processor; ``calibrate_rates``
 infers (K, delta) from the native gate-set's average fidelities by one
 stated rule: relaxation alone, fitted to convergence, unless both rates
-fit materially better (the targets pin about one rate combination).  It
-builds each calibration gate's Liouvillian once per call, in three parts
-that the rates scale, so a fidelity is one matrix exponential and one
-trace against the ideal superoperator; no Kraus operators are formed.
+fit materially better (the targets pin about one rate combination).  A
+fidelity is one ``_superop``, the backends' own channel, and one trace
+against the ideal superoperator; no Kraus operators are formed.
 """
 
 from __future__ import annotations
@@ -196,6 +197,37 @@ def _liouvillian(h: np.ndarray, jumps: list) -> np.ndarray:
     return L
 
 
+@functools.lru_cache(maxsize=None)
+def _liouvillian_parts(name: str, arity: int) -> tuple:
+    """(L_G, L_K, L_delta) of gate ``name`` (or ``"idle"``) on ``arity`` qubits.
+
+    L_G = -i[G, .] is the unit-angle gate part, L_K and L_delta the
+    unit-rate relaxation and dephasing parts; an idle gap has L_G = 0.
+    Read-only, as every channel build shares them.
+    """
+    d = 2**arity
+    zero = np.zeros((d, d), dtype=complex)
+    g = zero if name == "idle" else GateSpec(name, 0.0, tuple(range(arity))).generator()
+    parts = (_liouvillian(g, []), _liouvillian(zero, _jump_operators(arity, 1.0, 0.0)),
+             _liouvillian(zero, _jump_operators(arity, 0.0, 1.0)))
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
+def _superop(name: str, theta: float, arity: int, t: float, relaxation: float,
+             dephasing: float) -> np.ndarray:
+    """The superoperator of gate ``name`` at angle ``theta`` held for ``t`` seconds.
+
+    With H = (theta/t) G the generator over the gate is
+    L t = theta L_G + K t L_K + delta t L_delta: the Hamiltonian part is
+    linear in H and the dissipator in each rate.  Every noisy channel of
+    the package is this one matrix exponential.
+    """
+    l_g, l_k, l_d = _liouvillian_parts(name, arity)
+    return expm(theta * l_g + (relaxation * t) * l_k + (dephasing * t) * l_d)
+
+
 def _choi_from_superop(s: np.ndarray, d: int) -> np.ndarray:
     # reshuffle: J[m*d+p, n*d+q] = S[n*d+m, q*d+p]
     return s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
@@ -264,9 +296,8 @@ def noisy_gate_channel(gate: GateSpec, noise: NoiseModel) -> GateChannel:
     ideal = gate.matrix()
     if t == 0.0 or noise.is_noiseless:
         return GateChannel(ideal, (ideal,))
-    h = (gate.theta / t) * gate.generator()
-    jumps = _jump_operators(gate.n_targets, noise.relaxation_rate, noise.dephasing_rate)
-    s = expm(_liouvillian(h, jumps) * t)
+    s = _superop(gate.name, gate.theta, gate.n_targets, t, noise.relaxation_rate,
+                 noise.dephasing_rate)
     return GateChannel(ideal, _kraus_from_superop(s, 2**gate.n_targets))
 
 
@@ -276,8 +307,7 @@ def idle_channel(duration: float, noise: NoiseModel) -> GateChannel:
         raise ValueError("duration must be non-negative")
     if duration == 0.0 or noise.is_noiseless:
         return GateChannel(_I2.copy(), (_I2.copy(),))
-    jumps = _jump_operators(1, noise.relaxation_rate, noise.dephasing_rate)
-    s = expm(_liouvillian(np.zeros((2, 2), dtype=complex), jumps) * duration)
+    s = _superop("idle", 0.0, 1, duration, noise.relaxation_rate, noise.dephasing_rate)
     return GateChannel(_I2.copy(), _kraus_from_superop(s, 2))
 
 
@@ -449,13 +479,19 @@ def average_gate_fidelity(channel: GateChannel) -> float:
 # quantum-trajectory backend
 
 
+#: Bytes a trajectory takes beside its (V+1) x 16 B of amplitudes: its
+#: squared norm (8 B) and its columns of :class:`_JumpBuffers` (two 3-row
+#: complex arrays, 96 B; five floats, 40 B; one bool).
+TRAJECTORY_WORK_BYTES = 145
+
+
 class _JumpBuffers:
     """Work arrays of :func:`_sector_jump`, made once per trajectory run.
 
     Sized for the widest channel (d = 3 touched indices) and ``n``
     trajectories; every gate writes into them in place, so no ensemble
     array is reallocated gate after gate.  With the squared norms they
-    take :data:`qcawalk.walks.TRAJECTORY_WORK_BYTES` per trajectory.
+    take :data:`TRAJECTORY_WORK_BYTES` per trajectory.
     """
 
     def __init__(self, n: int):
@@ -614,38 +650,27 @@ class CalibrationResult:
 def _fidelity_evaluator(keys, template: NoiseModel):
     """Return f(K, delta) -> {key: average gate fidelity} for calibration gates.
 
-    The Liouvillian is linear in the rates, L = L_H + K L_K + delta L_delta,
-    so each gate's three parts are built once here; an evaluation is then
-    one ``expm`` per gate and F_pro = Tr(S_U^dag S) / d^2, with
-    S_U = conj(U) (x) U the ideal superoperator (``np.vdot`` conjugates
-    it).  Zero rates and zero durations give the ideal channel, fidelity
-    1.0, as ``noisy_gate_channel`` does.  Agrees with
+    Each gate's (spec, duration, dimension, S_U) is fixed here; an
+    evaluation is then one :func:`_superop` per gate, the backends' own
+    channel, and F_pro = Tr(S_U^dag S) / d^2, with S_U = conj(U) (x) U the
+    ideal superoperator (``np.vdot`` conjugates it).  Zero rates and zero
+    durations give the ideal channel, fidelity 1.0, as
+    ``noisy_gate_channel`` does.  Agrees with
     ``average_gate_fidelity(noisy_gate_channel(...))`` to rounding.
     """
     parts = {}
     for key in keys:
         spec = _CALIBRATION_GATES[key]
-        t = template.duration_of(spec)
-        if t == 0.0:
-            parts[key] = None
-            continue
         u = spec.matrix()
-        d = u.shape[0]
-        zero = np.zeros((d, d), dtype=complex)
-        n = spec.n_targets
-        parts[key] = (t, d, _liouvillian((spec.theta / t) * spec.generator(), []),
-                      _liouvillian(zero, _jump_operators(n, 1.0, 0.0)),
-                      _liouvillian(zero, _jump_operators(n, 0.0, 1.0)),
-                      np.kron(u.conj(), u))
+        parts[key] = (spec, template.duration_of(spec), u.shape[0], np.kron(u.conj(), u))
 
     def fidelities(relaxation: float, dephasing: float) -> dict:
         out = {}
-        for key, part in parts.items():
-            if part is None or (relaxation == 0.0 and dephasing == 0.0):
+        for key, (spec, t, d, s_u) in parts.items():
+            if t == 0.0 or (relaxation == 0.0 and dephasing == 0.0):
                 out[key] = 1.0
                 continue
-            t, d, l_h, l_k, l_d, s_u = part
-            s = expm((l_h + relaxation * l_k + dephasing * l_d) * t)
+            s = _superop(spec.name, spec.theta, spec.n_targets, t, relaxation, dephasing)
             f_pro = float(np.vdot(s_u, s).real) / d**2
             out[key] = (d * f_pro + 1.0) / (d + 1.0)
         return out

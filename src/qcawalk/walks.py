@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import noise as _noise
 from .gates import (
     MARKED_ANGLE,
     SEARCH_RZ_ANGLE,
@@ -40,6 +41,7 @@ from .gates import (
     lower_to_sector,
 )
 from .lattice import Lattice, tessellations_for
+from .noise import TRAJECTORY_WORK_BYTES, NoiseModel
 from .states import (
     MAX_SHOTS,
     Distribution,
@@ -57,11 +59,6 @@ from .states import (
 #: 64x64 one) or the trajectories backend's (V+1) x n_trajectories
 #: ensemble plus its work arrays.
 STATE_MAX_BYTES = 256 * 2**20
-
-#: Bytes a trajectory takes beside its (V+1) x 16 B of amplitudes: its
-#: squared norm (8 B) and the kernel's work arrays, ``noise._JumpBuffers``
-#: (two 3-row complex arrays, 96 B; five floats, 40 B; one bool).
-TRAJECTORY_WORK_BYTES = 145
 
 
 class ResourceLimitError(RuntimeError):
@@ -255,7 +252,9 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
     so runs are reproducible bit-exactly.  A density block, or a
     trajectory ensemble with its :data:`TRAJECTORY_WORK_BYTES` per
     trajectory, above :data:`STATE_MAX_BYTES` raises
-    :class:`ResourceLimitError` before anything is built.
+    :class:`ResourceLimitError` before anything is built.  The noisy
+    backends are looked up on :mod:`qcawalk.noise` when called, so a
+    wrapper installed there (``bench/spans.py``) sees every call.
     """
     t_start = time.perf_counter()
     lattice = config.lattice
@@ -286,21 +285,18 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
                 step_op.apply(state)
         exact = vertex_distribution(p[:, 1:], p[:, 0])
     elif backend == "density":
-        from .noise import NoiseModel, evolve_density
-
         model = noise if noise is not None else NoiseModel()
         rho = SectorDensity.from_statevector(state)
         for t in range(config.steps + 1):
             p[t] = rho.diagonal_probabilities()
             if t < config.steps:
-                rho = evolve_density(rho, step_op, model)
+                rho = _noise.evolve_density(rho, step_op, model)
         exact = vertex_distribution(p[:, 1:], p[:, 0])
     else:  # trajectories
-        from .noise import NoiseModel, trajectory_run
-
         model = noise if noise is not None else NoiseModel()
-        exact = trajectory_run(state, step_op, model, n_traj=config.backend.n_trajectories,
-                               seed=config.seed, steps=config.steps)
+        exact = _noise.trajectory_run(state, step_op, model,
+                                      n_traj=config.backend.n_trajectories,
+                                      seed=config.seed, steps=config.steps)
 
     empirical = sample_counts(exact, config.shots, config.seed)
     return WalkResult(exact, empirical, time.perf_counter() - t_start)

@@ -206,6 +206,22 @@ class TestRunExperiment:
         rb = json.loads(Path(b[0]).read_text())
         assert payload_text(ra) == payload_text(rb)
 
+    def test_records_validated_before_any_is_written(self, tmp_path, monkeypatch):
+        import qcawalk.experiment as experiment
+
+        def execute(point, noise):
+            record = execute_point(point, noise)
+            if point["point_index"] == 1:
+                del record["payload"]["metrics"]
+            return record
+
+        monkeypatch.setattr(experiment, "execute_point", execute)
+        out = tmp_path / "out"
+        with pytest.raises(jsonschema.ValidationError) as info:
+            run_experiment(minimal_config(sweep={"sizes": [4, 6, 8]}), output_dir=out)
+        assert list(info.value.absolute_path) == [1, "payload"]
+        assert list(tmp_path.rglob("*.json")) == []
+
     def test_sweep_produces_one_record_per_size(self, tmp_path):
         cfg = minimal_config(sweep={"sizes": [4, 6, 8]})
         paths = run_experiment(cfg, output_dir=tmp_path)
@@ -223,7 +239,7 @@ class TestRunExperiment:
             pb = payload_text(json.loads(Path(b).read_text()))
             assert pa == pb
 
-    @pytest.mark.parametrize("workers", [0, -2, "two"])
+    @pytest.mark.parametrize("workers", [0, -2, "two", True, 2.7])
     def test_bad_worker_count_rejected(self, tmp_path, workers):
         with pytest.raises(ValueError, match="workers"):
             run_experiment(minimal_config(), output_dir=tmp_path, workers=workers)
@@ -377,6 +393,42 @@ class TestCli:
             assert f"run.json is not {what}" in lines[0]
         want = [] if record is None else ["records", "run.json"]
         assert sorted(p.name for p in tmp_path.rglob("*")) == want
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    def test_run_output_dir_not_a_directory(self, tmp_path, capsys, monkeypatch, below):
+        # named in one line, before calibration and before any sweep point runs
+        import qcawalk.experiment as experiment
+
+        def never(*_args):
+            raise AssertionError("ran past the output-directory check")
+
+        monkeypatch.setattr(experiment, "resolve_noise", never)
+        monkeypatch.setattr(experiment, "execute_point", never)
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        out = blocker / "sub" if below else blocker
+        rc = main(["run", self._write(tmp_path, minimal_config(noise="calibrate")),
+                   "--output-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0] == f"error: output directory {out}: {blocker} is not a directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
+
+    def test_report_output_dir_not_a_directory(self, tmp_path, capsys):
+        run_experiment(minimal_config(), output_dir=tmp_path / "records")
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        rc = main(["report", str(tmp_path / "records"), "--output-dir", str(blocker)])
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot create output directory {blocker}: ")
+        assert blocker.read_text() == ""
 
     def test_report_empty_directory_warns(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path)])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.optimize import least_squares
 
 from qcawalk import (
@@ -45,6 +46,7 @@ from qcawalk.noise import (
     _sector_jump,
     _sector_lowering,
     _step_channels,
+    _superop,
 )
 from qcawalk import reference
 from qcawalk.reference import (
@@ -172,6 +174,35 @@ class TestNoisyGateChannel:
         long = noisy_gate_channel(rx, replace(RATES, single_qubit_duration=1e-5))
         short = noisy_gate_channel(rx, replace(RATES, single_qubit_duration=1e-8))
         assert average_gate_fidelity(long) < average_gate_fidelity(short)
+
+
+class TestSuperop:
+    """Every channel is one ``expm`` of the cached three-part Liouvillian;
+    the reference is the square-root-rate construction it replaced,
+    expm(L((theta/t) G, jumps) t)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        gate=st.sampled_from(["sqrt_iswap", "iswap", "xy_drawn", "rx", "ry", "idle"]),
+        angle=st.floats(-2 * math.pi, 2 * math.pi).filter(lambda a: abs(a) > 1e-3),
+        K=st.floats(0.0, 1e6),
+        delta=st.floats(0.0, 1e6),
+        coupling=st.sampled_from([DEFAULT_COUPLING, 2 * math.pi * 1e6,
+                                  2 * math.pi * 2e7]),
+    )
+    def test_matches_square_root_rate_liouvillian(self, gate, angle, K, delta, coupling):
+        template = NoiseModel(coupling=coupling)
+        if gate == "idle":  # a gap as long as the drawn XY angle's gate
+            name, theta, n, g = "idle", 0.0, 1, np.zeros((2, 2), dtype=complex)
+            t = abs(angle) / coupling
+        else:
+            spec = (GateSpec("XY", angle, (0, 1)) if gate == "xy_drawn"
+                    else _CALIBRATION_GATES[gate])
+            name, theta, n, g = spec.name, spec.theta, spec.n_targets, spec.generator()
+            t = template.duration_of(spec)
+        want = expm(_liouvillian((theta / t) * g, _jump_operators(n, K, delta)) * t)
+        got = _superop(name, theta, n, t, K, delta)
+        assert np.abs(got - want).max() < 1e-12
 
 
 class TestEvolveDensity:
