@@ -104,6 +104,7 @@ def _cmd_calibrate(args) -> int:
             "achieved": result.achieved,
             "residuals": result.residuals,
             "ssr": result.ssr,
+            "evaluations": result.evaluations,
         }, indent=2, sort_keys=True))
     else:
         print(result.summary())

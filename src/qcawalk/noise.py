@@ -13,7 +13,10 @@ Each gate's channel is the exact matrix exponential of the corresponding
 Liouvillian over the gate time; XY(theta) runs for theta/coupling seconds,
 single-qubit rotations for a fixed time, RZ is instantaneous and noiseless.
 Every channel -- backend gate, idle gap, calibration gate -- is that
-one ``expm``, taken by :func:`_superop` from three cached unit parts.
+one ``expm``, taken by :func:`_transfer` from three cached unit parts in a
+basis where they are real; :func:`_superop` returns it column-stacked.
+``expm`` is the package's own numpy Padé scaling and squaring (Higham
+2005), which takes a stack of matrices in one call.
 
 Two noisy backends consume those channels.  The walks start in
 span{vacuum, one-hot} and the channels never raise the excitation
@@ -56,21 +59,22 @@ Rates are not published for the emulated processor; ``calibrate_rates``
 infers (K, delta) from the native gate-set's average fidelities by one
 stated rule: relaxation alone, fitted to convergence, unless both rates
 fit materially better (the targets pin about one rate combination).  A
-fidelity is one ``_superop``, the backends' own channel, and one trace
-against the ideal superoperator; no Kraus operators are formed.
+fidelity is one ``_transfer``, the backends' own channel, and one trace
+against the ideal channel; no Kraus operators are formed.  The fit is
+the package's own bounded Levenberg-Marquardt, :func:`_bounded_fit`, and
+every scan and Jacobian is one stacked ``expm`` per gate.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import least_squares
 
 from .gates import SECTOR_GATES, GateSpec, StepOperator
 from .states import (
@@ -186,6 +190,85 @@ def _jump_operators(n: int, relaxation: float, dephasing: float) -> list:
     return jumps
 
 
+#: Diagonal Padé approximants r_m = q_m(A)^-1 p_m(A) of exp(A): (m, theta_m,
+#: coefficients of p_m); r_m is exact to double precision for
+#: ||A||_1 <= theta_m (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005),
+#: Table 2.3), and q_m(A) = p_m(-A).
+_PADE = (
+    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (7, 9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
+                               56.0, 1.0)),
+    (9, 2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                              30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    (13, 5.371920351148152e0, (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+                               1187353796428800.0, 129060195264000.0, 10559470521600.0,
+                               670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+                               960960.0, 16380.0, 182.0, 1.0)),
+)
+_PADE_THETAS = np.array([theta for _m, theta, _b in _PADE[:-1]])
+
+
+def _pade(a: np.ndarray, m: int, b: tuple) -> np.ndarray:
+    """r_m(a) for a stack of matrices, as I + 2 (V - U)^-1 U with U the odd
+    and V the even part of p_m.  Both are linear in a^2, a^4, ... (at most
+    a^6: degree 13 takes Higham's factored form), so one product with a
+    coefficient matrix forms every sum of powers."""
+    k = m // 2 if m < 13 else 3
+    powers = np.empty((k,) + a.shape, dtype=a.dtype)  # a^2, a^4, ..., a^(2k)
+    np.matmul(a, a, out=powers[0])
+    for i in range(1, k):
+        np.matmul(powers[i - 1], powers[0], out=powers[i])
+    rows = [b[3:2 * k + 2:2], b[2:2 * k + 1:2]]  # U / a and V, less their identity terms
+    if m == 13:
+        rows += [b[9::2], b[8::2]]  # the factors that multiply a^6
+    odd, even, *high = (np.array(rows) @ powers.reshape(k, -1)).reshape((len(rows),) + a.shape)
+    if high:
+        odd += powers[2] @ high[0]
+        even += powers[2] @ high[1]
+    eye = np.eye(a.shape[-1])
+    odd += b[1] * eye
+    even += b[0] * eye
+    u = a @ odd
+    # r_m - I, so a vector that a annihilates, such as a steady state, is kept exactly
+    return np.linalg.solve(even - u, 2.0 * u) + eye
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of a square matrix or a stack ``(..., n, n)`` of them.
+
+    Scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+    (2005), Algorithm 2.3): each matrix takes the lowest Padé degree in
+    (3, 5, 7, 9) whose theta_m bounds its 1-norm; past theta_9 it is
+    scaled by 2^-s to a 1-norm within theta_13, takes degree 13, and is
+    squared s times.  Degree and s are chosen per matrix, so a stacked
+    call equals the per-matrix calls; each (degree, s) group is one
+    stacked evaluation.  Real input gives a real result; non-finite input
+    raises ``ValueError``.
+    """
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expm takes square matrices, got shape {a.shape}")
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n).astype(np.result_type(a.dtype, float), copy=False)
+    norms = np.abs(flat).sum(axis=1).max(axis=1, initial=0.0)
+    if not np.isfinite(norms).all():
+        raise ValueError("expm takes finite matrices")
+    degree = np.searchsorted(_PADE_THETAS, norms)  # index into _PADE
+    theta13 = _PADE[-1][1]
+    squarings = np.ceil(np.log2(np.maximum(norms, theta13) / theta13)).astype(int)
+    groups = set(zip(degree.tolist(), squarings.tolist()))
+    out = np.empty_like(flat)
+    for j, s in groups:
+        sel = slice(None) if len(groups) == 1 else (degree == j) & (squarings == s)
+        m, _theta, b = _PADE[j]
+        r = _pade(flat[sel] * 2.0**-s, m, b)
+        for _ in range(s):
+            r = r @ r
+        out[sel] = r
+    return out.reshape(a.shape)
+
+
 def _liouvillian(h: np.ndarray, jumps: list) -> np.ndarray:
     """Column-stacking superoperator: d vec(rho)/dt = L vec(rho)."""
     d = h.shape[0]
@@ -198,34 +281,91 @@ def _liouvillian(h: np.ndarray, jumps: list) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
+def _real_basis(d: int) -> np.ndarray:
+    """The unitary whose columns are vec(E), column-stacked as in
+    :func:`_liouvillian`, over the Hermitian basis |i><i| and
+    (|i><j| + |j><i|) / sqrt(2), i (|j><i| - |i><j|) / sqrt(2) for i < j.
+
+    In this basis a superoperator that maps Hermitian matrices to
+    Hermitian ones, as every Liouvillian and channel here does, is real;
+    the vacuum |0><0| stays a basis vector, so a channel keeps it exactly.
+    """
+    units = [np.outer(e, e) for e in np.eye(d)]
+    for i, j in itertools.combinations(range(d), 2):
+        unit = np.zeros((d, d), dtype=complex)
+        unit[i, j] = 1.0
+        units += [(unit + unit.T) / math.sqrt(2), 1j * (unit.T - unit) / math.sqrt(2)]
+    basis = np.array([e.T.reshape(-1) for e in units], dtype=complex).T
+    basis.flags.writeable = False
+    return basis
+
+
+@functools.lru_cache(maxsize=None)
 def _liouvillian_parts(name: str, arity: int) -> tuple:
     """(L_G, L_K, L_delta) of gate ``name`` (or ``"idle"``) on ``arity`` qubits.
 
     L_G = -i[G, .] is the unit-angle gate part, L_K and L_delta the
     unit-rate relaxation and dephasing parts; an idle gap has L_G = 0.
-    Read-only, as every channel build shares them.
+    All three are real, in the basis of :func:`_real_basis`.  Read-only,
+    as every channel build shares them.
     """
     d = 2**arity
     zero = np.zeros((d, d), dtype=complex)
     g = zero if name == "idle" else GateSpec(name, 0.0, tuple(range(arity))).generator()
-    parts = (_liouvillian(g, []), _liouvillian(zero, _jump_operators(arity, 1.0, 0.0)),
-             _liouvillian(zero, _jump_operators(arity, 0.0, 1.0)))
+    basis = _real_basis(d)
+    parts = tuple((basis.conj().T @ part @ basis).real
+                  for part in (_liouvillian(g, []),
+                               _liouvillian(zero, _jump_operators(arity, 1.0, 0.0)),
+                               _liouvillian(zero, _jump_operators(arity, 0.0, 1.0))))
     for part in parts:
         part.flags.writeable = False
     return parts
 
 
-def _superop(name: str, theta: float, arity: int, t: float, relaxation: float,
-             dephasing: float) -> np.ndarray:
-    """The superoperator of gate ``name`` at angle ``theta`` held for ``t`` seconds.
+def _transfer(name: str, theta: float, arity: int, t: float, relaxation, dephasing,
+              step: tuple | None = None):
+    """The channel of gate ``name`` at angle ``theta`` held for ``t`` seconds,
+    as the real matrix R = B^dag S B in the basis B of :func:`_real_basis`.
 
     With H = (theta/t) G the generator over the gate is
-    L t = theta L_G + K t L_K + delta t L_delta: the Hamiltonian part is
-    linear in H and the dissipator in each rate.  Every noisy channel of
-    the package is this one matrix exponential.
+    A = L t = theta L_G + K t L_K + delta t L_delta: the Hamiltonian part
+    is linear in H and the dissipator in each rate.  Every noisy channel
+    of the package is this one matrix exponential, :func:`expm`'s numpy
+    Padé scaling and squaring.  The rates may be arrays of one shape; the
+    channels of all their pairs then come from one stacked call.
+
+    With ``step`` = (dK, d_delta), shaped like the rates, it returns
+    (R, R' - R) instead, R' the channel at the rates plus the step.  Both
+    come from one exponential of the block generator
+    [[A, C], [0, A + C]], C the step's dissipator, which is
+    [[e^A, e^(A+C) - e^A], [0, e^(A+C)]]; so the difference is computed to
+    its own relative precision, not to that of R.
     """
     l_g, l_k, l_d = _liouvillian_parts(name, arity)
-    return expm(theta * l_g + (relaxation * t) * l_k + (dephasing * t) * l_d)
+
+    def dissipator(k, dl):
+        return np.multiply(k, t)[..., None, None] * l_k + np.multiply(dl, t)[..., None, None] * l_d
+
+    a = theta * l_g + dissipator(relaxation, dephasing)
+    if step is None:
+        return expm(a)
+    a, c = np.broadcast_arrays(a, dissipator(*step))
+    n = a.shape[-1]
+    block = np.zeros(a.shape[:-2] + (2 * n, 2 * n))
+    block[..., :n, :n] = a
+    block[..., :n, n:] = c
+    block[..., n:, n:] = a + c
+    e = expm(block)
+    return e[..., :n, :n], e[..., :n, n:]
+
+
+def _superop(name: str, theta: float, arity: int, t: float, relaxation,
+             dephasing) -> np.ndarray:
+    """The column-stacking superoperator S = B R B^dag of the gate's channel,
+    R from :func:`_transfer`: one numpy Padé :func:`expm` of the gate's
+    Liouvillian, as for every noisy channel of the package."""
+    basis = _real_basis(2**arity)
+    return basis @ _transfer(name, theta, arity, t, relaxation, dephasing) @ basis.conj().T
 
 
 def _choi_from_superop(s: np.ndarray, d: int) -> np.ndarray:
@@ -624,15 +764,31 @@ _CALIBRATION_GATES = {
 _CALIBRATION_SCALES = np.concatenate([[0.0], np.geomspace(1e-7, 1e-2, 17)])
 _RELAXATION_WINDOW = 1e-3
 
+#: The fit's forward-difference step is sqrt(eps) max(1, |x|), scipy's
+#: '2-point' rule: the fit stops at the Gauss-Newton fixed point of that
+#: Jacobian, which the calibration pins hold.  A fidelity is an O(1)
+#: number rounded to a few ulps, so an ssr is known only to
+#: 2 |r| sqrt(m) _FIT_ULPS eps, m residuals; within that, a step counts as
+#: no worse, and a step whose predicted gain is that small ends the fit,
+#: as does the ``_FIT_MAX_STEPS``-th step.
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+_FIT_ULPS = 8
+_FIT_MAX_STEPS = 100
+
 
 @dataclass
 class CalibrationResult:
-    """Fitted noise model plus the per-gate fidelity residual report."""
+    """Fitted noise model plus the per-gate fidelity residual report.
+
+    ``evaluations`` counts the (K, delta) points at which the fit
+    evaluated the gate fidelities, the final report's included.
+    """
 
     model: NoiseModel
     achieved: dict
     residuals: dict
     ssr: float
+    evaluations: int
 
     def summary(self) -> str:
         lines = [
@@ -644,38 +800,117 @@ class CalibrationResult:
                 f"  {key:<11} achieved {self.achieved[key]:.6f} "
                 f"(residual {self.residuals[key]:+.2e})"
             )
+        lines.append(f"fidelity evaluations: {self.evaluations}")
         return "\n".join(lines)
 
 
 def _fidelity_evaluator(keys, template: NoiseModel):
     """Return f(K, delta) -> {key: average gate fidelity} for calibration gates.
 
-    Each gate's (spec, duration, dimension, S_U) is fixed here; an
-    evaluation is then one :func:`_superop` per gate, the backends' own
-    channel, and F_pro = Tr(S_U^dag S) / d^2, with S_U = conj(U) (x) U the
-    ideal superoperator (``np.vdot`` conjugates it).  Zero rates and zero
-    durations give the ideal channel, fidelity 1.0, as
-    ``noisy_gate_channel`` does.  Agrees with
+    Each gate's (spec, duration, dimension, R_U) is fixed here; an
+    evaluation is then one :func:`_transfer` per gate, the backends' own
+    channel R, and F_pro = Tr(R_U^T R) / d^2 = Tr(S_U^dag S) / d^2, with
+    R_U the ideal channel conj(U) (x) U in the same real basis.  K and
+    delta may be arrays of one shape: every gate then takes one stacked
+    ``expm`` over all the points, and each fidelity is an array of that
+    shape (a float for scalar rates).  With ``step`` = (dK, d_delta) each
+    value is the pair (F, F' - F), F' the fidelity at the rates plus the
+    step, its difference taken from ``_transfer``'s without
+    cancellation.  Zero rates and zero durations give the ideal channel,
+    fidelity 1.0, as ``noisy_gate_channel`` does.  Agrees with
     ``average_gate_fidelity(noisy_gate_channel(...))`` to rounding.
     """
     parts = {}
     for key in keys:
         spec = _CALIBRATION_GATES[key]
         u = spec.matrix()
-        parts[key] = (spec, template.duration_of(spec), u.shape[0], np.kron(u.conj(), u))
+        basis = _real_basis(u.shape[0])
+        r_u = (basis.conj().T @ np.kron(u.conj(), u) @ basis).real
+        parts[key] = (spec, template.duration_of(spec), u.shape[0], r_u.reshape(-1))
 
-    def fidelities(relaxation: float, dephasing: float) -> dict:
+    def fidelities(relaxation, dephasing, step: tuple | None = None) -> dict:
+        relaxation, dephasing = np.broadcast_arrays(relaxation, dephasing)
+        ideal = (relaxation == 0.0) & (dephasing == 0.0)
+
+        def average(r, d, r_u, offset):
+            # (d F_pro + offset) / (d + 1), Tr(R_U^T R) summed row by row, so
+            # a stacked point equals a single one
+            f_pro = np.sum(r.reshape(-1, r_u.size) * r_u, axis=1).reshape(ideal.shape) / d**2
+            return (d * f_pro + offset) / (d + 1.0)
+
         out = {}
-        for key, (spec, t, d, s_u) in parts.items():
-            if t == 0.0 or (relaxation == 0.0 and dephasing == 0.0):
-                out[key] = 1.0
-                continue
-            s = _superop(spec.name, spec.theta, spec.n_targets, t, relaxation, dephasing)
-            f_pro = float(np.vdot(s_u, s).real) / d**2
-            out[key] = (d * f_pro + 1.0) / (d + 1.0)
+        for key, (spec, t, d, r_u) in parts.items():
+            if t == 0.0:
+                f, df = np.ones(ideal.shape), np.zeros(ideal.shape)
+            else:
+                r = _transfer(spec.name, spec.theta, spec.n_targets, t, relaxation, dephasing,
+                              step)
+                r, dr = r if step is not None else (r, None)
+                f = np.where(ideal, 1.0, average(r, d, r_u, 1.0))
+                df = None if dr is None else average(dr, d, r_u, 0.0)
+            f = f if f.ndim else float(f)
+            out[key] = f if step is None else (f, df)
         return out
 
     return fidelities
+
+
+def _bounded_fit(residuals, x0) -> tuple:
+    """Least squares over x >= 0: minimise |r(x)|^2 and return (x, ssr).
+
+    Levenberg-Marquardt on an active set.  ``residuals(points, steps)``
+    maps a (p, n) batch of points and steps to their (p, m) residuals and
+    residual differences r(point + step) - r(point), so a trial point and
+    its forward-difference Jacobian cost one call.  A coordinate at 0
+    whose gradient points out of the box is held there; the others take
+    the Gauss-Newton step, damped by ``damping`` times each column's norm
+    (Marquardt's scaling) and clipped at 0.  The damping starts at 0 and
+    follows Nielsen's rule (Madsen, Nielsen & Tingleff, "Methods for
+    non-linear least squares problems", DTU, 2004): a step that
+    raises the ssr past its rounding is retried with ``nu`` times the
+    damping, ``nu`` doubling each time; a step taken scales it by
+    max(1/3, 1 - (2 rho - 1)^3), rho the ratio of the actual to the
+    predicted gain.  The fit ends once a step is taken whose predicted
+    gain is within the ssr's rounding (see ``_FIT_ULPS``): it then lands
+    on the Gauss-Newton fixed point.  It takes at most ``_FIT_MAX_STEPS``
+    steps.
+    """
+    eps = np.finfo(float).eps
+
+    def evaluate(x):  # r(x) and its forward-difference Jacobian
+        dx = (x + _FD_STEP * np.maximum(1.0, np.abs(x))) - x
+        r, dr = residuals(np.tile(x, (len(x), 1)), np.diag(dx))
+        return r[0], dr.T / dx
+
+    x = np.array(x0, dtype=float)
+    r, jac = evaluate(x)
+    ssr, damping, nu = float(r @ r), 0.0, 2.0
+    for _ in range(_FIT_MAX_STEPS):
+        rounding = 2.0 * math.sqrt(ssr * len(r)) * _FIT_ULPS * eps
+        free = (x > 0.0) | (jac.T @ r < 0.0)
+        if not free.any():
+            break
+        jf = jac[:, free]
+        damp = math.sqrt(damping) * np.diag(np.linalg.norm(jf, axis=0))
+        step = np.zeros_like(x)
+        step[free] = np.linalg.lstsq(np.vstack([jf, damp]),
+                                     np.concatenate([-r, np.zeros(len(damp))]), rcond=None)[0]
+        trial = np.maximum(x + step, 0.0)
+        if np.array_equal(trial, x):
+            break
+        js = jac @ (trial - x)
+        gain = -float((2.0 * r + js) @ js)  # the linear model's ssr decrease
+        r_trial, jac_trial = evaluate(trial)
+        ssr_trial = float(r_trial @ r_trial)
+        if ssr_trial > ssr + rounding:
+            damping, nu = max(nu * damping, 1e-3), 2.0 * nu
+            continue
+        rho = (ssr - ssr_trial) / gain if gain > 0.0 else 1.0
+        damping *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        x, r, jac, ssr, nu = trial, r_trial, jac_trial, ssr_trial, 2.0
+        if gain <= rounding:
+            break
+    return x, ssr
 
 
 def calibrate_rates(targets: dict | None = None,
@@ -683,13 +918,15 @@ def calibrate_rates(targets: dict | None = None,
     """Fit (K, delta) so gate fidelities match the given targets.
 
     Least squares on the average fidelities, by one rule: fit relaxation
-    alone (delta = 0) and both rates, each to convergence, and return
-    relaxation alone unless both rates lower the ssr by more than
-    ``_RELAXATION_WINDOW`` relative.  The two XY targets pin about one
-    rate combination; at the default targets the two-rate optimum is pure
-    dephasing, only 0.019% lower in ssr, so the rule gives the T1-limited
-    model.  The 1-D fit starts at the best scan point on the K axis; the
-    2-D fit is polished from that and the best delta-axis point.
+    alone (delta = 0) and both rates, each to convergence with
+    :func:`_bounded_fit`, and return relaxation alone unless both rates
+    lower the ssr by more than ``_RELAXATION_WINDOW`` relative.  The two
+    XY targets pin about one rate combination; at the default targets the
+    two-rate optimum is pure dephasing, only 0.019% lower in ssr, so the
+    rule gives the T1-limited model.  The rates are fitted in units of the
+    coupling, so the fit does not depend on its scale.  The 1-D fit starts
+    at the best scan point on the K axis; the 2-D fit is polished from
+    that and the best delta-axis point.  Both axis scans are one batch.
     Infeasible targets give the best fit plus residuals; a target that is
     not a real number in [0, 1] raises ``ValueError``.  All-unity targets
     return exactly zero rates.
@@ -708,29 +945,44 @@ def calibrate_rates(targets: dict | None = None,
     template = template if template is not None else NoiseModel()
     gamma = template.coupling
     fidelities = _fidelity_evaluator(targets, template)
+    keys = sorted(targets)
+    want = np.array([targets[k] for k in keys])
+    evaluations = 0
 
-    def residual_vec(x):
-        fids = fidelities(x[0] * gamma, x[1] * gamma)
-        return [fids[k] - targets[k] for k in sorted(targets)]
+    def fit_residuals(points, steps=None):  # rates in units of the coupling
+        nonlocal evaluations
+        rates = (points[:, 0] * gamma, points[:, 1] * gamma)
+        if steps is None:
+            evaluations += len(points)
+            fids = fidelities(*rates)
+            return np.column_stack([fids[k] for k in keys]) - want
+        evaluations += 2 * len(points)  # each row is a forward-difference pair
+        fids = fidelities(*rates, step=(steps[:, 0] * gamma, steps[:, 1] * gamma))
+        return (np.column_stack([fids[k][0] for k in keys]) - want,
+                np.column_stack([fids[k][1] for k in keys]))
 
-    def ssr_of(x):
-        return float(sum(r * r for r in residual_vec(x)))
+    def relaxation_only(points, steps):
+        return fit_residuals(np.column_stack([points, np.zeros(len(points))]),
+                             np.column_stack([steps, np.zeros(len(steps))]))
 
-    def polish(f, x0):  # bounded below by 0, run to convergence
-        return least_squares(f, x0, bounds=(0.0, np.inf), xtol=1e-15, ftol=1e-15, gtol=1e-15).x
-
-    best_x = (0.0, 0.0)
-    if ssr_of(best_x) > 0.0:
-        k0 = min(_CALIBRATION_SCALES, key=lambda s: ssr_of((s, 0.0)))
-        d0 = min(_CALIBRATION_SCALES, key=lambda s: ssr_of((0.0, s)))
-        best_x = (polish(lambda k: residual_vec((k[0], 0.0)), [k0])[0], 0.0)
-        both = min(polish(residual_vec, [k0, 0.0]), polish(residual_vec, [0.0, d0]), key=ssr_of)
-        relaxation_ssr, both_ssr = ssr_of(best_x), ssr_of(both)
+    best_x = np.zeros(2)
+    if np.any(want != 1.0):
+        zero = np.zeros_like(_CALIBRATION_SCALES)
+        scan = fit_residuals(np.concatenate([np.column_stack([_CALIBRATION_SCALES, zero]),
+                                             np.column_stack([zero, _CALIBRATION_SCALES])]))
+        scan_ssr = np.sum(scan * scan, axis=1).reshape(2, -1)
+        k0, d0 = _CALIBRATION_SCALES[np.argmin(scan_ssr, axis=1)]
+        k_fit, relaxation_ssr = _bounded_fit(relaxation_only, [k0])
+        best_x = np.array([k_fit[0], 0.0])
+        both, both_ssr = min(_bounded_fit(fit_residuals, [k0, 0.0]),
+                             _bounded_fit(fit_residuals, [0.0, d0]), key=lambda fit: fit[1])
         if relaxation_ssr - both_ssr > both_ssr * _RELAXATION_WINDOW + 1e-18:
             best_x = both
 
     model = replace(template, relaxation_rate=float(best_x[0] * gamma),
                     dephasing_rate=float(best_x[1] * gamma))
     achieved = fidelities(model.relaxation_rate, model.dephasing_rate)
+    evaluations += 1
     residuals = {k: achieved[k] - targets[k] for k in targets}
-    return CalibrationResult(model, achieved, residuals, ssr_of(best_x))
+    ssr = float(sum(residuals[k] ** 2 for k in keys))
+    return CalibrationResult(model, achieved, residuals, ssr, evaluations)

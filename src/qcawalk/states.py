@@ -21,6 +21,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # loaded lazily by numpy; every run draws from it, so load it at import
 
 #: Outcome label collecting all probability mass outside the one-particle
 #: sector (vacuum and multi-excitation bitstrings).  Leakage is a reported

@@ -589,5 +589,6 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["noise"] == calibration.model.to_dict()
         assert "achieved" in data
+        assert data["evaluations"] == calibration.evaluations
         assert type(calibration.model.relaxation_rate) is float
         assert type(calibration.model.dephasing_rate) is float

@@ -35,6 +35,7 @@ from qcawalk import (
 )
 from qcawalk.noise import (
     _CALIBRATION_GATES,
+    _CALIBRATION_SCALES,
     DEFAULT_COUPLING,
     _channel,
     _fidelity_evaluator,
@@ -929,6 +930,80 @@ class TestCalibrationPins:
         for key, spec in _CALIBRATION_GATES.items():
             want = average_gate_fidelity(noisy_gate_channel(spec, model))
             assert abs(got[key] - want) < 1e-13
+
+    def test_stacked_points_match_single_points(self):
+        # one stacked expm per gate over every point gives each point's own
+        # fidelities; the step's difference is F' - F without its rounding
+        fidelities = _fidelity_evaluator(list(_CALIBRATION_GATES), NoiseModel())
+        K = np.array([0.0, 3.5e4, 0.0, 2e5, 1e3])
+        delta = np.array([0.0, 0.0, 1.7e4, 5e4, 1e3])
+        batch = fidelities(K, delta)
+        for i in range(len(K)):
+            single = fidelities(K[i], delta[i])
+            for key in _CALIBRATION_GATES:
+                assert batch[key][i] == single[key]
+        for rel in (1e-3, 1.5e-8):
+            dK, d_delta = rel * np.maximum(K, 1e4), rel * np.maximum(delta, 1e4)
+            pairs = fidelities(K, delta, step=(dK, d_delta))
+            moved = fidelities(K + dK, delta + d_delta)
+            for key in _CALIBRATION_GATES:
+                f, diff = pairs[key]
+                assert np.abs(f - batch[key]).max() < 1e-15
+                assert np.abs(diff - (moved[key] - batch[key])).max() < 1e-15
+
+    @pytest.mark.parametrize("key", ["sqrt_iswap", "iswap", "rx"])
+    def test_step_difference_carries_no_cancellation(self, key):
+        # the fit's step (sqrt(eps) of the coupling): F' - F from the block
+        # generator equals dK F'(K + dK / 2) to its own precision, against
+        # the Frechet derivative of scipy's expm; F(K + dK) - F(K) taken as
+        # a plain difference is off by about 1e-8 of it
+        from scipy.linalg import expm_frechet
+
+        K, dK = 35106.11, math.sqrt(np.finfo(float).eps) * DEFAULT_COUPLING
+        spec = _CALIBRATION_GATES[key]
+        t, u = NoiseModel().duration_of(spec), spec.matrix()
+        n, d = spec.n_targets, u.shape[0]
+        g = (spec.theta / t) * spec.generator()
+        a = _liouvillian(g, _jump_operators(n, K + dK / 2, 0.0)) * t
+        e = (_liouvillian(np.zeros_like(g), _jump_operators(n, 1.0, 0.0)) * t) * dK
+        want = d * np.vdot(np.kron(u.conj(), u), expm_frechet(a, e, compute_expm=False)).real
+        want /= d**2 * (d + 1)
+        _f, diff = _fidelity_evaluator([key], NoiseModel())(K, 0.0, step=(dK, 0.0))[key]
+        assert abs(diff - want) <= 1e-11 * abs(want)
+
+    @pytest.mark.parametrize("coupling", [1e-3, 1.0, DEFAULT_COUPLING, 1e12, 1e300],
+                             ids=["1e-3", "1", "default", "1e12", "1e300"])
+    def test_fit_is_coupling_free(self, coupling, calibration):
+        # the rates are fitted in units of the coupling, so the fit depends
+        # on it only through the rounding of K t and delta t
+        res = calibrate_rates(template=NoiseModel(coupling=coupling))
+        ref = calibration.model
+        assert res.model.relaxation_rate / coupling == pytest.approx(
+            ref.relaxation_rate / ref.coupling, rel=1e-12)
+        assert res.model.dephasing_rate == 0.0
+        for key, value in calibration.residuals.items():
+            assert abs(res.residuals[key] - value) <= 1e-15
+        assert res.evaluations == calibration.evaluations
+
+    def test_evaluations_counted(self, monkeypatch):
+        # every point evaluated, a forward-difference pair counting two
+        import qcawalk.noise as noise
+
+        seen = []
+        make = noise._fidelity_evaluator
+
+        def counting(keys, template):
+            fidelities = make(keys, template)
+
+            def wrapped(relaxation, dephasing, step=None):
+                seen.append(np.size(relaxation) * (1 if step is None else 2))
+                return fidelities(relaxation, dephasing, step)
+            return wrapped
+
+        monkeypatch.setattr(noise, "_fidelity_evaluator", counting)
+        res = calibrate_rates()
+        assert res.evaluations == sum(seen) > len(_CALIBRATION_SCALES)
+        assert f"fidelity evaluations: {res.evaluations}" in res.summary()
 
     def test_default_fit_pinned(self, calibration):
         assert calibration.model.relaxation_rate == pytest.approx(35106.11041190367,
