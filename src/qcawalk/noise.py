@@ -24,9 +24,11 @@ number, so both run on that (V+1)-dimensional sector (index 0 the
 vacuum, v+1 vertex v), fed by one channel stream: ``_sector_channels``
 maps each gate's targets to sector indices, turns an RZ into a phase, and
 lowers every other channel to a 3x3 (or 2x2) block on the touched indices
-plus a scalar elsewhere.  A channel depends only on (gate, noise model),
-so ``_channel`` and ``_lowered`` memoise both forms in bounded caches
-that every step, backend and run of the process shares.
+plus a scalar elsewhere, read straight off the channel's superoperator
+by :func:`_sector_lowering`; only the trajectory jumps take Kraus
+operators, from a 9x9 (or 4x4) Choi matrix.  A channel depends only on
+(gate, noise model), so ``_lowered`` memoises it in a bounded cache that
+every step, backend and run of the process shares.
 
 * ``evolve_density`` applies the lowered channels to a
   :class:`SectorDensity`, the (V+1) x (V+1) block; qubits that sit idle
@@ -40,9 +42,9 @@ that every step, backend and run of the process shares.
   Monte Carlo wave-function method): for every gate interval a Kraus
   branch is sampled with probability |K_m psi|^2, so the trajectory
   average reproduces the density evolution with no time-discretisation
-  bias.  In the gauge that :func:`_sector_lowering` fixes, the last Kraus
-  branch is the no-jump one, the identity on the untouched indices, and
-  every jump branch annihilates them.  So each trajectory keeps its
+  bias.  The last branch :func:`_sector_lowering` returns is the no-jump
+  one, the identity on the untouched indices, and every jump branch
+  annihilates them.  So each trajectory keeps its
   amplitudes unnormalised beside their squared norm n2, as in the
   textbook unnormalised-state method: a gate reads the 2-3 amplitudes it
   touches, writes the no-jump branch there, and takes the weight the
@@ -104,7 +106,7 @@ DEFAULT_FIDELITY_TARGETS = {
     "sqrt_iswap": 0.9991,
 }
 
-_SECTOR_TOL = 1e-10  # on the raising entries and on sum |k00_m|^2 - 1
+_SECTOR_TOL = 1e-10  # on |K_m| at a raising entry and on |S[0, 0] - 1|
 
 
 @dataclass(frozen=True)
@@ -462,20 +464,6 @@ def _layer_schedule(gates: tuple, noise: NoiseModel, n: int):
     return busy, layer_t
 
 
-@functools.lru_cache(maxsize=1024)
-def _channel(key: tuple, noise: NoiseModel) -> GateChannel:
-    """The channel of ``key``, ``(name, theta, arity)`` or ``("idle", gap)``.
-
-    Channels are target-local, so the key names one channel for every
-    placement of the gate.  The builders are looked up when called, so a
-    wrapper installed on this module (``bench/spans.py``) sees every build.
-    """
-    if key[0] == "idle":
-        return idle_channel(key[1], noise)
-    name, theta, arity = key
-    return noisy_gate_channel(GateSpec(name, theta, tuple(range(arity))), noise)
-
-
 def _step_channels(step: StepOperator, noise: NoiseModel):
     """Yield (channel key, targets) for one step in application order.
 
@@ -514,57 +502,80 @@ class _Lowered(NamedTuple):
     """A sector-preserving channel on its touched indices; see
     :func:`_sector_lowering`."""
 
-    blocks: np.ndarray  # (M, d, d): Kraus operator m on the touched indices
-    T: np.ndarray  # density: vec(rho_SS) -> T vec(rho_SS)
+    blocks: np.ndarray  # (M, d, d): the jump blocks, then the no-jump block
+    T: np.ndarray  # density: vec(rho_SS) -> T vec(rho_SS), vec row by row
 
 
-def _sector_lowering(kraus: tuple) -> _Lowered:
-    """Lower a sector-preserving channel to its block form on the (V+1) sector.
+def _sector_lowering(s: np.ndarray) -> _Lowered:
+    """Lower a sector-preserving channel, given by its column-stacking
+    superoperator ``s`` (D = 4 or 2 local levels), to blocks on the (V+1)
+    sector, without forming its Kraus set.
 
-    With S the touched indices (vacuum, e_b, e_a) -- or (vacuum, e_q) for
-    one qubit; local basis |q_a q_b>: 0 = |00>, 1 = |01>, 2 = |10> -- and
-    R every other index, each Kraus operator acts as a block B_m on S
-    (``blocks``, shape (M, d, d)) and as the scalar k00_m = B_m[0, 0] on
-    R.  Raising entries must vanish for the sector to be invariant; then
-    trace preservation gives sum |k00_m|^2 = <00| sum K_m^dag K_m |00> = 1.
-    A set that breaks either beyond its tolerance raises ``RuntimeError``.
-    The Kraus index is fixed only up to a unitary mix, so a Householder
-    reflection, with a phase on its last row, mixes k00 to (0, ..., 0, 1);
-    a k00 that is already some e_j is only reordered, bit for bit.  The
-    last branch is then the no-jump operator sum conj(k00_m) B_m of the
-    Monte Carlo wave-function method and every jump branch annihilates R:
-    a trajectory with touched amplitudes x takes jump m with probability
-    |B_m x|^2 and no jump with |B_last x|^2 + 1 - |x|^2.  On a density
-    matrix, vec(rho_SS) -> T vec(rho_SS) with T = sum B_m (x) conj(B_m),
-    rho_SR -> B_last rho_SR, and rho_RR is left alone.
+    The touched indices S are the first d = 3 (or 2) local ones, (vacuum,
+    e_b, e_a) or (vacuum, e_q) in the local basis |q_a q_b> (0 = |00>,
+    1 = |01>, 2 = |10>); R is every other sector index.  For any Kraus set
+    K_m of the channel s[i + D k, j + D l] = sum_m K_m[i, j] conj(K_m[k, l]),
+    so the checks and the blocks are slices of s:
+
+    * s[i + D i, j + D j] = sum_m |K_m[i, j]|^2 must vanish where i holds
+      more excitations than j, and s[0, 0] = sum_m |k00_m|^2, the scalar
+      on R, must be 1 (trace preservation); else ``RuntimeError``.
+    * B_last[i, j] = s[i, j] = sum_m conj(k00_m) K_m[i, j] is the Monte
+      Carlo wave-function no-jump operator, the identity on R.
+    * T[(i, k), (j, l)] = s[i + D k, j + D l]: vec(rho_SS) -> T vec(rho_SS),
+      rho_SR -> B_last rho_SR, and rho_RR is left alone.
+
+    The jumps are the Kraus operators of the rest, s on S minus
+    conj(B_last) (x) B_last, whose Choi matrix is positive semidefinite
+    with (vacuum, vacuum) entry 1 - 1 = 0: each annihilates R.  Column 0
+    of every block is set exactly (e_0 in B_last, 0 in a jump).
+    ``blocks`` holds the jumps, then B_last: a trajectory with touched
+    amplitudes x takes jump m with probability |B_m x|^2 and no jump with
+    |B_last x|^2 + 1 - |x|^2.
     """
-    k = np.array(kraus)
-    excitations = np.array([bin(i).count("1") for i in range(k.shape[1])])
+    D = math.isqrt(s.shape[0])
+    d = 3 if D == 4 else 2
+    s4 = s.reshape(D, D, D, D)  # s4[k, i, l, j] = s[i + D k, j + D l]
+    excitations = np.array([bin(i).count("1") for i in range(D)])
     raising = excitations[:, None] > excitations[None, :]
-    if np.abs(k[:, raising]).max() > _SECTOR_TOL:
+    if np.abs(np.einsum("iijj->ij", s4)[raising]).max() > _SECTOR_TOL**2:
         raise RuntimeError("channel raises excitation number; sector path invalid")
-    a = k[:, 0, 0]
-    s = np.vdot(a[:-1], a[:-1]).real  # the weight off the last branch
-    norm = math.sqrt(s + abs(a[-1]) ** 2)
-    if abs(norm * norm - 1.0) > _SECTOR_TOL:
-        raise RuntimeError(f"Kraus set is not trace-preserving: sum |k00|^2 = {norm * norm!r}")
-    phase = a[-1] / abs(a[-1]) if a[-1] else 1.0
-    v = np.append(a[:-1], -phase * s / (abs(a[-1]) + norm))  # a - phase |a| e_last, stably
-    mix = np.eye(len(a), dtype=complex)
-    if s:
-        mix -= (2.0 / np.vdot(v, v).real) * np.outer(v, v.conj())
-    mix[-1] *= np.conj(phase)
-    d = 3 if k.shape[1] == 4 else 2
-    blocks = np.tensordot(mix, k[:, :d, :d], axes=1)
-    blocks[:, :, 0] = 0.0  # the raising entries, and k00 made exact
-    blocks[-1, 0, 0] = 1.0
-    T = sum(np.kron(b, b.conj()) for b in blocks)
-    return _Lowered(blocks, T)
+    if abs(s[0, 0] - 1.0) > _SECTOR_TOL:
+        raise RuntimeError(f"channel is not trace-preserving: sum |k00|^2 = {s[0, 0]!r}")
+    touched = s4[:d, :d, :d, :d]
+    no_jump = touched[0, :, 0, :].copy()
+    no_jump[:, 0] = 0.0
+    no_jump[0, 0] = 1.0
+    rest = touched.reshape(d * d, d * d) - np.kron(no_jump.conj(), no_jump)
+    blocks = np.concatenate([np.reshape(_kraus_from_superop(rest, d), (-1, d, d)),
+                             no_jump[None]])
+    blocks[:-1, :, 0] = 0.0
+    return _Lowered(blocks, touched.transpose(1, 0, 3, 2).reshape(d * d, d * d))
 
 
 @functools.lru_cache(maxsize=1024)
 def _lowered(key: tuple, noise: NoiseModel) -> _Lowered:
-    return _sector_lowering(_channel(key, noise).kraus)
+    """``key``'s channel, ``(name, theta, arity)`` or ``("idle", gap)``,
+    lowered from its superoperator; one key serves every placement.  A
+    channel that takes no time, or has zero rates, is its ideal unitary U,
+    with superoperator conj(U) (x) U."""
+    if key[0] == "idle":
+        name, theta, arity, t, ideal = "idle", 0.0, 1, key[1], _I2
+    else:
+        name, theta, arity = key
+        gate = GateSpec(name, theta, tuple(range(arity)))
+        t, ideal = noise.duration_of(gate), gate.matrix()
+    if t == 0.0 or noise.is_noiseless:
+        return _sector_lowering(np.kron(ideal.conj(), ideal))
+    return _sector_lowering(_superop(name, theta, arity, t, noise.relaxation_rate,
+                                     noise.dephasing_rate))
+
+
+@functools.lru_cache(maxsize=1024)
+def _rz_phase(theta: float) -> complex:
+    """RZ(theta)'s phase on e_q relative to the vacuum."""
+    u = GateSpec("RZ", theta, (0,)).matrix()
+    return u[1, 1] * np.conj(u[0, 0])
 
 
 def _sector_channels(step: StepOperator, noise: NoiseModel):
@@ -578,8 +589,7 @@ def _sector_channels(step: StepOperator, noise: NoiseModel):
     for key, targets in _step_channels(step, noise):
         idx = [0] + [q + 1 for q in reversed(targets)]
         if key[0] == "RZ":
-            k = _channel(key, noise).kraus[0]
-            yield idx, k[1, 1] * np.conj(k[0, 0]), None
+            yield idx, _rz_phase(key[1]), None
         else:
             yield idx, None, _lowered(key, noise)
 
@@ -656,9 +666,9 @@ def _sector_jump(psi: np.ndarray, n2: np.ndarray, idx: list, lowered: _Lowered, 
     """Sample one Kraus branch per trajectory for a channel on sector ``idx``.
 
     Trajectory j is ``psi[:, j] / sqrt(n2[j])``: the amplitudes are stored
-    unnormalised beside their squared norm ``n2``.  In the gauge of
-    :func:`_sector_lowering` the no-jump branch B_last keeps every
-    untouched amplitude and jump branch m annihilates them, so with
+    unnormalised beside their squared norm ``n2``.  As
+    :func:`_sector_lowering` builds them, the no-jump branch B_last keeps
+    every untouched amplitude and jump branch m annihilates them, so with
     x = psi[idx] the jumps carry the weight loss = |x|^2 - |B_last x|^2
     out of n2.  One uniform draw r per trajectory picks the branch: a
     trajectory jumps iff r n2 < loss, and then takes the first m with

@@ -4,10 +4,15 @@ gate by gate, a :class:`DensityMatrix` channel by channel, the literal
 state preparations) and the projection back onto the sector.  Only the
 tests import it.  Bit k of a register index is qubit k, so sector index
 v+1 is register index 1 << v; :func:`apply_local` is the one statement
-of the register's axis order."""
+of the register's axis order.  The dense density applies each channel's
+Kraus operators, from :func:`qcawalk.noise.noisy_gate_channel` and
+:func:`qcawalk.noise.idle_channel`, memoised per channel by
+:func:`_channel`; the sector backends lower the same channels from their
+superoperators and form no Kraus set but the jumps'."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +20,15 @@ import numpy as np
 
 from .gates import GateSpec, StepOperator
 from .lattice import Lattice
-from .noise import NoiseModel, _channel, _jump_operators, _require_register, _step_channels
+from .noise import (
+    GateChannel,
+    NoiseModel,
+    _jump_operators,
+    _require_register,
+    _step_channels,
+    idle_channel,
+    noisy_gate_channel,
+)
 from .states import SectorVector, _MixedState, _PureState, require_count, sector_basis
 from .walks import WalkConfig, _walk_init_gates, search_initializer_gates
 
@@ -181,6 +194,17 @@ def lindblad_rhs(rho: np.ndarray, hamiltonian: np.ndarray, noise: NoiseModel) ->
         ada = a.conj().T @ a
         out += a @ arr @ a.conj().T - 0.5 * (ada @ arr + arr @ ada)
     return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _channel(key: tuple, noise: NoiseModel) -> GateChannel:
+    """The Kraus form of ``key``'s channel, ``(name, theta, arity)`` or
+    ``("idle", gap)``, the key of :func:`qcawalk.noise._step_channels`; one
+    key serves every placement of the gate."""
+    if key[0] == "idle":
+        return idle_channel(key[1], noise)
+    name, theta, arity = key
+    return noisy_gate_channel(GateSpec(name, theta, tuple(range(arity))), noise)
 
 
 def _apply_kraus_to_density(arr: np.ndarray, kraus: tuple, targets: tuple, n: int) -> np.ndarray:

@@ -37,7 +37,6 @@ from qcawalk.noise import (
     _CALIBRATION_GATES,
     _CALIBRATION_SCALES,
     DEFAULT_COUPLING,
-    _channel,
     _fidelity_evaluator,
     _JumpBuffers,
     _jump_operators,
@@ -308,24 +307,36 @@ class TestSectorDensity:
         delta=st.floats(0.0, 1e6),
     )
     def test_untouched_scalar_is_one(self, channel, K, delta):
-        # sum |k00_m|^2 = <00| sum K_m^dag K_m |00> = 1 by trace preservation,
-        # which is why evolve_density leaves the untouched block alone; the
-        # raw Kraus set meets it, as _sector_lowering checks
+        # S[0, 0] = sum |k00_m|^2 = <00| sum K_m^dag K_m |00> = 1 by trace
+        # preservation, which is why evolve_density leaves the untouched
+        # block alone, and no raising entry carries weight; _superop's
+        # output meets both, as _sector_lowering checks
         model = NoiseModel(relaxation_rate=K, dephasing_rate=delta)
-        if channel == "idle_gap":
-            ch = idle_channel((math.pi / 4) / model.coupling, model)
-        else:
-            ch = noisy_gate_channel({
-                "sqrt_iswap": GateSpec("XY", math.pi / 4, (0, 1)),
-                "iswap": GateSpec("XY", math.pi / 2, (0, 1)),
-            }[channel], model)
-        k00 = np.array([k[0, 0] for k in ch.kraus])
-        assert abs(np.sum(np.abs(k00) ** 2) - 1.0) <= 1e-12
-        _sector_lowering(ch.kraus)
+        name, theta, arity, t = {
+            "sqrt_iswap": ("XY", math.pi / 4, 2, (math.pi / 4) / model.coupling),
+            "iswap": ("XY", math.pi / 2, 2, (math.pi / 2) / model.coupling),
+            "idle_gap": ("idle", 0.0, 1, (math.pi / 4) / model.coupling),
+        }[channel]
+        s = _superop(name, theta, arity, t, K, delta)
+        assert abs(s[0, 0] - 1.0) <= 1e-12
+        assert _raising_weight(s) <= 1e-20
+        _sector_lowering(s)
 
     def test_non_trace_preserving_kraus_set_rejected(self):
         with pytest.raises(RuntimeError, match="not trace-preserving"):
-            _sector_lowering((0.5 * np.eye(2, dtype=complex),))
+            _sector_lowering(_superop_of((0.5 * np.eye(2, dtype=complex),)))
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_raising_channel_rejected(self, arity):
+        # sigma_plus pumping on the first qubit: |0> -> |1> leaves the
+        # sector, however little weight it carries
+        g = 1e-6
+        pump = math.sqrt(g) * np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|
+        keep = np.diag([math.sqrt(1 - g), 1.0]).astype(complex)
+        kraus = (pump, keep) if arity == 1 else (np.kron(pump, np.eye(2)),
+                                                 np.kron(keep, np.eye(2)))
+        with pytest.raises(RuntimeError, match="raises excitation number"):
+            _sector_lowering(_superop_of(kraus))
 
     def test_rx_step_raises(self):
         from qcawalk.gates import StepOperator
@@ -541,7 +552,7 @@ class TestTrajectoryKernelEdges:
     @pytest.mark.parametrize("model,leakage", [
         (NoiseModel(relaxation_rate=1e9), [0, 1, 1, 1, 1]),
         (NoiseModel(relaxation_rate=3e7, dephasing_rate=3e7),
-         [0, 0.973333333333, 1, 1, 1]),
+         [0, 0.966666666667, 0.993333333333, 1, 1]),
         (NoiseModel(dephasing_rate=1e8), [0, 0, 0, 0, 0]),
     ], ids=["relaxation_1e9", "both_3e7", "dephasing_1e8"])
     def test_strong_noise_pinned(self, model, leakage):
@@ -552,7 +563,7 @@ class TestTrajectoryKernelEdges:
         got = [d.get("leakage") for d in dists]
         assert np.abs(np.array(got) - leakage).max() < 1e-12
         if model.relaxation_rate == 0.0:
-            assert dists[-1].get(2) == pytest.approx(0.136666666667, abs=1e-12)
+            assert dists[-1].get(2) == pytest.approx(0.133333333333, abs=1e-12)
 
     @pytest.mark.parametrize("model", [RATES, NoiseModel(relaxation_rate=1e9),
                                        NoiseModel(relaxation_rate=1e12)])
@@ -586,14 +597,13 @@ class TestTrajectoryKernelEdges:
             trajectory_run(zero, op, RATES, n_traj=2, seed=0)
 
 
-    @pytest.mark.parametrize("no_jump_at", [0, 1])
-    def test_either_kraus_order_annihilating_a_state(self, no_jump_at):
-        # full amplitude damping of one qubit: the no-jump branch |0><0|
-        # has the largest k00 and maps e_q to 0, so its p_m = 0 in that
-        # column, whether it is the last branch (the fast one) or not
+    def test_full_damping_annihilating_a_state(self):
+        # full amplitude damping of one qubit: the no-jump block |0><0|
+        # maps e_q to 0, so no weight stays on the no-jump branch in that
+        # column and the jump takes all of it
         keep = np.array([[1, 0], [0, 0]], dtype=complex)
         decay = np.array([[0, 1], [0, 0]], dtype=complex)
-        lowered = _sector_lowering((keep, decay) if no_jump_at == 0 else (decay, keep))
+        lowered = _sector_lowering(_superop_of((keep, decay)))
         psi = np.array([[0, 0, 0, 0.6],  # sector of V = 2: vacuum, e_0, e_1
                         [1, 0.6, 0, 0],
                         [0, 0.8j, 1, 0.8]], dtype=complex)
@@ -614,7 +624,7 @@ class TestTrajectoryKernelEdges:
         # "rotating_damping" any column without e_a) keeps the no-jump
         # branch rather than take a branch of weight 0
         if channel == "rotating_damping":
-            lowered = _sector_lowering(_rotating_damping(0.3, 0.7))
+            lowered = _sector_lowering(_superop_of(_rotating_damping(0.3, 0.7)))
         else:
             key = ("XY", 0.0 if channel == "zero_angle" else math.pi / 2, 2)
             model = {"noiseless": NoiseModel(), "zero_angle": RATES,
@@ -628,6 +638,20 @@ class TestTrajectoryKernelEdges:
         _sector_jump(psi, n2, [0, 3, 5], lowered, _ZeroDraws(), _JumpBuffers(n))
         assert np.all(np.isfinite(n2)) and np.all(n2 > 0)
         assert np.array_equal(psi[:, 0], [1, 0, 0, 0, 0, 0, 0])
+
+
+def _superop_of(kraus: tuple) -> np.ndarray:
+    """The column-stacking superoperator sum_m conj(K_m) (x) K_m of a Kraus set."""
+    return sum(np.kron(k.conj(), k) for k in kraus)
+
+
+def _raising_weight(s: np.ndarray) -> float:
+    """The largest sum_m |K_m[i, j]|^2 = S[i + D i, j + D j] over the
+    entries where i holds more excitations than j."""
+    D = math.isqrt(s.shape[0])
+    exc = [bin(i).count("1") for i in range(D)]
+    return max(abs(s[i + D * i, j + D * j]) for i in range(D) for j in range(D)
+               if exc[i] > exc[j])
 
 
 def _rotating_damping(g: float, theta: float) -> tuple:
@@ -806,8 +830,10 @@ class TestTrajectoryKernelEquivalence:
                                   "dephasing_1e8", "relaxation_1e12"])
     def test_lowered_channels_are_in_the_no_jump_gauge(self, model, calibrated_noise):
         # every lowered channel of a torus search and a cycle walk: k00 is
-        # (0, ..., 0, 1) exactly, the last (no-jump) branch never feeds the
-        # vacuum, and mixing the Kraus index leaves T as it was
+        # (0, ..., 0, 1) exactly, every jump block annihilates the vacuum
+        # exactly, the last (no-jump) branch never feeds the vacuum, the
+        # blocks reproduce T, and T is the density map of the channel's
+        # Kraus set (the dense reference's)
         model = calibrated_noise if model == "calibrated" else model
         keys = set()
         for lat, variant, marked in [(Lattice("torus", 4), "search", 3),
@@ -818,11 +844,34 @@ class TestTrajectoryKernelEquivalence:
         for key in keys:
             blocks, T = _lowered(key, model)
             assert np.all(blocks[:-1, 0, 0] == 0) and blocks[-1, 0, 0] == 1
+            assert np.all(blocks[:-1, :, 0] == 0)
             assert np.abs(blocks[-1, 0, 1:]).max() <= 1e-14
+            assert np.abs(T - sum(np.kron(b, b.conj()) for b in blocks)).max() <= 1e-14
             d = blocks.shape[1]
-            raw = np.array(_channel(key, model).kraus)[:, :d, :d]
+            raw = np.array(reference._channel(key, model).kraus)[:, :d, :d]
             raw[:, 1:, 0] = 0.0
             assert np.abs(T - sum(np.kron(b, b.conj()) for b in raw)).max() <= 1e-14
+
+    @pytest.mark.parametrize("backend", [WalkBackend("density"),
+                                         WalkBackend("trajectories", 200)],
+                             ids=["density", "trajectories"])
+    def test_backends_never_build_a_kraus_set(self, backend, monkeypatch):
+        # the sector backends lower every channel from its superoperator:
+        # with every Kraus builder raising, and no lowering cached, a noisy
+        # run still goes through
+        import qcawalk.noise as noise
+
+        def never(*_args):
+            raise AssertionError("built a Kraus set")
+
+        for module, name in [(noise, "noisy_gate_channel"), (noise, "idle_channel"),
+                             (reference, "_channel")]:
+            monkeypatch.setattr(module, name, never)
+        noise._lowered.cache_clear()
+        cfg = WalkConfig(Lattice("torus", 4), steps=2, init=InitSpec("search_uniform"),
+                         marked=3, seed=1, backend=backend)
+        res = run_walk(cfg, noise=RATES)
+        assert res.exact[-1].get("leakage") > 0
 
 
 class TestDegradedRatio:
