@@ -17,13 +17,13 @@ XY(pi/4) on every pair.  The search step uses XY(pi/4) on pairs incident
 to the marked vertex and RZ(-pi/2) x RZ(-pi/2) . XY(pi/2) (iSWAP first,
 then the phase corrections on both qubits) everywhere else.
 
-``StepOperator.apply`` runs a :class:`SectorVector` on a lowering
-computed once per operator: every layer is a perfect matching (staggered
-tessellation model), so it becomes the 2x2 central blocks of its XY gates
-on (e_b, e_a) plus one phase vector holding its RZ gates, and a layer
-costs a few O(V) array operations.  The gate-by-gate kernel on the dense
-2^n amplitudes, which this one is tested against, is
-:func:`qcawalk.reference.apply_step`.
+``StepOperator.sector_stages`` lowers a step once, layer by layer: every
+layer is a perfect matching (staggered tessellation model), so it becomes
+the 2x2 central blocks of its XY gates on (e_b, e_a) plus one phase vector
+holding its RZ gates.  All three sector backends run on it:
+``StepOperator.apply`` at a few O(V) array operations per layer, and the
+noisy kernels of :mod:`qcawalk.noise`.  The gate-by-gate kernel on the
+dense 2^n amplitudes is :func:`qcawalk.reference.apply_step`.
 """
 
 from __future__ import annotations
@@ -121,16 +121,18 @@ class GateSpec:
 class SectorStage(NamedTuple):
     """Disjoint XY gates followed by a diagonal phase, on (n+1) sector indices.
 
-    ``blocks[k]`` is the central 2x2 block of pair k's gate, acting on the
-    amplitudes at ``(b[k], a[k])`` -- the order |01>, |10> of the gate's
-    |q_a q_b> basis (see :func:`xy_gate`).  ``phase`` (None when the stage
-    has no RZ) multiplies every index afterwards.
+    ``blocks[k]`` is the central 2x2 block of pair k's gate ``gates[k]``,
+    acting on the amplitudes at ``(b[k], a[k])`` -- the order |01>, |10> of
+    the gate's |q_a q_b> basis (see :func:`xy_gate`).  ``phase`` (None when
+    the stage has no RZ) multiplies every index afterwards; an index no RZ
+    touched gets exactly the vacuum's phase ``phase[0]``.
     """
 
     b: np.ndarray
     a: np.ndarray
     blocks: np.ndarray
     phase: np.ndarray | None
+    gates: tuple
 
 
 def lower_to_sector(gates, n_qubits: int) -> list:
@@ -175,14 +177,15 @@ def lower_to_sector(gates, n_qubits: int) -> list:
             phase = np.full(n_qubits + 1, np.prod([m[0, 0] for _q, m in rz]), dtype=complex)
             for q, m in rz:
                 phase[q + 1] *= m[1, 1] / m[0, 0]
-        stages.append(SectorStage(idx[:, 1], idx[:, 0], blocks.reshape(-1, 2, 2), phase))
+        stages.append(SectorStage(idx[:, 1], idx[:, 0], blocks.reshape(-1, 2, 2), phase,
+                                  tuple(xy)))
     return stages
 
 
 def apply_sector_stages(state: SectorVector, stages) -> SectorVector:
     """Apply lowered stages to ``state`` in place; a stage costs O(n)."""
     psi = state.amplitudes
-    for b, a, blocks, phase in stages:
+    for b, a, blocks, phase, _gates in stages:
         amp_b, amp_a = psi[b], psi[a]
         psi[b] = blocks[:, 0, 0] * amp_b + blocks[:, 0, 1] * amp_a
         psi[a] = blocks[:, 1, 0] * amp_b + blocks[:, 1, 1] * amp_a
@@ -223,23 +226,27 @@ class StepOperator:
     def apply(self, state: SectorVector) -> SectorVector:
         """Apply one step to ``state`` in place and return it, on the cached
         sector lowering (XY/RZ gates only, else ``ValueError``)."""
-        require_sector(state, SectorVector, "StepOperator.apply")
+        self.require_state(state, SectorVector, "StepOperator.apply")
+        for stages in self.sector_stages:
+            apply_sector_stages(state, stages)
+        return state
+
+    def require_state(self, state, cls: type, caller: str) -> None:
+        """The sector kernels' entry check: ``TypeError`` unless ``state`` is a
+        ``cls``, ``ValueError`` unless on this register; lowering checks gates."""
+        require_sector(state, cls, caller)
         if state.n_qubits != self.n_qubits:
             raise ValueError(f"state has {state.n_qubits} qubits, "
                              f"step operator {self.n_qubits}")
-        return apply_sector_stages(state, self.sector_stages)
 
     @cached_property
-    def sector_stages(self) -> list:
-        """The step lowered by :func:`lower_to_sector`, computed on first use."""
-        return lower_to_sector((g for _t, gates in self.layers for g in gates),
-                               self.n_qubits)
+    def sector_stages(self) -> tuple:
+        """Each layer lowered by :func:`lower_to_sector`, one list of stages
+        per layer, computed on first use."""
+        return tuple(lower_to_sector(gates, self.n_qubits) for _t, gates in self.layers)
 
     def two_qubit_gate_count(self) -> int:
         return sum(1 for _t, gates in self.layers for g in gates if g.n_targets == 2)
-
-    def gate_names(self) -> set:
-        return {g.name for _t, gates in self.layers for g in gates}
 
 
 def build_step_operator(lattice: Lattice, schedule: AngleSchedule,

@@ -21,11 +21,14 @@ basis where they are real; :func:`_superop` returns it column-stacked.
 Two noisy backends consume those channels.  The walks start in
 span{vacuum, one-hot} and the channels never raise the excitation
 number, so both run on that (V+1)-dimensional sector (index 0 the
-vacuum, v+1 vertex v), fed by one channel stream: ``_sector_channels``
-maps each gate's targets to sector indices, turns an RZ into a phase, and
-lowers every other channel to a 3x3 (or 2x2) block on the touched indices
-plus a scalar elsewhere, read straight off the channel's superoperator
-by :func:`_sector_lowering`; only the trajectory jumps take Kraus
+vacuum, v+1 vertex v), on the lowering the ideal backend runs,
+``StepOperator.sector_stages`` (:func:`qcawalk.gates.lower_to_sector`).
+:func:`_sector_program` turns it into one channel list per call: each
+stage's XY gates on their sector indices (vacuum, e_b, e_a), then its RZ
+phases relative to the vacuum, then each layer's idle gaps.  Every
+channel is a 3x3 (or 2x2) block on the touched indices plus a scalar
+elsewhere, read straight off the channel's superoperator by
+:func:`_sector_lowering`; only the trajectory jumps take Kraus
 operators, from a 9x9 (or 4x4) Choi matrix.  A channel depends only on
 (gate, noise model), so ``_lowered`` memoises it in a bounded cache that
 every step, backend and run of the process shares.
@@ -44,8 +47,8 @@ every step, backend and run of the process shares.
   average reproduces the density evolution with no time-discretisation
   bias.  The last branch :func:`_sector_lowering` returns is the no-jump
   one, the identity on the untouched indices, and every jump branch
-  annihilates them.  So each trajectory keeps its
-  amplitudes unnormalised beside their squared norm n2, as in the
+  annihilates them.  So each trajectory keeps its amplitudes
+  unnormalised beside their squared norm n2, as in the
   textbook unnormalised-state method: a gate reads the 2-3 amplitudes it
   touches, writes the no-jump branch there, and takes the weight the
   jump branches carry off n2.  One draw per trajectory, compared with
@@ -78,14 +81,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gates import SECTOR_GATES, GateSpec, StepOperator
+from .gates import GateSpec, StepOperator
 from .states import (
     TRAJECTORY_STREAM,
     Distribution,
     SectorDensity,
     SectorVector,
     require_count,
-    require_sector,
     vertex_distribution,
 )
 
@@ -370,13 +372,9 @@ def _superop(name: str, theta: float, arity: int, t: float, relaxation,
     return basis @ _transfer(name, theta, arity, t, relaxation, dephasing) @ basis.conj().T
 
 
-def _choi_from_superop(s: np.ndarray, d: int) -> np.ndarray:
-    # reshuffle: J[m*d+p, n*d+q] = S[n*d+m, q*d+p]
-    return s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
-
-
 def _kraus_from_superop(s: np.ndarray, d: int) -> tuple:
-    choi = _choi_from_superop(s, d)
+    # reshuffle to the Choi matrix: J[m*d+p, n*d+q] = S[n*d+m, q*d+p]
+    choi = s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
     vals, vecs = np.linalg.eigh((choi + choi.conj().T) / 2)
     cutoff = max(vals.max(), 1.0) * 1e-13
     ops = []
@@ -453,51 +451,6 @@ def idle_channel(duration: float, noise: NoiseModel) -> GateChannel:
     return GateChannel(_I2.copy(), _kraus_from_superop(s, 2))
 
 
-def _layer_schedule(gates: tuple, noise: NoiseModel, n: int):
-    """Busy time per qubit and the layer's wall-clock duration."""
-    busy = np.zeros(n)
-    for g in gates:
-        dt = noise.duration_of(g)
-        for q in g.targets:
-            busy[q] += dt
-    layer_t = float(busy.max()) if n else 0.0
-    return busy, layer_t
-
-
-def _step_channels(step: StepOperator, noise: NoiseModel):
-    """Yield (channel key, targets) for one step in application order.
-
-    Gate channels come in layer order; within a layer every qubit is
-    exposed for the layer's full duration, gates first and the pure
-    dissipator for whatever gap remains (if ``noise.idle_decay``).
-    """
-    n = step.n_qubits
-    for _tess, gates in step.layers:
-        for g in gates:
-            yield (g.name, g.theta, g.n_targets), g.targets
-        if noise.idle_decay and not noise.is_noiseless:
-            busy, layer_t = _layer_schedule(gates, noise, n)
-            for q in range(n):
-                gap = layer_t - busy[q]
-                if gap > 1e-18:
-                    yield ("idle", gap), (q,)
-
-
-def _require_register(n: int, step: StepOperator) -> None:
-    if step.n_qubits != n:
-        raise ValueError(f"state has {n} qubits, step operator {step.n_qubits}")
-
-
-def _require_sector_run(state, cls: type, step: StepOperator, caller: str) -> None:
-    """A sector backend's checks before any work: state type, size, gates."""
-    require_sector(state, cls, caller)
-    _require_register(state.n_qubits, step)
-    foreign = step.gate_names() - SECTOR_GATES
-    if foreign:
-        raise ValueError(f"gates {sorted(foreign)} leave span{{vacuum, one-hot}}; "
-                         "only the dense qcawalk.reference can run them")
-
-
 class _Lowered(NamedTuple):
     """A sector-preserving channel on its touched indices; see
     :func:`_sector_lowering`."""
@@ -571,27 +524,35 @@ def _lowered(key: tuple, noise: NoiseModel) -> _Lowered:
                                      noise.dephasing_rate))
 
 
-@functools.lru_cache(maxsize=1024)
-def _rz_phase(theta: float) -> complex:
-    """RZ(theta)'s phase on e_q relative to the vacuum."""
-    u = GateSpec("RZ", theta, (0,)).matrix()
-    return u[1, 1] * np.conj(u[0, 0])
+def _sector_program(step: StepOperator, noise: NoiseModel) -> list:
+    """One step's channels on the (V+1) sector as (idx, phase, lowered), in
+    application order, from the step's lowering ``step.sector_stages``.
 
-
-def _sector_channels(step: StepOperator, noise: NoiseModel):
-    """Yield (idx, phase, lowered) for one step's channels on the (V+1) sector.
-
-    ``idx`` lists the sector indices the channel touches, (vacuum, e_b,
-    e_a).  An RZ, always noiseless, is the phase on e_q relative to the
-    vacuum, and ``lowered`` is None; every other channel has ``phase``
-    None and is lowered by :func:`_sector_lowering`.
+    Per stage: each XY gate's channel, lowered by :func:`_sector_lowering`,
+    on idx = (vacuum, e_b, e_a); then its RZ gates, noiseless, as one
+    ``phase`` on every index relative to the vacuum, exactly 1 but on the
+    rows idx.  After a layer's stages, if ``noise.idle_decay``, the pure
+    dissipator on (vacuum, e_v) for each qubit's gap to the layer's length.
     """
-    for key, targets in _step_channels(step, noise):
-        idx = [0] + [q + 1 for q in reversed(targets)]
-        if key[0] == "RZ":
-            yield idx, _rz_phase(key[1]), None
-        else:
-            yield idx, None, _lowered(key, noise)
+    idle = noise.idle_decay and not noise.is_noiseless
+    program = []
+    for stages in step.sector_stages:
+        busy = np.zeros(step.n_qubits + 1)  # per sector index; the vacuum's stays 0
+        for stage in stages:
+            for b, a, g in zip(stage.b, stage.a, stage.gates):
+                program.append((np.array([0, b, a]), None,
+                                _lowered((g.name, g.theta, g.n_targets), noise)))
+                busy[[b, a]] += noise.duration_of(g)
+            if stage.phase is not None:
+                rows = np.flatnonzero(stage.phase != stage.phase[0])
+                phase = np.ones_like(stage.phase)
+                phase[rows] = stage.phase[rows] / stage.phase[0]
+                program.append((rows, phase, None))
+        if idle:
+            gaps = busy.max() - busy
+            program += [(np.array([0, v]), None, _lowered(("idle", gaps[v]), noise))
+                        for v in range(1, len(gaps)) if gaps[v] > 1e-18]
+    return program
 
 
 def evolve_density(rho: SectorDensity, step: StepOperator, noise: NoiseModel) -> SectorDensity:
@@ -601,15 +562,15 @@ def evolve_density(rho: SectorDensity, step: StepOperator, noise: NoiseModel) ->
     (vacuum, touched one-hots) and maps their rows and columns; trace
     preservation fixes its scalar on every other index at 1 (see
     :func:`_sector_lowering`), so the rest is not touched.  A gate thus
-    costs O(V); RZ is a diagonal phase.  Only XY and RZ gates keep the
-    state in that block, so any other gate raises ``ValueError``.
+    costs O(V); a stage's RZ gates are one diagonal phase.  Any gate but
+    XY and RZ leaves that block and raises ``ValueError``.
     """
-    _require_sector_run(rho, SectorDensity, step, "evolve_density")
+    step.require_state(rho, SectorDensity, "evolve_density")
     arr = rho.entries.copy()
-    for idx, phase, lowered in _sector_channels(step, noise):
+    for idx, phase, lowered in _sector_program(step, noise):
         if lowered is None:
-            arr[idx[1], :] *= phase
-            arr[:, idx[1]] *= np.conj(phase)
+            arr *= phase[:, None]
+            arr *= phase.conj()
             continue
         T, C = lowered.T, lowered.blocks[-1]
         rows, cols = arr[idx, :], arr[:, idx]
@@ -714,16 +675,16 @@ def trajectory_run(init: SectorVector, step: StepOperator, noise: NoiseModel,
     :func:`_sector_jump` picks the branch from it.  A gate writes only
     the rows it touches, except that a jump zeroes its trajectory's other
     rows, and tracks each trajectory's squared norm; the ensemble is
-    renormalised once per step.  The ensemble's work arrays are made once
-    per call.  Deterministic under (seed, n_traj).  Returns one per-step
-    Distribution, step 0 included.
+    renormalised once per step.  The channel list and the work arrays are
+    made once per call.  Deterministic under (seed, n_traj).  Returns one
+    per-step Distribution, step 0 included.
 
     Trajectories run in the (V+1)-dimensional sector only: an ``init``
     that is not a :class:`SectorVector` raises ``TypeError``, and a step
     with gates other than XY/RZ, on a register of another size, or an
     initial state of zero norm raises ``ValueError``.
     """
-    _require_sector_run(init, SectorVector, step, "trajectory_run")
+    step.require_state(init, SectorVector, "trajectory_run")
     n_traj = require_count("n_traj", n_traj, 1)
     steps = require_count("steps", steps, 0)
     norm = float(np.linalg.norm(init.amplitudes))
@@ -739,13 +700,15 @@ def trajectory_run(init: SectorVector, step: StepOperator, noise: NoiseModel,
     n2 = np.ones(n_traj)
     work = _JumpBuffers(n_traj)
     real = psi.view(float)
+    program = _sector_program(step, noise)
 
     p = np.empty((steps + 1, V + 1))
     for t in range(steps + 1):
         if t:
-            for idx, phase, lowered in _sector_channels(step, noise):
+            for idx, phase, lowered in program:
                 if lowered is None:
-                    psi[idx[1]] *= phase
+                    for row, factor in zip(idx, phase[idx]):  # rows in place: no temporary
+                        psi[row] *= factor
                 else:
                     _sector_jump(psi, n2, idx, lowered, rng, work)
             # renormalise from the amplitudes, so rounding in n2 never builds up
@@ -829,9 +792,12 @@ def _fidelity_evaluator(keys, template: NoiseModel):
     cancellation.  Zero rates and zero durations give the ideal channel,
     fidelity 1.0, as ``noisy_gate_channel`` does.  Agrees with
     ``average_gate_fidelity(noisy_gate_channel(...))`` to rounding.
+    ``ry`` is ``rx``'s value: the two take the same time, and the noise
+    commutes with the z rotation that turns RX(pi/2) into RY(pi/2).
     """
+    sources = {key: "rx" if key == "ry" else key for key in keys}
     parts = {}
-    for key in keys:
+    for key in dict.fromkeys(sources.values()):
         spec = _CALIBRATION_GATES[key]
         u = spec.matrix()
         basis = _real_basis(u.shape[0])
@@ -860,7 +826,7 @@ def _fidelity_evaluator(keys, template: NoiseModel):
                 df = None if dr is None else average(dr, d, r_u, 0.0)
             f = f if f.ndim else float(f)
             out[key] = f if step is None else (f, df)
-        return out
+        return {key: out[source] for key, source in sources.items()}
 
     return fidelities
 
@@ -934,9 +900,10 @@ def calibrate_rates(targets: dict | None = None,
     XY targets pin about one rate combination; at the default targets the
     two-rate optimum is pure dephasing, only 0.019% lower in ssr, so the
     rule gives the T1-limited model.  The rates are fitted in units of the
-    coupling, so the fit does not depend on its scale.  The 1-D fit starts
-    at the best scan point on the K axis; the 2-D fit is polished from
-    that and the best delta-axis point.  Both axis scans are one batch.
+    coupling, so the fit does not depend on its scale.  Each rate is fitted
+    alone from the best point of its axis scan (one batch), and the 2-D fit
+    from both those optima, never from the scan's top, whence one
+    Gauss-Newton step can reach the plateau where the Jacobian vanishes.
     Infeasible targets give the best fit plus residuals; a target that is
     not a real number in [0, 1] raises ``ValueError``.  All-unity targets
     return exactly zero rates.
@@ -971,9 +938,12 @@ def calibrate_rates(targets: dict | None = None,
         return (np.column_stack([fids[k][0] for k in keys]) - want,
                 np.column_stack([fids[k][1] for k in keys]))
 
-    def relaxation_only(points, steps):
-        return fit_residuals(np.column_stack([points, np.zeros(len(points))]),
-                             np.column_stack([steps, np.zeros(len(steps))]))
+    def on_axis(axis: int):  # residuals of one rate, the other held at 0
+        def residuals(points, steps):
+            both = np.zeros((2, len(points), 2))
+            both[:, :, axis] = points[:, 0], steps[:, 0]
+            return fit_residuals(*both)
+        return residuals
 
     best_x = np.zeros(2)
     if np.any(want != 1.0):
@@ -982,10 +952,11 @@ def calibrate_rates(targets: dict | None = None,
                                              np.column_stack([zero, _CALIBRATION_SCALES])]))
         scan_ssr = np.sum(scan * scan, axis=1).reshape(2, -1)
         k0, d0 = _CALIBRATION_SCALES[np.argmin(scan_ssr, axis=1)]
-        k_fit, relaxation_ssr = _bounded_fit(relaxation_only, [k0])
-        best_x = np.array([k_fit[0], 0.0])
-        both, both_ssr = min(_bounded_fit(fit_residuals, [k0, 0.0]),
-                             _bounded_fit(fit_residuals, [0.0, d0]), key=lambda fit: fit[1])
+        (k_fit,), relaxation_ssr = _bounded_fit(on_axis(0), [k0])
+        (d_fit,), _ = _bounded_fit(on_axis(1), [d0])
+        best_x = np.array([k_fit, 0.0])
+        both, both_ssr = min(_bounded_fit(fit_residuals, [k_fit, 0.0]),
+                             _bounded_fit(fit_residuals, [0.0, d_fit]), key=lambda fit: fit[1])
         if relaxation_ssr - both_ssr > both_ssr * _RELAXATION_WINDOW + 1e-18:
             best_x = both
 

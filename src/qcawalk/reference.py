@@ -7,8 +7,10 @@ v+1 is register index 1 << v; :func:`apply_local` is the one statement
 of the register's axis order.  The dense density applies each channel's
 Kraus operators, from :func:`qcawalk.noise.noisy_gate_channel` and
 :func:`qcawalk.noise.idle_channel`, memoised per channel by
-:func:`_channel`; the sector backends lower the same channels from their
-superoperators and form no Kraus set but the jumps'."""
+:func:`_channel`, gate by gate in the order :func:`_step_channels` states
+for itself; the sector backends lower the same channels from their
+superoperators, on the step's own sector lowering, and form no Kraus set
+but the jumps'."""
 
 from __future__ import annotations
 
@@ -24,8 +26,6 @@ from .noise import (
     GateChannel,
     NoiseModel,
     _jump_operators,
-    _require_register,
-    _step_channels,
     idle_channel,
     noisy_gate_channel,
 )
@@ -196,11 +196,29 @@ def lindblad_rhs(rho: np.ndarray, hamiltonian: np.ndarray, noise: NoiseModel) ->
     return out
 
 
+def _step_channels(step: StepOperator, noise: NoiseModel):
+    """Yield (channel key, targets) for one step in application order.
+
+    Each layer's gates come in their order; within a layer every qubit is
+    exposed for the layer's full duration, gates first and the pure
+    dissipator for whatever gap remains (if ``noise.idle_decay``).
+    """
+    for _tess, gates in step.layers:
+        busy = np.zeros(step.n_qubits)
+        for g in gates:
+            yield (g.name, g.theta, g.n_targets), g.targets
+            busy[list(g.targets)] += noise.duration_of(g)
+        if noise.idle_decay and not noise.is_noiseless:
+            for q, gap in enumerate(busy.max() - busy):
+                if gap > 1e-18:
+                    yield ("idle", gap), (q,)
+
+
 @functools.lru_cache(maxsize=1024)
 def _channel(key: tuple, noise: NoiseModel) -> GateChannel:
     """The Kraus form of ``key``'s channel, ``(name, theta, arity)`` or
-    ``("idle", gap)``, the key of :func:`qcawalk.noise._step_channels`; one
-    key serves every placement of the gate."""
+    ``("idle", gap)``, the key of :func:`_step_channels`; one key serves
+    every placement of the gate."""
     if key[0] == "idle":
         return idle_channel(key[1], noise)
     name, theta, arity = key
@@ -221,9 +239,10 @@ def _apply_kraus_to_density(arr: np.ndarray, kraus: tuple, targets: tuple, n: in
 
 def evolve_density(rho: DensityMatrix, step: StepOperator, noise: NoiseModel) -> DensityMatrix:
     """One noisy step on the full 2^n x 2^n matrix, channel by channel in
-    the order of :func:`qcawalk.noise.evolve_density`; any gate runs."""
+    the order of :func:`_step_channels`; any gate runs."""
     n = rho.n_qubits
-    _require_register(n, step)
+    if step.n_qubits != n:
+        raise ValueError(f"state has {n} qubits, step operator {step.n_qubits}")
     arr = rho.entries.copy()
     for key, targets in _step_channels(step, noise):
         arr = _apply_kraus_to_density(arr, _channel(key, noise).kraus, targets, n)

@@ -42,10 +42,9 @@ from qcawalk.noise import (
     _jump_operators,
     _liouvillian,
     _lowered,
-    _sector_channels,
     _sector_jump,
     _sector_lowering,
-    _step_channels,
+    _sector_program,
     _superop,
 )
 from qcawalk import reference
@@ -61,6 +60,27 @@ from qcawalk.reference import (
 from qcawalk.states import vertex_distribution
 
 RATES = NoiseModel(relaxation_rate=3e4, dephasing_rate=2e3)
+
+
+def _multi_stage_step():
+    """A 3-qubit step whose first layer lowers to three sector stages (an
+    RZ before an XY on qubit 0, two XY gates sharing qubit 1, two RZ on
+    qubit 2), then a one-pair layer; both layers leave idle gaps."""
+    from qcawalk.gates import StepOperator
+    from qcawalk.lattice import Tessellation
+
+    mixed = (GateSpec("RZ", 0.3, (0,)), GateSpec("XY", 0.7, (0, 1)),
+             GateSpec("XY", 0.4, (1, 2)), GateSpec("RZ", 1.1, (2,)),
+             GateSpec("RZ", -0.5, (2,)))
+    return StepOperator(((Tessellation("mixed", ((0, 1), (1, 2))), mixed),
+                         (Tessellation("pair", ((2, 0),)),
+                          (GateSpec("XY", math.pi / 4, (2, 0)),))), 3)
+
+
+MULTI_STAGE_INIT = SectorVector(3, np.array([0.1, 0.6, 0.3j, -0.5 + 0.2j]) / math.sqrt(0.75))
+MULTI_STAGE_MODELS = pytest.mark.parametrize(
+    "model", [RATES, NoiseModel(relaxation_rate=2e6, dephasing_rate=1e6)],
+    ids=["rates", "strong"])
 
 
 def _dense_vertex_distribution(rho: DensityMatrix, V: int):
@@ -284,6 +304,22 @@ class TestSectorDensity:
             assert sector.hermiticity_defect() < 1e-12
             assert sector.min_eigenvalue() >= -1e-12
 
+    @MULTI_STAGE_MODELS
+    def test_layer_of_several_stages_matches_dense_reference(self, model):
+        op = _multi_stage_step()
+        assert [len(stages) for stages in op.sector_stages] == [3, 1]
+        sector = SectorDensity.from_statevector(MULTI_STAGE_INIT)
+        start = sector.diagonal_probabilities()[0]
+        dense_init = np.zeros(8, dtype=complex)
+        dense_init[sector_basis(3)] = MULTI_STAGE_INIT.amplitudes
+        dense = DensityMatrix.from_statevector(StateVector(3, dense_init))
+        keep = sector_basis(3)
+        for _ in range(4):
+            sector = evolve_density(sector, op, model)
+            dense = reference.evolve_density(dense, op, model)
+            assert np.abs(sector.entries - dense.entries[np.ix_(keep, keep)]).max() < 1e-12
+        assert sector.diagonal_probabilities()[0] > start + 1e-3  # the noise ran
+
     def test_gate_leaves_untouched_entries_bit_identical(self, calibrated_noise):
         # XY on qubits (0, 1) touches sector indices {0, 1, 2}; the block on
         # the other indices is left alone, not rescaled by a rounded 1
@@ -489,6 +525,20 @@ class TestTrajectorySectorStart:
             trajectory_run(SectorVector.vacuum(2), op, RATES, n_traj=2, seed=0)
 
 
+def _assert_within_five_standard_errors(init, op, model, n_traj, seed, steps):
+    """Every per-step trajectory mean, leakage included, within 5 standard
+    errors of the exact sector density."""
+    sampled = trajectory_run(init, op, model, n_traj=n_traj, seed=seed, steps=steps)
+    rho = SectorDensity.from_statevector(init)
+    for t, dist in enumerate(sampled):
+        if t:
+            rho = evolve_density(rho, op, model)
+        exact = rho.diagonal_probabilities()
+        got = np.array([dist.get("leakage")] + [dist.get(v) for v in range(op.n_qubits)])
+        bound = np.maximum(5 * np.sqrt(exact * (1 - exact) / n_traj), 1e-12)
+        assert np.all(np.abs(got - exact) <= bound)
+
+
 class TestTrajectoryExactReference:
     """Trajectory means against the exact sector density, step by step.
 
@@ -534,15 +584,14 @@ class TestTrajectoryExactReference:
             (odd, (GateSpec("XY", math.pi / 4, (1, 2)), GateSpec("XY", math.pi / 4, (3, 0)))),
         ), 4)
         init = SectorVector(4, np.array([0, 1, 1j, 0, 0]) / math.sqrt(2))
-        sampled = trajectory_run(init, op, RATES, n_traj=n_traj, seed=seed, steps=6)
-        rho = SectorDensity.from_statevector(init)
-        for t, dist in enumerate(sampled):
-            if t:
-                rho = evolve_density(rho, op, RATES)
-            exact = rho.diagonal_probabilities()
-            got = np.array([dist.get("leakage")] + [dist.get(v) for v in range(4)])
-            bound = np.maximum(5 * np.sqrt(exact * (1 - exact) / n_traj), 1e-12)
-            assert np.all(np.abs(got - exact) <= bound)
+        _assert_within_five_standard_errors(init, op, RATES, n_traj, seed, 6)
+
+    @MULTI_STAGE_MODELS
+    def test_layer_of_several_stages_matches_density(self, model):
+        # the channel list of a layer lowered to several stages, idle gaps
+        # included, against the exact density
+        _assert_within_five_standard_errors(MULTI_STAGE_INIT, _multi_stage_step(), model,
+                                            2000, 7, 4)
 
 
 class TestTrajectoryKernelEdges:
@@ -809,11 +858,11 @@ class TestTrajectoryKernelEquivalence:
         work = _JumpBuffers(n)
         n2 = np.ones(n)
         phases = jumps = 0
-        for idx, phase, lowered in _sector_channels(op, model):
+        for idx, phase, lowered in _sector_program(op, model):
             before = n2.copy()
             if lowered is None:
-                psi[idx[1]] *= phase
-                ref[idx[1]] *= phase
+                psi *= phase[:, None]
+                ref *= phase[:, None]
                 phases += 1
             else:
                 _sector_jump(psi, n2, idx, lowered, rng, work)
@@ -839,7 +888,8 @@ class TestTrajectoryKernelEquivalence:
         for lat, variant, marked in [(Lattice("torus", 4), "search", 3),
                                      (Lattice("cycle", 8), "walk", None)]:
             op = build_step_operator(lat, AngleSchedule(marked=marked), variant)
-            keys.update(key for key, _targets in _step_channels(op, model) if key[0] != "RZ")
+            keys.update(key for key, _targets in reference._step_channels(op, model)
+                        if key[0] != "RZ")
         assert keys
         for key in keys:
             blocks, T = _lowered(key, model)
@@ -980,6 +1030,19 @@ class TestCalibrationPins:
             want = average_gate_fidelity(noisy_gate_channel(spec, model))
             assert abs(got[key] - want) < 1e-13
 
+    def test_ry_read_off_rx_channel(self, monkeypatch):
+        # RY(pi/2) and RX(pi/2) take the same time and the noise commutes
+        # with z rotations: one exponential serves both
+        import qcawalk.noise as noise
+
+        calls = []
+        transfer = noise._transfer
+        monkeypatch.setattr(noise, "_transfer", lambda *a, **k: calls.append(a[0]) or
+                            transfer(*a, **k))
+        got = _fidelity_evaluator(list(_CALIBRATION_GATES), NoiseModel())(3.5e4, 2e3)
+        assert sorted(calls) == ["RX", "XY", "XY"]
+        assert got["ry"] == got["rx"] < 1.0
+
     def test_stacked_points_match_single_points(self):
         # one stacked expm per gate over every point gives each point's own
         # fidelities; the step's difference is F' - F without its rounding
@@ -1106,7 +1169,13 @@ class TestCalibrationRule:
     @pytest.mark.parametrize("targets", [
         {"sqrt_iswap": 0.99, "iswap": 0.98, "rx": 0.999},
         {"sqrt_iswap": 0.9, "iswap": 0.9},
-    ], ids=["interior", "dephasing_axis"])
+        # infeasible targets, whose ssr saturates at large rates: a polish
+        # started on that plateau stops where the Jacobian vanishes
+        {"sqrt_iswap": 0.6, "iswap": 0.5},
+        {"sqrt_iswap": 0.5, "iswap": 0.5, "rx": 0.5},
+        {"sqrt_iswap": 0.7, "iswap": 0.6, "rx": 0.9},
+    ], ids=["interior", "dephasing_axis", "dephasing_beats_relaxation", "saturated",
+            "infeasible_rx"])
     def test_global_optimum_found(self, targets):
         _, ssr = _two_rate_optimum(targets)
         assert calibrate_rates(targets).ssr == pytest.approx(ssr, rel=1e-9)
