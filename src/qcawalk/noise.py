@@ -47,18 +47,24 @@ every step, backend and run of the process shares.
   average reproduces the density evolution with no time-discretisation
   bias.  The last branch :func:`_sector_lowering` returns is the no-jump
   one, the identity on the untouched indices, and every jump branch
-  annihilates them.  So each trajectory keeps its amplitudes
-  unnormalised beside their squared norm n2, as in the
-  textbook unnormalised-state method: a gate reads the 2-3 amplitudes it
-  touches, writes the no-jump branch there, and takes the weight the
-  jump branches carry off n2.  One draw per trajectory, compared with
-  that lost weight, decides whether it jumps; only the few that do form
-  their jump branches, from the amplitudes already read, and zero the
-  rest of their column.  So a gate costs O(n_traj), whatever V, with no
-  square root or division.  Once per step the ensemble is renormalised,
-  and the mean of |psi|^2 at every step, step 0 included, is read out as
-  the density diagonal would be.  Their reference is the exact sector
-  density.
+  annihilates them.  So a trajectory keeps its amplitudes unnormalised
+  beside their squared norm n2, as in the textbook unnormalised-state
+  method: a gate reads the 2-3 amplitudes it touches, writes the no-jump
+  branch there, and takes the weight the jump branches carry off n2.
+  One draw per trajectory and gate, compared with that lost weight,
+  decides whether it jumps.  Until its first jump every trajectory
+  follows the same no-jump path (the waiting-time view of the method),
+  so the ensemble is three parts (:class:`_Ensemble`): one shared column
+  for all trajectories that have not jumped, a count of those on the
+  vacuum, which every channel keeps (at delta = 0 every jump lands
+  there), and a column each for the rest, run by :func:`_sector_jump`.
+  A gate then costs the shared trajectories one small matrix product and
+  a comparison of their draws with one threshold.  Every trajectory
+  takes the draws, and the branch each one selects, that it would take
+  with a column of its own, so results move by rounding only.  Once per
+  step the columns are renormalised, and the mean of |psi|^2 at every
+  step, step 0 included, is read out as the density diagonal would be.
+  Their reference is the exact sector density.
 
 Rates are not published for the emulated processor; ``calibrate_rates``
 infers (K, delta) from the native gate-set's average fidelities by one
@@ -457,6 +463,7 @@ class _Lowered(NamedTuple):
 
     blocks: np.ndarray  # (M, d, d): the jump blocks, then the no-jump block
     T: np.ndarray  # density: vec(rho_SS) -> T vec(rho_SS), vec row by row
+    to_vacuum: np.ndarray  # (M - 1,) bool: jump m's one-hot rows are exactly 0
 
 
 def _sector_lowering(s: np.ndarray) -> _Lowered:
@@ -484,7 +491,8 @@ def _sector_lowering(s: np.ndarray) -> _Lowered:
     of every block is set exactly (e_0 in B_last, 0 in a jump).
     ``blocks`` holds the jumps, then B_last: a trajectory with touched
     amplitudes x takes jump m with probability |B_m x|^2 and no jump with
-    |B_last x|^2 + 1 - |x|^2.
+    |B_last x|^2 + 1 - |x|^2.  ``to_vacuum`` marks the jumps that land
+    every state on the vacuum: at delta = 0, all of them.
     """
     D = math.isqrt(s.shape[0])
     d = 3 if D == 4 else 2
@@ -503,7 +511,8 @@ def _sector_lowering(s: np.ndarray) -> _Lowered:
     blocks = np.concatenate([np.reshape(_kraus_from_superop(rest, d), (-1, d, d)),
                              no_jump[None]])
     blocks[:-1, :, 0] = 0.0
-    return _Lowered(blocks, touched.transpose(1, 0, 3, 2).reshape(d * d, d * d))
+    return _Lowered(blocks, touched.transpose(1, 0, 3, 2).reshape(d * d, d * d),
+                    ~np.any(blocks[:-1, 1:], axis=(1, 2)))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -590,78 +599,251 @@ def average_gate_fidelity(channel: GateChannel) -> float:
 # quantum-trajectory backend
 
 
-#: Bytes a trajectory takes beside its (V+1) x 16 B of amplitudes: its
-#: squared norm (8 B) and its columns of :class:`_JumpBuffers` (two 3-row
-#: complex arrays, 96 B; five floats, 40 B; one bool).
-TRAJECTORY_WORK_BYTES = 145
+#: Bytes a trajectory may take beside its (V+1) x 16 B of amplitudes: its
+#: draw (8 B) and two flags (2 B) in every run, and, from the first jump
+#: off the vacuum on, its slot's owner and squared norm (16 B) and its
+#: columns of :class:`_JumpBuffers` (two 3-row complex arrays, 96 B; five
+#: floats, 40 B; one bool).  A run that never leaves the shared column
+#: and the vacuum takes only the first 10 B, and no amplitudes at all.
+TRAJECTORY_WORK_BYTES = 163
 
 
 class _JumpBuffers:
-    """Work arrays of :func:`_sector_jump`, made once per trajectory run.
+    """Work arrays of :func:`_sector_jump`, made with the diverged columns.
 
     Sized for the widest channel (d = 3 touched indices) and ``n``
-    trajectories; every gate writes into them in place, so no ensemble
-    array is reallocated gate after gate.  With the squared norms they
-    take :data:`TRAJECTORY_WORK_BYTES` per trajectory.
+    columns; a call on k columns writes into the first d k (or k) entries
+    of each, so no array is reallocated gate after gate.
     """
 
     def __init__(self, n: int):
-        self.x = np.empty((3, n), dtype=complex)  # stored touched amplitudes
-        self.z = np.empty((3, n), dtype=complex)  # B_last x: the no-jump rows written back
+        self.x = np.empty(3 * n, dtype=complex)  # stored touched amplitudes
+        self.z = np.empty(3 * n, dtype=complex)  # B_last x: the no-jump rows written back
         self.pairs = np.empty(2 * n)  # sums of squares per real and imaginary part; scratch
         self.loss = np.empty(n)  # |x|^2 - |z|^2: the jump branches' weight
         self.kept = np.empty(n)  # |z|^2
-        self.r = np.empty(n)  # the channel's uniform draws, then r n2
+        self.r = np.empty(n)  # the columns' uniform draws, then r n2
         self.jump = np.empty(n, dtype=bool)  # the draw falls in the jump weight
 
     def abs2(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """|a|^2 per column of a complex (rows, n) array into ``out``, read
+        """|a|^2 per column of a complex (rows, k) array into ``out``, read
         through the real view, so no array of a's size is made."""
-        f = a.view(float).reshape(-1, self.pairs.size)
-        np.einsum("ij,ij->j", f, f, out=self.pairs)
-        return np.add(self.pairs[0::2], self.pairs[1::2], out=out)
+        pairs = self.pairs[:2 * out.size]
+        f = a.view(float).reshape(-1, pairs.size)
+        np.einsum("ij,ij->j", f, f, out=pairs)
+        return np.add(pairs[0::2], pairs[1::2], out=out)
 
 
-def _sector_jump(psi: np.ndarray, n2: np.ndarray, idx: list, lowered: _Lowered, rng,
-                 work: _JumpBuffers) -> None:
-    """Sample one Kraus branch per trajectory for a channel on sector ``idx``.
+def _sector_jump(psi: np.ndarray, n2: np.ndarray, idx: list, lowered: _Lowered, r: np.ndarray,
+                 work: _JumpBuffers) -> np.ndarray:
+    """Sample one Kraus branch per column for a channel on sector ``idx``.
 
-    Trajectory j is ``psi[:, j] / sqrt(n2[j])``: the amplitudes are stored
-    unnormalised beside their squared norm ``n2``.  As
+    Column j is the state ``psi[:, j] / sqrt(n2[j])``: the amplitudes are
+    stored unnormalised beside their squared norm ``n2``.  As
     :func:`_sector_lowering` builds them, the no-jump branch B_last keeps
     every untouched amplitude and jump branch m annihilates them, so with
     x = psi[idx] the jumps carry the weight loss = |x|^2 - |B_last x|^2
-    out of n2.  One uniform draw r per trajectory picks the branch: a
-    trajectory jumps iff r n2 < loss, and then takes the first m with
+    out of n2.  The column's uniform draw ``r[j]`` picks the branch: it
+    jumps iff r n2 < loss, and then takes the first m with
     r n2 < sum_{m' <= m} |B_m' x|^2.  Every column writes B_last x to its
     touched rows and loses ``loss`` from n2; a jumping column then zeroes
     its column, writes the unnormalised B_m x to its touched rows and sets
     n2 = |B_m x|^2.  A jump reads only the x already gathered.  A column
     whose draw lands past every jump's cumulative weight (rounding, or no
     jump weight at all) keeps the no-jump branch, so no branch of weight 0
-    is written, and a one-branch channel never jumps.
+    is written, and a one-branch channel never jumps.  Returns the
+    columns whose jump landed on the vacuum (``lowered.to_vacuum``), in
+    ascending order.
     """
-    d = len(idx)
-    x = np.take(psi, idx, axis=0, out=work.x[:d], mode="clip")  # "raise" copies via a buffer
+    d, k = len(idx), len(n2)
+    x = work.x[:d * k].reshape(d, k)
+    for i, row in enumerate(idx):  # row by row: np.take would copy a strided psi whole
+        x[i] = psi[row]
     blocks = lowered.blocks
-    z = np.matmul(blocks[-1], x, out=work.z[:d])
-    loss = np.subtract(work.abs2(x, work.loss), work.abs2(z, work.kept), out=work.loss)
-    u = rng.random(out=work.r)
-    u *= n2
+    z = np.matmul(blocks[-1], x, out=work.z[:d * k].reshape(d, k))
+    loss = np.subtract(work.abs2(x, work.loss[:k]), work.abs2(z, work.kept[:k]),
+                       out=work.loss[:k])
+    u = np.multiply(r, n2, out=work.r[:k])
     psi[idx] = z
     n2 -= loss
     if len(blocks) == 1:
-        return
-    jump = np.flatnonzero(np.less(u, loss, out=work.jump))
+        return np.empty(0, dtype=np.intp)
+    jump = np.flatnonzero(np.less(u, loss, out=work.jump[:k]))
     if jump.size:
-        y = (blocks[:-1].reshape(-1, d) @ x[:, jump]).reshape(len(blocks) - 1, d, -1)
+        # np.take and the row-by-row cumulative sum: the fancy index and
+        # np.cumsum along axis 0 make the same numbers several times slower
+        y = (blocks[:-1].reshape(-1, d) @ np.take(x, jump, axis=1)).reshape(len(blocks) - 1, d, -1)
         w = np.sum(np.abs(y) ** 2, axis=1)
-        m = np.sum(u[jump] >= np.cumsum(w, axis=0), axis=0)
+        cum = w.copy()
+        for i in range(1, len(cum)):
+            cum[i] += cum[i - 1]
+        m = np.sum(u[jump] >= cum, axis=0)
         hit = np.flatnonzero(m < len(w))
         cols, m = jump[hit], m[hit]
         psi[:, cols] = 0.0
         psi[idx, cols[:, None]] = y[m, :, hit]
         n2[cols] = w[m, hit]
+        return cols[lowered.to_vacuum[m]]
+    return jump
+
+
+def _norm2(a: np.ndarray) -> float:
+    """|a|^2 of a complex vector."""
+    return float(np.vdot(a, a).real)
+
+
+class _Ensemble:
+    """The n trajectories of one run, in three parts.
+
+    * Every trajectory that has not jumped is one shared column ``c``,
+      stored unnormalised beside its squared norm ``c2``; ``alive`` marks
+      them, ``n_alive`` counts them.
+    * ``vacuum`` counts the trajectories on the vacuum.  Every lowered
+      channel keeps it (B_last maps e_0 to itself and every jump block
+      annihilates it, both exactly) and so does every RZ phase, so such a
+      trajectory needs no column.
+    * Each trajectory left by a jump to any other state is a column of
+      ``psi[:, :size]`` (trajectory ``owner[k]`` in column k) beside its
+      squared norm ``n2[k]``, as :func:`_sector_jump` keeps them, until a
+      later jump takes it to the vacuum too.  Those arrays and their
+      :class:`_JumpBuffers` are made on the first such jump, for all n.
+
+    Each channel takes one uniform draw per trajectory, ``r``, the same
+    draw the trajectory would take with a column of its own, and every
+    part decides its branch by the per-column rule of
+    :func:`_sector_jump`.
+    """
+
+    def __init__(self, amplitudes: np.ndarray, n: int):
+        self.c = amplitudes.astype(complex)
+        self.c2 = 1.0
+        self.r = np.empty(n)  # one channel's uniform draws
+        self.alive = np.ones(n, dtype=bool)
+        self.below = np.empty(n, dtype=bool)  # the draw is below the shared jump threshold
+        self.n_alive = n
+        self.vacuum = 0
+        self.size = 0
+        self.psi = self.n2 = self.owner = self.work = None
+
+    def phase(self, idx: np.ndarray, phase: np.ndarray) -> None:
+        """An RZ stage: its ``phase`` on the rows ``idx`` of every column."""
+        factors = phase[idx]
+        if self.n_alive:
+            self.c[idx] *= factors
+        if self.size:
+            for row, factor in zip(idx, factors):  # rows in place: no temporary
+                self.psi[row, :self.size] *= factor
+
+    def channel(self, idx: np.ndarray, lowered: _Lowered, r: np.ndarray) -> None:
+        """One noisy channel on sector ``idx``; ``r[j]`` is trajectory j's draw."""
+        if self.size:  # the diverged columns, with their owners' draws
+            k = self.size
+            landed = _sector_jump(self.psi[:, :k], self.n2[:k], idx, lowered,
+                                  np.take(r, self.owner[:k], out=self.work.r[:k]), self.work)
+            if landed.size:
+                self._land(landed)
+        if not self.n_alive:
+            return
+        blocks = lowered.blocks
+        x = self.c[idx]
+        z = blocks[-1] @ x
+        loss = _norm2(x) - _norm2(z)
+        self.c[idx] = z
+        c2 = self.c2
+        self.c2 = c2 - loss
+        if len(blocks) == 1:
+            return
+        # the live j with r[j] c2 < loss.  With c2 > 0, r c2 rounds
+        # monotonically in r, so no draw at or above thr jumps
+        if c2 > 0.0:
+            if loss <= 0.0:
+                return
+            thr = loss / c2
+            while thr * c2 < loss:
+                thr = math.nextafter(thr, math.inf)
+            jumpers = np.less(r, thr, out=self.below).nonzero()[0]
+            if not jumpers.size:
+                return
+            if self.n_alive < len(r):
+                jumpers = jumpers[self.alive[jumpers]]
+        else:  # the shared weight rounded to 0 or below: every live draw may jump
+            jumpers = self.alive.nonzero()[0]
+        u = r[jumpers] * c2
+        jumping = u < loss
+        if jumping.any():
+            self._jump(jumpers[jumping], u[jumping], idx, lowered, x)
+
+    def _jump(self, jumpers, u, idx, lowered, x) -> None:
+        """Shared-column trajectories ``jumpers``, with r c2 = ``u``, take
+        the branch :func:`_sector_jump` picks, from the one y = B_m x."""
+        d, blocks = len(idx), lowered.blocks
+        y = (blocks[:-1].reshape(-1, d) @ x).reshape(len(blocks) - 1, d)
+        w = np.sum(np.abs(y) ** 2, axis=1)
+        m = np.searchsorted(np.cumsum(w), u, side="right")  # the first m with u < cum[m]
+        hit = m < len(w)
+        jumpers, m = jumpers[hit], m[hit]
+        if not jumpers.size:
+            return
+        self.alive[jumpers] = False
+        self.n_alive -= len(jumpers)
+        away = ~lowered.to_vacuum[m]
+        self.vacuum += len(m) - int(np.count_nonzero(away))
+        if away.any():
+            self._diverge(jumpers[away], idx, y[m[away]], w[m[away]])
+
+    def _diverge(self, owners, idx, y, w) -> None:
+        """Give trajectories ``owners`` columns holding y (one row each) on
+        ``idx``, with squared norms w."""
+        if self.psi is None:
+            n = len(self.r)
+            self.psi = np.empty((len(self.c), n), dtype=complex)
+            self.n2 = np.empty(n)
+            self.owner = np.empty(n, dtype=np.intp)
+            self.work = _JumpBuffers(n)
+        cols = slice(self.size, self.size + len(owners))
+        self.psi[:, cols] = 0.0
+        self.psi[idx, cols] = y.T
+        self.n2[cols] = w
+        self.owner[cols] = owners
+        self.size = cols.stop
+
+    def _land(self, cols: np.ndarray) -> None:
+        """Count the diverged columns ``cols`` (ascending), now on the
+        vacuum, and move the last other columns into their slots."""
+        k = self.size - len(cols)
+        gone = np.zeros(len(cols), dtype=bool)
+        gone[cols[cols >= k] - k] = True
+        holes, tail = cols[cols < k], k + np.flatnonzero(~gone)
+        self.psi[:, holes] = self.psi[:, tail]
+        self.n2[holes] = self.n2[tail]
+        self.owner[holes] = self.owner[tail]
+        self.vacuum += len(cols)
+        self.size = k
+
+    def fold(self) -> None:
+        """Scale every column to unit norm, computed from its amplitudes so
+        that rounding in the squared norms never builds up.  The shared
+        column is left alone once no trajectory shares it."""
+        if self.n_alive:
+            self.c *= 1.0 / math.sqrt(_norm2(self.c))
+            self.c2 = 1.0
+        if self.size:
+            k = self.size
+            psi = self.psi[:, :k]
+            norm2 = self.work.abs2(psi, self.work.loss[:k])
+            psi *= np.divide(1.0, np.sqrt(norm2, out=norm2), out=norm2)
+            self.n2[:k] = 1.0
+
+    def populations(self) -> np.ndarray:
+        """The sum of |psi|^2 over the trajectories, per sector index."""
+        out = np.zeros(len(self.c))
+        if self.n_alive:
+            out += self.n_alive * (self.c.real ** 2 + self.c.imag ** 2)
+        out[0] += self.vacuum
+        if self.size:
+            real = self.psi[:, :self.size].view(float)
+            out += np.einsum("ij,ij->i", real, real)
+        return out
 
 
 def trajectory_run(init: SectorVector, step: StepOperator, noise: NoiseModel,
@@ -671,12 +853,20 @@ def trajectory_run(init: SectorVector, step: StepOperator, noise: NoiseModel,
     One Kraus branch of the exact per-gate channel is sampled per gate
     interval (branch m with probability ||K_m psi||^2), so the ensemble
     mean converges to the density-matrix evolution.  Each noisy gate
-    draws one uniform number per trajectory, in gate order, and
-    :func:`_sector_jump` picks the branch from it.  A gate writes only
-    the rows it touches, except that a jump zeroes its trajectory's other
-    rows, and tracks each trajectory's squared norm; the ensemble is
-    renormalised once per step.  The channel list and the work arrays are
-    made once per call.  Deterministic under (seed, n_traj).  Returns one
+    draws one uniform number per trajectory, in gate order, and the
+    branch is picked from it by the rule of :func:`_sector_jump`.
+
+    The ensemble is a :class:`_Ensemble`.  Until its first jump every
+    trajectory follows the same no-jump path (the waiting-time view of
+    the Monte Carlo wave-function method), so those trajectories share
+    one column, and a gate costs them one small matrix product plus a
+    comparison of the draws with one threshold.  A jump onto the vacuum
+    only counts the trajectory; a jump anywhere else gives it a column of
+    its own, which runs gate by gate through :func:`_sector_jump`.  Every
+    trajectory consumes the draws and takes the branches it would take
+    with a column of its own, so results move only by rounding.  The
+    columns are renormalised once per step.  The channel list is made
+    once per call.  Deterministic under (seed, n_traj).  Returns one
     per-step Distribution, step 0 included.
 
     Trajectories run in the (V+1)-dimensional sector only: an ``init``
@@ -691,32 +881,21 @@ def trajectory_run(init: SectorVector, step: StepOperator, noise: NoiseModel,
     if not 0.0 < norm < math.inf:  # NaN fails both
         raise ValueError(f"initial state has norm {norm}; trajectories need a finite, "
                          "nonzero one")
-    V = init.n_qubits
     rng = np.random.default_rng(np.random.SeedSequence([seed, TRAJECTORY_STREAM]))
-    # one column per trajectory, so a gate's touched indices are whole rows;
-    # trajectory j is psi[:, j] / sqrt(n2[j])
-    psi = np.empty((V + 1, n_traj), dtype=complex)
-    psi[:] = (init.amplitudes / norm)[:, None]
-    n2 = np.ones(n_traj)
-    work = _JumpBuffers(n_traj)
-    real = psi.view(float)
+    ensemble = _Ensemble(init.amplitudes / norm, n_traj)
     program = _sector_program(step, noise)
 
-    p = np.empty((steps + 1, V + 1))
+    p = np.empty((steps + 1, init.n_qubits + 1))
     for t in range(steps + 1):
         if t:
             for idx, phase, lowered in program:
                 if lowered is None:
-                    for row, factor in zip(idx, phase[idx]):  # rows in place: no temporary
-                        psi[row] *= factor
+                    ensemble.phase(idx, phase)
                 else:
-                    _sector_jump(psi, n2, idx, lowered, rng, work)
-            # renormalise from the amplitudes, so rounding in n2 never builds up
-            norm2 = work.abs2(psi, work.loss)
-            psi *= np.divide(1.0, np.sqrt(norm2, out=norm2), out=norm2)
-            n2[:] = 1.0
+                    ensemble.channel(idx, lowered, rng.random(out=ensemble.r))
+            ensemble.fold()
         # the trajectory mean of |psi|^2 estimates the density diagonal
-        p[t] = np.einsum("ij,ij->i", real, real) / n_traj
+        p[t] = ensemble.populations() / n_traj
     return vertex_distribution(p[:, 1:], p[:, 0])
 
 
@@ -848,23 +1027,29 @@ def _bounded_fit(residuals, x0) -> tuple:
     max(1/3, 1 - (2 rho - 1)^3), rho the ratio of the actual to the
     predicted gain.  The fit ends once a step is taken whose predicted
     gain is within the ssr's rounding (see ``_FIT_ULPS``): it then lands
-    on the Gauss-Newton fixed point.  It takes at most ``_FIT_MAX_STEPS``
-    steps.
+    on the Gauss-Newton fixed point.  It also ends on a saturated
+    plateau, where no free coordinate's difference step moves any
+    residual by more than ``_FIT_ULPS`` ulps of 1 (a fidelity's
+    rounding): the Jacobian is then rounding, and Gauss-Newton steps on
+    it would run the rates up the asymptote.  It takes at most
+    ``_FIT_MAX_STEPS`` steps.
     """
     eps = np.finfo(float).eps
 
-    def evaluate(x):  # r(x) and its forward-difference Jacobian
+    def evaluate(x):  # r(x), its forward-difference Jacobian, and the differences' size
         dx = (x + _FD_STEP * np.maximum(1.0, np.abs(x))) - x
         r, dr = residuals(np.tile(x, (len(x), 1)), np.diag(dx))
-        return r[0], dr.T / dx
+        return r[0], dr.T / dx, np.abs(dr).max(axis=1)
 
     x = np.array(x0, dtype=float)
-    r, jac = evaluate(x)
+    r, jac, moved = evaluate(x)
     ssr, damping, nu = float(r @ r), 0.0, 2.0
     for _ in range(_FIT_MAX_STEPS):
         rounding = 2.0 * math.sqrt(ssr * len(r)) * _FIT_ULPS * eps
         free = (x > 0.0) | (jac.T @ r < 0.0)
-        if not free.any():
+        # a plateau: no free coordinate's difference step moves a residual
+        # past its rounding
+        if not free.any() or np.all(moved[free] <= _FIT_ULPS * eps):
             break
         jf = jac[:, free]
         damp = math.sqrt(damping) * np.diag(np.linalg.norm(jf, axis=0))
@@ -876,14 +1061,14 @@ def _bounded_fit(residuals, x0) -> tuple:
             break
         js = jac @ (trial - x)
         gain = -float((2.0 * r + js) @ js)  # the linear model's ssr decrease
-        r_trial, jac_trial = evaluate(trial)
+        r_trial, jac_trial, moved_trial = evaluate(trial)
         ssr_trial = float(r_trial @ r_trial)
         if ssr_trial > ssr + rounding:
             damping, nu = max(nu * damping, 1e-3), 2.0 * nu
             continue
         rho = (ssr - ssr_trial) / gain if gain > 0.0 else 1.0
         damping *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-        x, r, jac, ssr, nu = trial, r_trial, jac_trial, ssr_trial, 2.0
+        x, r, jac, moved, ssr, nu = trial, r_trial, jac_trial, moved_trial, ssr_trial, 2.0
         if gain <= rounding:
             break
     return x, ssr

@@ -56,8 +56,8 @@ from .states import (
 
 #: Most memory a backend's state may take: the density backend's
 #: (V+1) x (V+1) block (V <= 4095, e.g. a 32x32 torus, 16.8 MB, but not a
-#: 64x64 one) or the trajectories backend's (V+1) x n_trajectories
-#: ensemble plus its work arrays.
+#: 64x64 one) or the trajectories backend's worst case, where every
+#: trajectory has a (V+1)-amplitude column of its own beside its work arrays.
 STATE_MAX_BYTES = 256 * 2**20
 
 
@@ -250,8 +250,8 @@ def run_walk(config: WalkConfig, noise=None) -> WalkResult:
     them out with one :func:`vertex_distribution` call; row t of the empirical
     distribution is then drawn with the child seed (seed, shot-stream, t),
     so runs are reproducible bit-exactly.  A density block, or a
-    trajectory ensemble with its :data:`TRAJECTORY_WORK_BYTES` per
-    trajectory, above :data:`STATE_MAX_BYTES` raises
+    trajectory ensemble of one column and :data:`TRAJECTORY_WORK_BYTES`
+    per trajectory, above :data:`STATE_MAX_BYTES` raises
     :class:`ResourceLimitError` before anything is built.  The noisy
     backends are looked up on :mod:`qcawalk.noise` when called, so a
     wrapper installed there (``bench/spans.py``) sees every call.

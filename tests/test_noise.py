@@ -57,7 +57,7 @@ from qcawalk.reference import (
     search_initializer,
     to_sector,
 )
-from qcawalk.states import vertex_distribution
+from qcawalk.states import TRAJECTORY_STREAM, sample_counts, vertex_distribution
 
 RATES = NoiseModel(relaxation_rate=3e4, dephasing_rate=2e3)
 
@@ -657,7 +657,7 @@ class TestTrajectoryKernelEdges:
                         [1, 0.6, 0, 0],
                         [0, 0.8j, 1, 0.8]], dtype=complex)
         n2 = np.ones(4)
-        _sector_jump(psi, n2, [0, 1], lowered, np.random.default_rng(0), _JumpBuffers(4))
+        _sector_jump(psi, n2, [0, 1], lowered, np.random.default_rng(0).random(4), _JumpBuffers(4))
         psi /= np.sqrt(n2)  # the folded state
         assert np.all(np.isfinite(psi))
         assert np.abs(np.sum(np.abs(psi) ** 2, axis=0) - 1.0).max() < 1e-12
@@ -684,7 +684,7 @@ class TestTrajectoryKernelEdges:
         psi[5, : n // 2] = 0.0  # no e_a: no weight on the damping's jump
         psi[:, 0] = [1, 0, 0, 0, 0, 0, 0]
         n2 = np.ones(n)
-        _sector_jump(psi, n2, [0, 3, 5], lowered, _ZeroDraws(), _JumpBuffers(n))
+        _sector_jump(psi, n2, [0, 3, 5], lowered, np.zeros(n), _JumpBuffers(n))
         assert np.all(np.isfinite(n2)) and np.all(n2 > 0)
         assert np.array_equal(psi[:, 0], [1, 0, 0, 0, 0, 0, 0])
 
@@ -714,14 +714,6 @@ def _rotating_damping(g: float, theta: float) -> tuple:
     rotate[1:3, 1:3] = [[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]]
     return jump, rotate @ np.diag([1, 1, math.sqrt(1 - g), math.sqrt(1 - g)])
-
-
-class _ZeroDraws:
-    """A generator stub whose every uniform draw is 0."""
-
-    def random(self, out):
-        out[:] = 0.0
-        return out
 
 
 def _all_branch_sector_jump(psi, idx, blocks, rng):
@@ -810,7 +802,7 @@ class TestTrajectoryKernelEquivalence:
         jumps = 0
         for _ in range(5):
             before = n2.copy()
-            _sector_jump(psi, n2, idx, lowered, rng, work)
+            _sector_jump(psi, n2, idx, lowered, rng.random(n), work)
             choice = _all_branch_sector_jump(ref, idx, lowered.blocks, ref_rng)
             jumps += np.count_nonzero(choice != len(lowered.blocks) - 1)
             assert np.abs(_unit_columns(psi) - _unit_columns(ref)).max() < 1e-12
@@ -836,7 +828,7 @@ class TestTrajectoryKernelEquivalence:
         fast = 0
         for _ in range(5):
             before = psi[untouched].copy()
-            _sector_jump(psi, n2, idx, lowered, rng, work)
+            _sector_jump(psi, n2, idx, lowered, rng.random(n), work)
             last = _all_branch_sector_jump(ref, idx, lowered.blocks, ref_rng) == len(
                 lowered.blocks) - 1
             assert np.array_equal(psi[untouched][:, last], before[:, last])
@@ -865,7 +857,7 @@ class TestTrajectoryKernelEquivalence:
                 ref *= phase[:, None]
                 phases += 1
             else:
-                _sector_jump(psi, n2, idx, lowered, rng, work)
+                _sector_jump(psi, n2, idx, lowered, rng.random(n), work)
                 choice = _all_branch_sector_jump(ref, idx, lowered.blocks, ref_rng)
                 jumps += np.count_nonzero(choice != len(lowered.blocks) - 1)
             assert np.abs(_unit_columns(psi) - _unit_columns(ref)).max() < 1e-12
@@ -892,7 +884,7 @@ class TestTrajectoryKernelEquivalence:
                         if key[0] != "RZ")
         assert keys
         for key in keys:
-            blocks, T = _lowered(key, model)
+            blocks, T, _ = _lowered(key, model)
             assert np.all(blocks[:-1, 0, 0] == 0) and blocks[-1, 0, 0] == 1
             assert np.all(blocks[:-1, :, 0] == 0)
             assert np.abs(blocks[-1, 0, 1:]).max() <= 1e-14
@@ -922,6 +914,98 @@ class TestTrajectoryKernelEquivalence:
                          marked=3, seed=1, backend=backend)
         res = run_walk(cfg, noise=RATES)
         assert res.exact[-1].get("leakage") > 0
+
+
+def _per_column_trajectory_run(init, op, model, n_traj, seed, steps):
+    """Reference: the trajectory kernel that kept one column per trajectory.
+
+    Every trajectory is a column of a (V+1) x n_traj array, stored
+    unnormalised beside its squared norm, and every noisy channel runs on
+    all of them: one uniform draw per column picks the branch by the rule
+    of _sector_jump, from the generator seeded as trajectory_run seeds
+    it.  The columns are renormalised once per step.  Returns the
+    per-step distribution and the generator after the run.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, TRAJECTORY_STREAM]))
+    psi = np.empty((op.n_qubits + 1, n_traj), dtype=complex)
+    psi[:] = (init.amplitudes / np.linalg.norm(init.amplitudes))[:, None]
+    n2 = np.ones(n_traj)
+    p = np.empty((steps + 1, op.n_qubits + 1))
+    for t in range(steps + 1):
+        if t:
+            for idx, phase, lowered in _sector_program(op, model):
+                if lowered is None:
+                    psi[idx] *= phase[idx, None]
+                    continue
+                blocks = lowered.blocks
+                x = psi[idx]
+                z = blocks[-1] @ x
+                loss = np.sum(np.abs(x) ** 2, axis=0) - np.sum(np.abs(z) ** 2, axis=0)
+                u = rng.random(n_traj) * n2
+                psi[idx] = z
+                n2 -= loss
+                if len(blocks) == 1:
+                    continue
+                jump = np.flatnonzero(u < loss)
+                y = (blocks[:-1].reshape(-1, len(idx)) @ x[:, jump]).reshape(
+                    len(blocks) - 1, len(idx), -1)
+                w = np.sum(np.abs(y) ** 2, axis=1)
+                m = np.sum(u[jump] >= np.cumsum(w, axis=0), axis=0)
+                hit = np.flatnonzero(m < len(w))
+                cols, m = jump[hit], m[hit]
+                psi[:, cols] = 0.0
+                psi[idx, cols[:, None]] = y[m, :, hit]
+                n2[cols] = w[m, hit]
+            psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=0))
+            n2[:] = 1.0
+        p[t] = np.sum(np.abs(psi) ** 2, axis=1) / n_traj
+    return vertex_distribution(p[:, 1:], p[:, 0]), rng
+
+
+class TestTrajectoryEnsembleAgainstPerColumn:
+    """trajectory_run, whose trajectories share one column until they
+    jump and are then counted on the vacuum or given a column of their
+    own, against the kernel that kept one column per trajectory.  Both
+    take the same draws, so every trajectory takes the same branch: the
+    per-step means agree to rounding, the shot counts drawn from them are
+    identical, and the generators end in the same state.
+
+    The start is a generic sector state.  From the uniform search start
+    many means sit on exact fractions such as 1/8, where numpy's binomial
+    sampler takes floor((n + 1) p): one ulp of readout rounding (a sum of
+    n equal terms against n times one) then moves a shot, as it would
+    between any two summation orders."""
+
+    @pytest.mark.parametrize("model", [
+        "calibrated", RATES, NoiseModel(relaxation_rate=3e7, dephasing_rate=3e7),
+        NoiseModel(dephasing_rate=1e8), NoiseModel(relaxation_rate=1e12), NoiseModel()],
+        ids=["calibrated", "rates", "both_3e7", "dephasing_1e8", "relaxation_1e12",
+             "noiseless"])
+    @pytest.mark.parametrize("kind,N,marked,n_traj", [
+        ("torus", 4, 3, 500), ("cycle", 8, 2, 300), ("cycle", 8, 2, 1)],
+        ids=["torus4", "cycle8", "cycle8_one_trajectory"])
+    def test_same_means_shots_and_draws(self, model, kind, N, marked, n_traj,
+                                        calibrated_noise, monkeypatch):
+        model = calibrated_noise if model == "calibrated" else model
+        lat = Lattice(kind, N)
+        op = build_step_operator(lat, AngleSchedule(marked=marked), "search")
+        init = SectorVector(lat.vertex_count, _random_ensemble(lat.vertex_count + 1, 1)[:, 0])
+        generators = []
+        default_rng = np.random.default_rng
+
+        def recording_rng(*args):
+            generators.append(default_rng(*args))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        got = trajectory_run(init, op, model, n_traj=n_traj, seed=3, steps=6)
+        monkeypatch.undo()
+        want, ref_rng = _per_column_trajectory_run(init, op, model, n_traj, 3, 6)
+        assert np.abs(got.probs - want.probs).max() <= 1e-13
+        assert np.array_equal(sample_counts(got, 4000, 3).counts,
+                              sample_counts(want, 4000, 3).counts)
+        assert len(generators) == 1
+        assert generators[0].bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestDegradedRatio:
@@ -1179,6 +1263,15 @@ class TestCalibrationRule:
     def test_global_optimum_found(self, targets):
         _, ssr = _two_rate_optimum(targets)
         assert calibrate_rates(targets).ssr == pytest.approx(ssr, rel=1e-9)
+
+    def test_saturated_plateau_ends_the_fit(self):
+        # all-zero XY targets: the ssr falls to its asymptote 0.125 at large
+        # rates, where no difference step moves a residual past its
+        # rounding; the fit stops there instead of running the rates (and
+        # the squarings of every expm) up to 1e47 s^-1 and beyond
+        res = calibrate_rates({"sqrt_iswap": 0.0, "iswap": 0.0})
+        assert res.evaluations <= 100
+        assert res.ssr == pytest.approx(0.125, abs=1e-12)
 
 
 class TestNoiseModel:

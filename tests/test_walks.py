@@ -422,16 +422,47 @@ class TestLargeRegisters:
 
 
 class TestTrajectoryMemory:
-    """The trajectories bound counts what a run allocates: the ensemble
-    and TRAJECTORY_WORK_BYTES per trajectory, with no whole-ensemble
-    temporaries on top."""
+    """The trajectories bound counts what a run may allocate: a column of
+    amplitudes and TRAJECTORY_WORK_BYTES per trajectory, with no
+    whole-ensemble temporaries on top.  A run whose trajectories only
+    share the no-jump column or land on the vacuum allocates no column."""
 
     def test_work_bytes_are_the_kernels_arrays(self):
-        from qcawalk.noise import _JumpBuffers
+        # every array of a run with diverged columns: the per-trajectory
+        # ones come to TRAJECTORY_WORK_BYTES each, beside the shared
+        # column and the (V+1) x n buffer of diverged amplitudes
+        from qcawalk.noise import _Ensemble
 
-        n = 1000
-        work = sum(a.nbytes for a in vars(_JumpBuffers(n)).values())
-        assert work + n * 8 == n * TRAJECTORY_WORK_BYTES  # plus the squared norms n2
+        n, rows = 1000, 5
+        ensemble = _Ensemble(np.eye(rows)[1], n)
+        ensemble._diverge(np.array([0]), np.array([0, 1]), np.array([[0.0, 1.0]]), np.ones(1))
+        arrays = [a for a in [*vars(ensemble).values(), *vars(ensemble.work).values()]
+                  if isinstance(a, np.ndarray)]
+        columns = [ensemble.c, ensemble.psi]
+        assert [a.nbytes for a in columns] == [rows * 16, rows * n * 16]
+        work = sum(a.nbytes for a in arrays if not any(a is col for col in columns))
+        assert work == n * TRAJECTORY_WORK_BYTES
+
+    def test_calibrated_run_allocates_no_column_per_trajectory(self, calibrated_noise):
+        # at delta = 0 every jump lands on the vacuum, so a 32x32-torus
+        # run keeps one shared column and a count: its peak is far below
+        # the (V+1) x n_traj x 16 B a column per trajectory takes
+        from qcawalk.noise import trajectory_run
+
+        lat = Lattice("torus", 32)
+        n_traj = 500
+        cfg = WalkConfig(lat, steps=2, init=InitSpec("search_uniform"), marked=3, seed=1)
+        op = build_step_operator(lat, AngleSchedule(marked=3), "search")
+        init = initial_sector_state(cfg)
+        columns = (lat.vertex_count + 1) * n_traj * 16
+        tracemalloc.start()
+        try:
+            dists = trajectory_run(init, op, calibrated_noise, n_traj=n_traj, seed=1, steps=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < columns / 4, (peak, columns)
+        assert dists[-1].get(LEAKAGE) > 0  # some trajectories jumped
 
     @pytest.mark.parametrize("kind,N,n_traj", [("cycle", 4, 100_000), ("torus", 8, 20_000)])
     def test_peak_within_counted_bytes(self, kind, N, n_traj):
