@@ -1,5 +1,6 @@
 """The runtime needs only numpy and jsonschema: neither importing the CLI
-nor any of its commands loads scipy, which only the tests use."""
+nor any of its commands loads scipy, which only the tests use.  Nor does a
+one-worker run load ``concurrent.futures``, which only a thread pool needs."""
 
 import json
 import os
@@ -19,7 +20,8 @@ argv = json.loads(sys.argv[1])
 from qcawalk.cli import main
 
 code = main(argv) if argv else 0
-print(code, json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(code, json.dumps(sorted(m for m in sys.modules
+                              if m.split(".")[0] == "scipy" or m == "concurrent.futures")))
 """
 
 
