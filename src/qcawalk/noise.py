@@ -57,9 +57,12 @@ every step, backend and run of the process shares.
   so the ensemble is three parts (:class:`_Ensemble`): one shared column
   for all trajectories that have not jumped, a count of those on the
   vacuum, which every channel keeps (at delta = 0 every jump lands
-  there), and a column each for the rest, run by :func:`_sector_jump`.
-  A gate then costs the shared trajectories one small matrix product and
-  a comparison of their draws with one threshold.  Every trajectory
+  there), and a column each for the rest, run by :func:`_sector_jump`
+  on numpy temporaries whose worst case :data:`TRAJECTORY_WORK_BYTES`
+  counts.  A gate then costs the shared trajectories one small matrix
+  product and a comparison of their draws with one conservative screen,
+  twice the threshold; only the draws below it take the per-column test.
+  Every trajectory
   takes the draws, and the branch each one selects, that it would take
   with a column of its own, so results move by rounding only.  Once per
   step the columns are renormalised, and the mean of |psi|^2 at every
@@ -599,43 +602,29 @@ def average_gate_fidelity(channel: GateChannel) -> float:
 # quantum-trajectory backend
 
 
-#: Bytes a trajectory may take beside its (V+1) x 16 B of amplitudes: its
-#: draw (8 B) and two flags (2 B) in every run, and, from the first jump
-#: off the vacuum on, its slot's owner and squared norm (16 B) and its
-#: columns of :class:`_JumpBuffers` (two 3-row complex arrays, 96 B; five
-#: floats, 40 B; one bool).  A run that never leaves the shared column
-#: and the vacuum takes only the first 10 B, and no amplitudes at all.
-TRAJECTORY_WORK_BYTES = 163
+#: Bytes a trajectory may take beside its (V+1) x 16 B of amplitudes, in
+#: the worst case: every trajectory has a column of its own and all jump
+#: at one gate of 6 jump branches.  It keeps its draw, flag, owner and
+#: squared norm (25 B).  :func:`_sector_jump` adds its owner's draw, its
+#: touched amplitudes x and B_last x (2 x 48 B), r n2, the lost weight
+#: and a jump index (32 B), and in the jump branch every branch's rows
+#: (6 x 48 B), their weights and cumulative sums (2 x 48 B), the picked
+#: branch's rows (48 B) and its indices (24 B): 609 B, and numpy's
+#: indexing scratch on top.  A run that never leaves the shared column
+#: and the vacuum keeps 9 B per trajectory and no amplitudes.
+TRAJECTORY_WORK_BYTES = 640
 
 
-class _JumpBuffers:
-    """Work arrays of :func:`_sector_jump`, made with the diverged columns.
-
-    Sized for the widest channel (d = 3 touched indices) and ``n``
-    columns; a call on k columns writes into the first d k (or k) entries
-    of each, so no array is reallocated gate after gate.
-    """
-
-    def __init__(self, n: int):
-        self.x = np.empty(3 * n, dtype=complex)  # stored touched amplitudes
-        self.z = np.empty(3 * n, dtype=complex)  # B_last x: the no-jump rows written back
-        self.pairs = np.empty(2 * n)  # sums of squares per real and imaginary part; scratch
-        self.loss = np.empty(n)  # |x|^2 - |z|^2: the jump branches' weight
-        self.kept = np.empty(n)  # |z|^2
-        self.r = np.empty(n)  # the columns' uniform draws, then r n2
-        self.jump = np.empty(n, dtype=bool)  # the draw falls in the jump weight
-
-    def abs2(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """|a|^2 per column of a complex (rows, k) array into ``out``, read
-        through the real view, so no array of a's size is made."""
-        pairs = self.pairs[:2 * out.size]
-        f = a.view(float).reshape(-1, pairs.size)
-        np.einsum("ij,ij->j", f, f, out=pairs)
-        return np.add(pairs[0::2], pairs[1::2], out=out)
+def _abs2(a: np.ndarray) -> np.ndarray:
+    """|a|^2 per column of a complex (..., rows, k) array, summed over
+    rows through the real view: no square root, and no array of a's size."""
+    f = a.view(float)
+    pairs = np.einsum("...ij,...ij->...j", f, f)
+    return pairs[..., 0::2] + pairs[..., 1::2]
 
 
-def _sector_jump(psi: np.ndarray, n2: np.ndarray, idx: list, lowered: _Lowered, r: np.ndarray,
-                 work: _JumpBuffers) -> np.ndarray:
+def _sector_jump(psi: np.ndarray, n2: np.ndarray, idx: list, lowered: _Lowered,
+                 r: np.ndarray) -> np.ndarray:
     """Sample one Kraus branch per column for a channel on sector ``idx``.
 
     Column j is the state ``psi[:, j] / sqrt(n2[j])``: the amplitudes are
@@ -655,25 +644,22 @@ def _sector_jump(psi: np.ndarray, n2: np.ndarray, idx: list, lowered: _Lowered, 
     columns whose jump landed on the vacuum (``lowered.to_vacuum``), in
     ascending order.
     """
-    d, k = len(idx), len(n2)
-    x = work.x[:d * k].reshape(d, k)
-    for i, row in enumerate(idx):  # row by row: np.take would copy a strided psi whole
-        x[i] = psi[row]
+    d = len(idx)
+    x = psi[idx]
     blocks = lowered.blocks
-    z = np.matmul(blocks[-1], x, out=work.z[:d * k].reshape(d, k))
-    loss = np.subtract(work.abs2(x, work.loss[:k]), work.abs2(z, work.kept[:k]),
-                       out=work.loss[:k])
-    u = np.multiply(r, n2, out=work.r[:k])
+    z = blocks[-1] @ x
+    loss = _abs2(x) - _abs2(z)
+    u = r * n2
     psi[idx] = z
     n2 -= loss
     if len(blocks) == 1:
         return np.empty(0, dtype=np.intp)
-    jump = np.flatnonzero(np.less(u, loss, out=work.jump[:k]))
+    jump = np.flatnonzero(u < loss)
     if jump.size:
         # np.take and the row-by-row cumulative sum: the fancy index and
         # np.cumsum along axis 0 make the same numbers several times slower
         y = (blocks[:-1].reshape(-1, d) @ np.take(x, jump, axis=1)).reshape(len(blocks) - 1, d, -1)
-        w = np.sum(np.abs(y) ** 2, axis=1)
+        w = _abs2(y)
         cum = w.copy()
         for i in range(1, len(cum)):
             cum[i] += cum[i - 1]
@@ -705,8 +691,8 @@ class _Ensemble:
     * Each trajectory left by a jump to any other state is a column of
       ``psi[:, :size]`` (trajectory ``owner[k]`` in column k) beside its
       squared norm ``n2[k]``, as :func:`_sector_jump` keeps them, until a
-      later jump takes it to the vacuum too.  Those arrays and their
-      :class:`_JumpBuffers` are made on the first such jump, for all n.
+      later jump takes it to the vacuum too.  Those arrays are made on
+      the first such jump, for all n.
 
     Each channel takes one uniform draw per trajectory, ``r``, the same
     draw the trajectory would take with a column of its own, and every
@@ -719,11 +705,10 @@ class _Ensemble:
         self.c2 = 1.0
         self.r = np.empty(n)  # one channel's uniform draws
         self.alive = np.ones(n, dtype=bool)
-        self.below = np.empty(n, dtype=bool)  # the draw is below the shared jump threshold
         self.n_alive = n
         self.vacuum = 0
         self.size = 0
-        self.psi = self.n2 = self.owner = self.work = None
+        self.psi = self.n2 = self.owner = None
 
     def phase(self, idx: np.ndarray, phase: np.ndarray) -> None:
         """An RZ stage: its ``phase`` on the rows ``idx`` of every column."""
@@ -738,8 +723,7 @@ class _Ensemble:
         """One noisy channel on sector ``idx``; ``r[j]`` is trajectory j's draw."""
         if self.size:  # the diverged columns, with their owners' draws
             k = self.size
-            landed = _sector_jump(self.psi[:, :k], self.n2[:k], idx, lowered,
-                                  np.take(r, self.owner[:k], out=self.work.r[:k]), self.work)
+            landed = _sector_jump(self.psi[:, :k], self.n2[:k], idx, lowered, r[self.owner[:k]])
             if landed.size:
                 self._land(landed)
         if not self.n_alive:
@@ -753,21 +737,16 @@ class _Ensemble:
         self.c2 = c2 - loss
         if len(blocks) == 1:
             return
-        # the live j with r[j] c2 < loss.  With c2 > 0, r c2 rounds
-        # monotonically in r, so no draw at or above thr jumps
-        if c2 > 0.0:
-            if loss <= 0.0:
-                return
-            thr = loss / c2
-            while thr * c2 < loss:
-                thr = math.nextafter(thr, math.inf)
-            jumpers = np.less(r, thr, out=self.below).nonzero()[0]
-            if not jumpers.size:
-                return
-            if self.n_alive < len(r):
-                jumpers = jumpers[self.alive[jumpers]]
-        else:  # the shared weight rounded to 0 or below: every live draw may jump
-            jumpers = self.alive.nonzero()[0]
+        # the live j with r[j] c2 < loss.  No draw at or above the screen
+        # does: for 0 < c2 < 2 (c2 starts each step at 1 and then shrinks,
+        # up to rounding), r c2 >= 2 (loss / c2) c2 rounds to no less than
+        # loss, subnormals included.  At c2 <= 0 every live draw is tested
+        screen = 2.0 * (loss / c2) if c2 > 0.0 else math.inf
+        jumpers = (r < screen).nonzero()[0]
+        if not jumpers.size:
+            return
+        if self.n_alive < len(r):
+            jumpers = jumpers[self.alive[jumpers]]
         u = r[jumpers] * c2
         jumping = u < loss
         if jumping.any():
@@ -799,7 +778,6 @@ class _Ensemble:
             self.psi = np.empty((len(self.c), n), dtype=complex)
             self.n2 = np.empty(n)
             self.owner = np.empty(n, dtype=np.intp)
-            self.work = _JumpBuffers(n)
         cols = slice(self.size, self.size + len(owners))
         self.psi[:, cols] = 0.0
         self.psi[idx, cols] = y.T
@@ -828,11 +806,8 @@ class _Ensemble:
             self.c *= 1.0 / math.sqrt(_norm2(self.c))
             self.c2 = 1.0
         if self.size:
-            k = self.size
-            psi = self.psi[:, :k]
-            norm2 = self.work.abs2(psi, self.work.loss[:k])
-            psi *= np.divide(1.0, np.sqrt(norm2, out=norm2), out=norm2)
-            self.n2[:k] = 1.0
+            self.psi[:, :self.size] *= 1.0 / np.sqrt(_abs2(self.psi[:, :self.size]))
+            self.n2[:self.size] = 1.0
 
     def populations(self) -> np.ndarray:
         """The sum of |psi|^2 over the trajectories, per sector index."""
@@ -860,7 +835,7 @@ def trajectory_run(init: SectorVector, step: StepOperator, noise: NoiseModel,
     trajectory follows the same no-jump path (the waiting-time view of
     the Monte Carlo wave-function method), so those trajectories share
     one column, and a gate costs them one small matrix product plus a
-    comparison of the draws with one threshold.  A jump onto the vacuum
+    comparison of the draws with one screen.  A jump onto the vacuum
     only counts the trajectory; a jump anywhere else gives it a column of
     its own, which runs gate by gate through :func:`_sector_jump`.  Every
     trajectory consumes the draws and takes the branches it would take

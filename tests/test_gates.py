@@ -19,6 +19,7 @@ from qcawalk import (
     tessellations_for,
     xy_gate,
 )
+from qcawalk.gates import lower_to_sector
 from qcawalk.reference import StateVector, apply_local, apply_step
 
 ISWAP = np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]])
@@ -259,3 +260,23 @@ class TestSectorKernel:
         op = build_step_operator(Lattice("cycle", 4), AngleSchedule(), "walk")
         with pytest.raises(ValueError, match="qubits"):
             op.apply(SectorVector.vacuum(6))
+
+
+_BAD_GATE_INPUTS = {
+    "rotation_angle": (lambda: pauli_rotation("X", math.inf), "angle must be finite"),
+    "unknown_gate": (lambda: GateSpec("CZ", 0.0, (0, 1)), "unknown gate 'CZ'"),
+    "target_count": (lambda: GateSpec("XY", 0.1, (0,)), r"XY expects 2 target\(s\)"),
+    "repeated_target": (lambda: GateSpec("XY", 0.1, (1, 1)), "targets must be distinct"),
+    "gate_angle": (lambda: GateSpec("RZ", math.nan, (0,)), "angle must be finite"),
+    "qubit_out_of_range": (lambda: lower_to_sector([GateSpec("XY", 0.1, (0, 4))], 4),
+                           r"qubits \(0, 4\) out of range for 4 qubits"),
+    "unknown_variant": (lambda: build_step_operator(Lattice("cycle", 4), AngleSchedule(), "hop"),
+                        "unknown variant 'hop'"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_GATE_INPUTS)
+def test_bad_input_rejected(case):
+    call, match = _BAD_GATE_INPUTS[case]
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -38,7 +38,6 @@ from qcawalk.noise import (
     _CALIBRATION_SCALES,
     DEFAULT_COUPLING,
     _fidelity_evaluator,
-    _JumpBuffers,
     _jump_operators,
     _liouvillian,
     _lowered,
@@ -657,7 +656,7 @@ class TestTrajectoryKernelEdges:
                         [1, 0.6, 0, 0],
                         [0, 0.8j, 1, 0.8]], dtype=complex)
         n2 = np.ones(4)
-        _sector_jump(psi, n2, [0, 1], lowered, np.random.default_rng(0).random(4), _JumpBuffers(4))
+        _sector_jump(psi, n2, [0, 1], lowered, np.random.default_rng(0).random(4))
         psi /= np.sqrt(n2)  # the folded state
         assert np.all(np.isfinite(psi))
         assert np.abs(np.sum(np.abs(psi) ** 2, axis=0) - 1.0).max() < 1e-12
@@ -684,7 +683,7 @@ class TestTrajectoryKernelEdges:
         psi[5, : n // 2] = 0.0  # no e_a: no weight on the damping's jump
         psi[:, 0] = [1, 0, 0, 0, 0, 0, 0]
         n2 = np.ones(n)
-        _sector_jump(psi, n2, [0, 3, 5], lowered, np.zeros(n), _JumpBuffers(n))
+        _sector_jump(psi, n2, [0, 3, 5], lowered, np.zeros(n))
         assert np.all(np.isfinite(n2)) and np.all(n2 > 0)
         assert np.array_equal(psi[:, 0], [1, 0, 0, 0, 0, 0, 0])
 
@@ -797,12 +796,11 @@ class TestTrajectoryKernelEquivalence:
         psi = _random_ensemble(7, n)
         ref = psi.copy()
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        work = _JumpBuffers(n)
         n2 = np.ones(n)
         jumps = 0
         for _ in range(5):
             before = n2.copy()
-            _sector_jump(psi, n2, idx, lowered, rng.random(n), work)
+            _sector_jump(psi, n2, idx, lowered, rng.random(n))
             choice = _all_branch_sector_jump(ref, idx, lowered.blocks, ref_rng)
             jumps += np.count_nonzero(choice != len(lowered.blocks) - 1)
             assert np.abs(_unit_columns(psi) - _unit_columns(ref)).max() < 1e-12
@@ -822,13 +820,12 @@ class TestTrajectoryKernelEquivalence:
         psi = _random_ensemble(7, n)
         ref = psi.copy()
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        work = _JumpBuffers(n)
         n2 = np.ones(n)
         untouched = [i for i in range(7) if i not in idx]
         fast = 0
         for _ in range(5):
             before = psi[untouched].copy()
-            _sector_jump(psi, n2, idx, lowered, rng.random(n), work)
+            _sector_jump(psi, n2, idx, lowered, rng.random(n))
             last = _all_branch_sector_jump(ref, idx, lowered.blocks, ref_rng) == len(
                 lowered.blocks) - 1
             assert np.array_equal(psi[untouched][:, last], before[:, last])
@@ -847,7 +844,6 @@ class TestTrajectoryKernelEquivalence:
         psi = _random_ensemble(lat.vertex_count + 1, n)
         ref = psi.copy()
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        work = _JumpBuffers(n)
         n2 = np.ones(n)
         phases = jumps = 0
         for idx, phase, lowered in _sector_program(op, model):
@@ -857,7 +853,7 @@ class TestTrajectoryKernelEquivalence:
                 ref *= phase[:, None]
                 phases += 1
             else:
-                _sector_jump(psi, n2, idx, lowered, rng.random(n), work)
+                _sector_jump(psi, n2, idx, lowered, rng.random(n))
                 choice = _all_branch_sector_jump(ref, idx, lowered.blocks, ref_rng)
                 jumps += np.count_nonzero(choice != len(lowered.blocks) - 1)
             assert np.abs(_unit_columns(psi) - _unit_columns(ref)).max() < 1e-12
@@ -1006,6 +1002,50 @@ class TestTrajectoryEnsembleAgainstPerColumn:
                               sample_counts(want, 4000, 3).counts)
         assert len(generators) == 1
         assert generators[0].bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestSharedColumnScreen:
+    """The shared column tests a draw only if it is below the screen
+    2 (loss / c2), or every live draw once c2 has rounded to 0 or below;
+    either way it then applies the per-column rule r c2 < loss."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(loss=st.floats(min_value=5e-324, max_value=1.0),
+           c2=st.floats(min_value=5e-324, max_value=2.0, exclude_max=True))
+    def test_no_draw_at_or_above_the_screen_jumps(self, loss, c2):
+        # r c2 rounds monotonically in r, so the screen itself is the
+        # draw to check, subnormal losses and weights included
+        assert not 2.0 * (loss / c2) * c2 < loss
+
+    @pytest.mark.parametrize("c2", [0.0, -1e-300], ids=["zero", "negative"])
+    def test_weight_rounded_away_applies_the_per_column_rule(self, c2):
+        from qcawalk.noise import _Ensemble
+
+        lowered = _lowered(("XY", math.pi / 4, 2), STRONG_MODELS[1])
+        idx, n = np.array([0, 3, 5]), 60
+        amplitudes = _random_ensemble(7, 1)[:, 0]
+        r = np.random.default_rng(2).random(n)
+        r[:4] = 0.0
+        dead = np.arange(n) % 3 == 0  # already on the vacuum
+        ensemble = _Ensemble(amplitudes, n)
+        ensemble.c2 = c2
+        ensemble.alive[dead] = False
+        ensemble.vacuum = np.count_nonzero(dead)
+        ensemble.n_alive = n - ensemble.vacuum
+        # the kernel with a column per trajectory, on the same draws
+        psi, n2 = np.tile(amplitudes[:, None], n), np.full(n, c2)
+        landed = _sector_jump(psi, n2, idx, lowered, r)
+        x = amplitudes[idx]
+        loss = np.sum(np.abs(x) ** 2) - np.sum(np.abs(lowered.blocks[-1] @ x) ** 2)
+        ensemble.channel(idx, lowered, r)
+        want = ~dead & (r * c2 < loss)
+        assert want[~dead].all()  # r c2 <= 0 < loss: every live draw jumps
+        assert np.array_equal(~ensemble.alive & ~dead, want)
+        owners = ensemble.owner[:ensemble.size]
+        assert np.array_equal(np.sort(owners), np.setdiff1d(want.nonzero()[0], landed))
+        # the same branch: the two kernels form it by different products
+        assert np.abs(ensemble.psi[:, :ensemble.size] - psi[:, owners]).max() < 1e-15
+        assert np.abs(ensemble.n2[:ensemble.size] - n2[owners]).max() < 1e-15
 
 
 class TestDegradedRatio:
@@ -1272,6 +1312,28 @@ class TestCalibrationRule:
         res = calibrate_rates({"sqrt_iswap": 0.0, "iswap": 0.0})
         assert res.evaluations <= 100
         assert res.ssr == pytest.approx(0.125, abs=1e-12)
+
+
+_BAD_NOISE_INPUTS = {
+    "single_qubit_duration": (lambda: NoiseModel(single_qubit_duration=0.0),
+                              "single-qubit duration must be positive"),
+    "idle_duration": (lambda: idle_channel(-1e-9, RATES), "duration must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_NOISE_INPUTS)
+def test_bad_input_rejected(case):
+    call, match = _BAD_NOISE_INPUTS[case]
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("duration,model", [(0.0, RATES), (1e-6, NoiseModel())],
+                         ids=["zero_duration", "noiseless"])
+def test_idle_channel_without_decay_is_identity(duration, model):
+    channel = idle_channel(duration, model)
+    assert [k.tolist() for k in channel.kraus] == [np.eye(2).tolist()]
+    assert np.array_equal(channel.ideal, np.eye(2))
 
 
 class TestNoiseModel:

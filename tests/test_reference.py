@@ -21,6 +21,7 @@ from qcawalk import (
     sector_project,
     trajectory_run,
 )
+from qcawalk import reference
 from qcawalk.reference import DensityMatrix, qw_init
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,3 +84,26 @@ def test_cli_run_never_imports_the_reference(tmp_path):
     record, = [json.loads(p.read_text()) for p in (tmp_path / "out").rglob("*.json")]
     assert sorted(record["payload"]["runs"]) == ["density", "statevector", "trajectories"]
 
+
+
+_BAD_REFERENCE_INPUTS = {
+    "matrix_shape": (lambda: reference.apply_local(np.zeros(8, dtype=complex), np.eye(2),
+                                                   (0, 1)), "need a 4x4 matrix"),
+    "initializer_mode": (lambda: reference.search_initializer(Lattice("cycle", 4), "approx"),
+                         "unknown initializer mode 'approx'"),
+    "hamiltonian_shape": (lambda: reference.lindblad_rhs(np.eye(2), np.eye(4), RATES),
+                          "Hamiltonian dimension mismatch"),
+    "not_power_of_two": (lambda: reference.lindblad_rhs(np.eye(3), np.eye(3), RATES),
+                         "not a power of two"),
+    "register_mismatch": (lambda: reference.evolve_density(
+        DensityMatrix.from_statevector(qw_init(Lattice("cycle", 4), 0)),
+        build_step_operator(Lattice("cycle", 6), AngleSchedule(), "walk"), RATES),
+        "state has 4 qubits, step operator 6"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_REFERENCE_INPUTS)
+def test_bad_input_rejected(case):
+    call, match = _BAD_REFERENCE_INPUTS[case]
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -305,3 +305,28 @@ class TestNormPreservation:
         for _ in range(10):
             apply_step(op, state)
         assert sector_project(state, 8).leakage_norm < 1e-12
+
+
+def _massless_distribution():
+    # a Distribution checks its rows on construction; the sampler's own
+    # check guards one whose probabilities were replaced afterwards
+    dist = Distribution([1.0, 0.0])
+    dist.probs = np.zeros(2)
+    return dist
+
+
+_BAD_STATE_INPUTS = {
+    "amplitude_shape": (lambda: SectorVector(4, np.zeros(4)),
+                        r"shape \(4,\), expected \(5,\) for 4 qubits"),
+    "counts_without_shots": (lambda: Distribution([0.5, 0.5], counts=[1, 1]),
+                             "counts given without shots"),
+    "no_positive_mass": (lambda: sample_counts(_massless_distribution(), 10, 0),
+                         "no positive probability mass"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_STATE_INPUTS)
+def test_bad_input_rejected(case):
+    call, match = _BAD_STATE_INPUTS[case]
+    with pytest.raises(ValueError, match=match):
+        call()

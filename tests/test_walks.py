@@ -427,21 +427,52 @@ class TestTrajectoryMemory:
     whole-ensemble temporaries on top.  A run whose trajectories only
     share the no-jump column or land on the vacuum allocates no column."""
 
-    def test_work_bytes_are_the_kernels_arrays(self):
-        # every array of a run with diverged columns: the per-trajectory
-        # ones come to TRAJECTORY_WORK_BYTES each, beside the shared
-        # column and the (V+1) x n buffer of diverged amplitudes
-        from qcawalk.noise import _Ensemble
+    @pytest.mark.parametrize("model", [NoiseModel(dephasing_rate=1e8),
+                                       NoiseModel(relaxation_rate=3e7, dephasing_rate=3e7)],
+                             ids=["dephasing_1e8", "both_3e7"])
+    @pytest.mark.parametrize("kind,N", [("cycle", 4), ("torus", 8)])
+    def test_peak_grows_by_counted_bytes(self, kind, N, model):
+        # strong noise gives most trajectories a column of their own; the
+        # peak's growth per trajectory, from 4000 to 16000 of them, is its
+        # column and at most TRAJECTORY_WORK_BYTES on top
+        lat = Lattice(kind, N)
+        peaks = []
+        for n_traj in (4000, 16000):
+            cfg = WalkConfig(lat, steps=2, init=InitSpec("search_uniform"), marked=1, seed=1,
+                             backend=WalkBackend("trajectories", n_traj))
+            tracemalloc.start()
+            try:
+                run_walk(cfg, noise=model)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        growth = (peaks[1] - peaks[0]) / 12000
+        assert growth <= (lat.vertex_count + 1) * 16 + TRAJECTORY_WORK_BYTES, growth
 
-        n, rows = 1000, 5
-        ensemble = _Ensemble(np.eye(rows)[1], n)
-        ensemble._diverge(np.array([0]), np.array([0, 1]), np.array([[0.0, 1.0]]), np.ones(1))
-        arrays = [a for a in [*vars(ensemble).values(), *vars(ensemble.work).values()]
-                  if isinstance(a, np.ndarray)]
-        columns = [ensemble.c, ensemble.psi]
-        assert [a.nbytes for a in columns] == [rows * 16, rows * n * 16]
-        work = sum(a.nbytes for a in arrays if not any(a is col for col in columns))
-        assert work == n * TRAJECTORY_WORK_BYTES
+    def test_every_column_jumping_at_once_within_counted_bytes(self):
+        # the worst case the bound counts: every trajectory on a column of
+        # its own, and all of them jumping at one gate of 6 jump branches
+        from qcawalk.noise import _Ensemble, _lowered
+
+        n, rows = 20_000, 5
+        lowered = _lowered(("XY", math.pi / 4, 2), NoiseModel(relaxation_rate=3e7,
+                                                              dephasing_rate=3e7))
+        assert len(lowered.blocks) == 7
+        amplitudes = np.full(rows, rows ** -0.5, dtype=complex)
+        tracemalloc.start()
+        try:
+            ensemble = _Ensemble(amplitudes, n)
+            ensemble._diverge(np.arange(n), np.arange(rows), np.tile(amplitudes, (n, 1)),
+                              np.ones(n))
+            ensemble.alive[:] = False
+            ensemble.n_alive = 0
+            ensemble.channel(np.array([0, 1, 2]), lowered, np.zeros(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every column jumped: a jump zeroes the rows the gate does not touch
+        assert not ensemble.psi[3:, :ensemble.size].any()
+        assert peak <= n * (rows * 16 + TRAJECTORY_WORK_BYTES), peak / n
 
     def test_calibrated_run_allocates_no_column_per_trajectory(self, calibrated_noise):
         # at delta = 0 every jump lands on the vacuum, so a 32x32-torus
@@ -478,3 +509,24 @@ class TestTrajectoryMemory:
         finally:
             tracemalloc.stop()
         assert peak <= counted + 2**20, (peak, counted)
+
+
+_BAD_WALK_INPUTS = {
+    "init_kind": (lambda: InitSpec("line"), "unknown init kind 'line'"),
+    "backend_kind": (lambda: WalkBackend("mps"), "unknown backend 'mps'"),
+    "initializer_mode": (lambda: WalkConfig(Lattice("cycle", 4), steps=1,
+                                            initializer_mode="approx"),
+                         "unknown initializer mode 'approx'"),
+    "oracle_variant": (lambda: sector_oracle(Lattice("cycle", 4), AngleSchedule(), "hop"),
+                       "unknown variant 'hop'"),
+    "oracle_search_unmarked": (lambda: sector_oracle(Lattice("cycle", 4), AngleSchedule(),
+                                                     "search"),
+                               "search variant needs a marked vertex"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_WALK_INPUTS)
+def test_bad_input_rejected(case):
+    call, match = _BAD_WALK_INPUTS[case]
+    with pytest.raises(ValueError, match=match):
+        call()
