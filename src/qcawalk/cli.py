@@ -26,63 +26,25 @@ EXIT_RESOURCE = 3
 
 
 def _cmd_validate(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        resolve_points(cfg)
-    except ConfigError as exc:
-        print(f"{args.config}: invalid", file=sys.stderr)
-        for p in exc.messages:
-            print(f"  {p}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
+    resolve_points(cfg)
     print(f"{args.config}: valid (name={cfg['name']!r}, "
           f"{cfg['walk']['variant']} on {cfg['lattice']['kind']})")
     return EXIT_OK
 
 
 def _cmd_run(args) -> int:
-    try:
-        workers = resolve_workers(args.workers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        paths = run_experiment(args.config, output_dir=args.output_dir,
-                               workers=workers)
-    except ConfigError as exc:
-        print(f"error: invalid config {args.config}: {'; '.join(exc.messages)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    except OutputDirError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    for p in paths:
+    workers = resolve_workers(args.workers)
+    for p in run_experiment(args.config, output_dir=args.output_dir, workers=workers):
         print(p)
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    try:
-        records = load_records(args.records_dir)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read run records: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    records = load_records(args.records_dir)
     if not records:
         print(f"warning: no run records found in {args.records_dir}", file=sys.stderr)
-    try:
-        paths = emit_report(records, args.output_dir or args.records_dir)
-    except OutputDirError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    for p in paths:
+    for p in emit_report(records, args.output_dir or args.records_dir):
         print(p)
     return EXIT_OK
 
@@ -95,8 +57,7 @@ def _cmd_calibrate(args) -> int:
         try:
             kwargs["template"] = NoiseModel(coupling=args.coupling)
         except ValueError as exc:
-            print(f"error: --coupling: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError([f"--coupling: {exc}"], config=False) from exc
     result = calibrate_rates(**kwargs)
     if args.json:
         print(json.dumps({
@@ -149,8 +110,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  The one place an exception becomes an exit code
+    and a stderr message; one not mapped here is a bug, and tracebacks."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ResourceLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except ConfigError as exc:
+        if args.command == "validate":
+            print(f"{args.config}: invalid", *(f"  {p}" for p in exc.messages),
+                  sep="\n", file=sys.stderr)
+        elif exc.config:
+            print(f"error: invalid config {args.config}: {'; '.join(exc.messages)}",
+                  file=sys.stderr)
+        elif args.command == "report":
+            print(f"error: cannot read run records: {exc}", file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+    except OutputDirError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

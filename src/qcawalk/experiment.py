@@ -58,19 +58,22 @@ _DEFAULT_MARKED = {"cycle": 2}  # torus default is vertex (3, 0)
 
 
 class ConfigError(ValueError):
-    """Config failed validation; ``messages`` lists the violations.
+    """An input failed validation; ``messages`` lists the violations.
 
-    Raised for schema violations and for values the schema cannot express
-    (an odd lattice size, an out-of-range vertex).
+    Raised for a config's schema violations and for values the schema
+    cannot express (an odd lattice size, an out-of-range vertex), and, with
+    ``config=False``, for an input beside the config: a worker count, a run
+    record, a calibration argument.
     """
 
-    def __init__(self, messages):
+    def __init__(self, messages, config: bool = True):
         self.messages = list(messages)
+        self.config = config
         super().__init__("\n".join(self.messages))
 
 
 class OutputDirError(OSError):
-    """The output directory is not a directory and cannot be made one."""
+    """An output directory or file that cannot be made or written."""
 
 
 def _load_schema(name: str) -> dict:
@@ -284,8 +287,9 @@ def resolve_workers(workers=None) -> int:
     """Concurrent sweep workers: ``workers`` if given, else the
     QCAWALK_WORKERS env var, else 1.
 
-    Raises ``ValueError`` unless the value is an integer >= 1; a bool or
-    a non-integral number is not one, and a string is read with ``int``.
+    Raises :class:`ConfigError` unless the value is an integer >= 1; a
+    bool or a non-integral number is not one, and a string is read with
+    ``int``.
     """
     if workers is None:
         name, raw = WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")
@@ -294,7 +298,7 @@ def resolve_workers(workers=None) -> int:
     try:
         return require_count(name, int(raw) if isinstance(raw, str) else raw, 1)
     except ValueError:
-        raise ValueError(f"{name} must be an integer >= 1, got {raw!r}") from None
+        raise ConfigError([f"{name} must be an integer >= 1, got {raw!r}"], config=False) from None
 
 
 def _require_output_dir(outdir: Path) -> None:
@@ -314,9 +318,17 @@ def _make_output_dir(outdir: Path) -> None:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file beside it, the one
+    writer of every output file.  A failure raises :class:`OutputDirError`
+    naming ``path``, and leaves no temp file."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp.is_file():
+            tmp.unlink()
+        raise OutputDirError(f"cannot write {path}: {exc}") from exc
 
 
 def run_experiment(source, output_dir=None, workers: int | None = None) -> list:
@@ -383,14 +395,13 @@ def load_records(directory) -> list:
     ``name``, ``point_index``) order, the order ``run`` reports them in.
 
     A JSON object with a ``payload`` key is a run record and must match
-    ``run_record.schema.json``.  Raises ``OSError`` if ``directory`` is not
-    a directory, and ``ValueError`` naming the file on a file that is not
-    JSON (chained from its ``json.JSONDecodeError``) or on an invalid
-    record.
+    ``run_record.schema.json``.  Raises :class:`ConfigError` if
+    ``directory`` is not a directory, and naming the file on a file that
+    cannot be read, is not JSON, or is an invalid record.
     """
     directory = Path(directory)
     if not directory.is_dir():
-        raise NotADirectoryError(f"{directory} is not a directory")
+        raise ConfigError([f"{directory} is not a directory"], config=False)
     paths = sorted(directory.glob("*.json"))
     schema = run_record_schema()
     validator = validator_for(schema)(schema)
@@ -398,13 +409,16 @@ def load_records(directory) -> list:
     for p in paths:
         try:
             data = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{p} is not JSON: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError([str(exc)], config=False) from exc
+        except ValueError as exc:  # not text, or not JSON
+            raise ConfigError([f"{p} is not JSON: {exc}"], config=False) from exc
         if isinstance(data, dict) and "payload" in data:
             error = jsonschema.exceptions.best_match(validator.iter_errors(data))
             if error is not None:
                 where = "/".join(str(k) for k in error.absolute_path) or "<root>"
-                raise ValueError(f"{p} is not a valid run record: {where}: {error.message}")
+                raise ConfigError([f"{p} is not a valid run record: {where}: "
+                                   f"{error.message}"], config=False)
             records.append(data)
     return sorted(records, key=lambda r: (r["payload"]["config"]["name"],
                                           r["payload"]["config"]["point_index"]))
@@ -437,7 +451,7 @@ def emit_report(records, output_dir) -> list:
 
     def write(name: str, lines: list) -> None:
         written.append(outdir / name)
-        written[-1].write_text("\n".join(lines) + "\n")
+        _atomic_write(written[-1], "\n".join(lines) + "\n")
 
     lines = ["run,source,metric,step,value"]
     for rec in records:

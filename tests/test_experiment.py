@@ -430,6 +430,28 @@ class TestCli:
         assert lines[0].startswith(f"error: cannot create output directory {blocker}: ")
         assert blocker.read_text() == ""
 
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_output_file_not_writable(self, tmp_path, capsys, command):
+        # a directory where an output file goes: one line naming the file,
+        # and no temp file left beside it
+        out = tmp_path / "out"
+        if command == "run":
+            blocked = out / "minimal_N4_p0.json"
+            argv = ["run", self._write(tmp_path, minimal_config()), "--output-dir", str(out)]
+        else:
+            run_experiment(minimal_config(), output_dir=tmp_path / "records")
+            blocked = out / "per_step.csv"
+            argv = ["report", str(tmp_path / "records"), "--output-dir", str(out)]
+        blocked.mkdir(parents=True)
+        rc = main(argv)
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {blocked}: ")
+        assert [p.name for p in out.iterdir()] == [blocked.name]
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_report_empty_directory_warns(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path)])
         assert rc == EXIT_OK
@@ -480,10 +502,36 @@ class TestCli:
         assert rc == EXIT_CONFIG
 
     @pytest.mark.parametrize("command", ["run", "validate"])
-    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not_json"])
+    @pytest.mark.parametrize("name", ["a/b", "../x", "a\u0000b"],
+                             ids=["slash", "parent", "nul"])
+    def test_name_not_a_file_name_component(self, tmp_path, capsys, monkeypatch,
+                                            command, name):
+        # records are named after the config's name, so a separator or a NUL
+        # in it is a config problem, found before anything runs or is written
+        import qcawalk.experiment as experiment
+
+        def never(*_args):
+            raise AssertionError("ran past config validation")
+
+        monkeypatch.setattr(experiment, "execute_point", never)
+        out = tmp_path / "out"
+        argv = [command, self._write(tmp_path, minimal_config(name=name))]
+        rc = main(argv + ["--output-dir", str(out)] if command == "run" else argv)
+        assert rc == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        problems = [line for line in captured.err.splitlines() if "name: " in line]
+        assert len(problems) == 1 and "does not match" in problems[0]
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("text", [None, "{not json", b"\xff{}"],
+                             ids=["missing", "not_json", "not_utf8"])
     def test_unreadable_config_exit_code(self, tmp_path, capsys, command, text):
         path = tmp_path / "config.json"
-        if text is not None:
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text)
         rc = main([command, str(path), *(["--output-dir", str(tmp_path)]
                                          if command == "run" else [])])
