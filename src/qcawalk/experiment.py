@@ -27,6 +27,7 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
+from jsonschema import Draft7Validator
 from jsonschema.validators import validator_for
 
 from . import __version__
@@ -86,7 +87,99 @@ def config_schema() -> dict:
 
 
 def run_record_schema() -> dict:
+    """The v1 run-record schema: the record's structure.  Its numbers are
+    checked by :func:`check_record_numbers`."""
     return _load_schema("run_record.schema.json")
+
+
+#: The numeric rules of a v1 run record, which the schema leaves out:
+#: rule -> (draft-07 type, null allowed, least, greatest, what it asks for).
+#: Non-finite numbers, which JSON has no form for, break every rule.
+_NUMBER_RULES = {
+    "probability": ("number", False, 0, 1.0000001, "a finite number in [0, 1.0000001]"),
+    "count": ("integer", False, 0, math.inf, "an integer >= 0"),
+    "leakage": ("number", False, 0, math.inf, "a finite number >= 0"),
+    "shots": ("integer", True, 1, math.inf, "null or an integer >= 1"),
+    "value": ("number", True, -math.inf, math.inf, "null or a finite number"),
+}
+# the Python types the one-pass check takes as they are; any other (a bool,
+# an integral float as a count, a numpy scalar) is judged number by number
+_PLAIN_TYPES = {"number": {float, int}, "integer": {int}}
+_IS_TYPE = Draft7Validator.TYPE_CHECKER.is_type
+
+
+def _number_groups(payload: dict):
+    """(rule, path, numbers) for each group of a v1 payload's numbers that
+    one numeric rule covers, in record order; ``numbers`` is a dict or a
+    list, keyed as under ``path``."""
+    for backend, run in payload["runs"].items():
+        for i, step in enumerate(run["per_step"]):
+            at = ("payload", "runs", backend, "per_step", i)
+            for part in ("exact", "empirical"):
+                dist = step[part]
+                yield "probability", (*at, part, "probabilities"), dist["probabilities"]
+                if "shots" in dist:
+                    yield "shots", (*at, part), {"shots": dist["shots"]}
+                if dist.get("counts") is not None:
+                    yield "count", (*at, part, "counts"), dist["counts"]
+            yield "leakage", at, {"leakage": step["leakage"]}
+    for j, series in enumerate(payload["metrics"]["series"]):
+        yield "value", ("payload", "metrics", "series", j, "values"), series["values"]
+    yield "value", ("payload", "metrics", "scalars"), payload["metrics"]["scalars"]
+
+
+def _all_plain_and_in_range(rule: str, values: list) -> bool:
+    """True if every one of ``values`` keeps ``rule`` and has a plain type;
+    False leaves the verdict to :func:`_keeps_rule`."""
+    kind, nullable, lo, hi, _ = _NUMBER_RULES[rule]
+    types = set(map(type, values))
+    if nullable and type(None) in types:
+        types.discard(type(None))
+        values = [v for v in values if v is not None]
+    if not types <= _PLAIN_TYPES[kind]:
+        return False
+    try:
+        a = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return False
+    return bool(np.isfinite(a).all() and (a >= lo).all() and (a <= hi).all())
+
+
+def _keeps_rule(rule: str, value) -> bool:
+    """Whether one number keeps ``rule``, with draft-07's types: a bool is
+    not a number, and an integral float is an integer."""
+    kind, nullable, lo, hi, _ = _NUMBER_RULES[rule]
+    if value is None:
+        return nullable
+    return (_IS_TYPE(value, kind) and (isinstance(value, int) or math.isfinite(value))
+            and lo <= value <= hi)
+
+
+def check_record_numbers(record: dict) -> None:
+    """Check every number of a v1 run record that already matches
+    :func:`run_record_schema`: probabilities are in [0, 1.0000001], counts
+    are integers >= 0, leakage is >= 0, ``shots`` is null or an integer
+    >= 1, and series values and scalars are numbers or null; none of them
+    is NaN or infinite.
+
+    One pass per rule checks the types and ranges of all its numbers at
+    once; only when that fails are they read one by one, to name the first
+    that breaks its rule.  Raises ``jsonschema.ValidationError`` whose
+    ``path`` is that number's JSON path.
+    """
+    groups = list(_number_groups(record["payload"]))
+    values = {rule: [] for rule in _NUMBER_RULES}
+    for rule, _, numbers in groups:
+        values[rule].extend(numbers.values() if isinstance(numbers, dict) else numbers)
+    failed = {rule for rule, vals in values.items() if not _all_plain_and_in_range(rule, vals)}
+    for rule, path, numbers in groups:
+        if rule not in failed:
+            continue
+        for key, value in (numbers.items() if isinstance(numbers, dict) else enumerate(numbers)):
+            if not _keeps_rule(rule, value):
+                raise jsonschema.ValidationError(
+                    f"{value!r} is not {_NUMBER_RULES[rule][-1]}", path=(*path, key),
+                    instance=value)
 
 
 def validate_config(raw: dict) -> list:
@@ -338,9 +431,11 @@ def run_experiment(source, output_dir=None, workers: int | None = None) -> list:
     to ``workers`` (default: the QCAWALK_WORKERS env var, else 1); outputs
     are independent of the worker count.  An output directory that cannot
     be made raises :class:`OutputDirError` before calibration and before
-    any point runs; every record is validated before any is written, so an
-    invalid one raises ``jsonschema.ValidationError`` (its path led by the
-    record's index) with nothing written.
+    any point runs.  Every record is validated before any is written: by
+    ``jsonschema.validate`` against :func:`run_record_schema`, one call per
+    record, then by :func:`check_record_numbers`.  An invalid one raises
+    ``jsonschema.ValidationError`` (its path led by the record's index)
+    with nothing written.
     """
     cfg = load_config(source)
     points = resolve_points(cfg)
@@ -364,6 +459,7 @@ def run_experiment(source, output_dir=None, workers: int | None = None) -> list:
     for i, record in enumerate(records):
         try:
             jsonschema.validate(record, schema)
+            check_record_numbers(record)
         except jsonschema.ValidationError as exc:
             exc.path.appendleft(i)
             raise
@@ -394,10 +490,12 @@ def load_records(directory) -> list:
     """The run records among a directory's ``*.json`` files, in (config
     ``name``, ``point_index``) order, the order ``run`` reports them in.
 
-    A JSON object with a ``payload`` key is a run record and must match
-    ``run_record.schema.json``.  Raises :class:`ConfigError` if
-    ``directory`` is not a directory, and naming the file on a file that
-    cannot be read, is not JSON, or is an invalid record.
+    A JSON object with a ``payload`` key is a run record: it must match
+    ``run_record.schema.json`` and pass :func:`check_record_numbers`.
+    Raises :class:`ConfigError` if ``directory`` is not a directory, and
+    naming the file on a file that cannot be read, is not JSON, or is an
+    invalid record; for an invalid record, the message also names the
+    JSON path at fault.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -415,10 +513,14 @@ def load_records(directory) -> list:
             raise ConfigError([f"{p} is not JSON: {exc}"], config=False) from exc
         if isinstance(data, dict) and "payload" in data:
             error = jsonschema.exceptions.best_match(validator.iter_errors(data))
-            if error is not None:
-                where = "/".join(str(k) for k in error.absolute_path) or "<root>"
+            try:
+                if error is not None:
+                    raise error
+                check_record_numbers(data)
+            except jsonschema.ValidationError as exc:
+                where = "/".join(str(k) for k in exc.absolute_path) or "<root>"
                 raise ConfigError([f"{p} is not a valid run record: {where}: "
-                                   f"{error.message}"], config=False)
+                                   f"{exc.message}"], config=False) from None
             records.append(data)
     return sorted(records, key=lambda r: (r["payload"]["config"]["name"],
                                           r["payload"]["config"]["point_index"]))

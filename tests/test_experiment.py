@@ -9,6 +9,7 @@ import pytest
 from qcawalk.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
 from qcawalk.experiment import (
     ConfigError,
+    check_record_numbers,
     emit_report,
     execute_point,
     load_config,
@@ -68,6 +69,23 @@ def _record_with_empty(key: str) -> str:
     record = execute_point(point, None)
     record["payload"][key] = {}
     return json.dumps(record)
+
+
+def _record_with_non_finite() -> str:
+    """A real search record, as Python's ``json`` writes it, with NaN for
+    a probability and a leakage and Infinity for a series value."""
+    point, = resolve_points(load_config(minimal_config(
+        walk={"variant": "search", "steps": 2})))
+    record = execute_point(point, None)
+    step = record["payload"]["runs"]["statevector"]["per_step"][1]
+    step["exact"]["probabilities"]["0"] = step["leakage"] = math.nan
+    record["payload"]["metrics"]["series"][0]["values"][0] = math.inf
+    return json.dumps(record)
+
+
+def _validate_record(record: dict) -> None:
+    jsonschema.validate(record, run_record_schema())
+    check_record_numbers(record)
 
 
 def _search_record_without(scalar: str) -> str:
@@ -150,7 +168,7 @@ class TestRunExperiment:
     def test_record_validates_against_shipped_schema(self, tmp_path):
         paths = run_experiment(minimal_config(), output_dir=tmp_path)
         record = json.loads(paths[0].read_text())
-        jsonschema.validate(record, run_record_schema())
+        _validate_record(record)
 
     def test_zero_ideal_peak_records_null_degraded_ratio(self):
         # a 0-step search started off the marked vertex has ideal peak 0,
@@ -166,7 +184,7 @@ class TestRunExperiment:
         scalars = record["payload"]["metrics"]["scalars"]
         assert scalars["success_probability"] == 0.0
         assert scalars["degraded_ratio_density"] is None
-        jsonschema.validate(record, run_record_schema())
+        _validate_record(record)
         assert '"degraded_ratio_density": null' in payload_text(record)
 
     def test_infinite_selectivity_recorded_as_null(self, tmp_path):
@@ -184,7 +202,7 @@ class TestRunExperiment:
         series = {s["name"]: s["values"] for s in record["payload"]["metrics"]["series"]}
         assert series["selectivity"] == [None]
         assert series["marked_probability"] == [0.0]
-        jsonschema.validate(record, run_record_schema())
+        _validate_record(record)
         emit_report(load_records(tmp_path), tmp_path / "report")
         rows = (tmp_path / "report" / "per_step.csv").read_text().splitlines()
         assert [r.split(",", 1)[1] for r in rows if ",selectivity," in r] == [
@@ -206,20 +224,27 @@ class TestRunExperiment:
         rb = json.loads(Path(b[0]).read_text())
         assert payload_text(ra) == payload_text(rb)
 
-    def test_records_validated_before_any_is_written(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("spoil, where", [
+        (lambda payload: payload.pop("metrics"), ["payload"]),
+        # a non-finite number has no JSON form; it is refused before any
+        # record is written, not by the writer after point 0's record
+        (lambda payload: payload["runs"]["statevector"]["per_step"][2].update(leakage=math.nan),
+         ["payload", "runs", "statevector", "per_step", 2, "leakage"]),
+    ], ids=["missing_metrics", "nan_leakage"])
+    def test_records_validated_before_any_is_written(self, tmp_path, monkeypatch, spoil, where):
         import qcawalk.experiment as experiment
 
         def execute(point, noise):
             record = execute_point(point, noise)
             if point["point_index"] == 1:
-                del record["payload"]["metrics"]
+                spoil(record["payload"])
             return record
 
         monkeypatch.setattr(experiment, "execute_point", execute)
         out = tmp_path / "out"
         with pytest.raises(jsonschema.ValidationError) as info:
             run_experiment(minimal_config(sweep={"sizes": [4, 6, 8]}), output_dir=out)
-        assert list(info.value.absolute_path) == [1, "payload"]
+        assert list(info.value.absolute_path) == [1, *where]
         assert list(tmp_path.rglob("*.json")) == []
 
     def test_sweep_produces_one_record_per_size(self, tmp_path):
@@ -372,10 +397,11 @@ class TestCli:
     @pytest.mark.parametrize("record", [None, "{not json", '{"payload": {}}',
                                         _record_with_empty("metrics"),
                                         _record_with_empty("config"),
-                                        _search_record_without("hitting_time")],
+                                        _search_record_without("hitting_time"),
+                                        _record_with_non_finite()],
                              ids=["missing_dir", "not_json", "invalid_record",
                                   "empty_metrics", "empty_config",
-                                  "search_without_hitting_time"])
+                                  "search_without_hitting_time", "non_finite"])
     def test_report_unreadable_records_exit_code(self, tmp_path, capsys, record):
         # one error line, exit 2, and nothing created: no directory, no tables
         records = tmp_path / "records"

@@ -1,16 +1,23 @@
 """The shipped schemas are draft-07, and draft-07 enforces every rule they
-state.
+state; the run record's numbers are checked by ``check_record_numbers``.
 
 Draft-07 ignores keywords it does not know, and the siblings of a
 ``$ref``, so a guard walks both schemas for either.  Every rule of the v1
 run record has a mutation that ``run_experiment`` and ``load_records`` must
-reject, and the same corpus, plus every single-field mutation of a small
-record, gets the same verdicts from the record schema read as 2020-12, the
-dialect it was written in before.
+reject.  The record schema plus the numeric check give the same verdicts
+on that corpus, and on every single-field mutation of a small record, as
+the v1 schema that held the numeric rules itself (frozen in
+``data/run_record_v1_full.schema.json``), read as draft-07 and as 2020-12,
+the dialect it was written in before.  The one designed difference is a
+NaN or infinite number, which the numeric check rejects.
 """
 
 import copy
+import functools
 import json
+import math
+import operator
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -19,6 +26,7 @@ from jsonschema.validators import validator_for
 
 import qcawalk.experiment as experiment
 from qcawalk.experiment import (
+    check_record_numbers,
     config_schema,
     execute_point,
     load_config,
@@ -139,6 +147,7 @@ def _set(path, value):
         for key in parents:
             rec = rec[key]
         rec[last] = value
+    mutate.path = path
     return mutate
 
 
@@ -148,6 +157,7 @@ def _drop(path):
         for key in parents:
             rec = rec[key]
         del rec[last]
+    mutate.path = path
     return mutate
 
 
@@ -215,6 +225,14 @@ RULE_MUTATIONS = {
     "wall_time_not_number": _set((*_META, "wall_time_s", "density"), "1s"),
 }
 
+#: The rules that ``check_record_numbers`` holds, not the schema.
+NUMERIC_RULES = {
+    "probability_above_bound", "probability_negative", "probability_not_number",
+    "count_negative", "count_not_integer", "shots_zero", "shots_not_integer",
+    "leakage_negative", "leakage_null", "series_value_string", "series_value_bool",
+    "scalar_string", "scalar_object",
+}
+
 
 def _mutated(record, mutate):
     out = copy.deepcopy(record)
@@ -224,13 +242,18 @@ def _mutated(record, mutate):
 
 @pytest.mark.parametrize("rule", sorted(RULE_MUTATIONS))
 def test_each_rule_is_enforced_on_write_and_on_read(rule, record, tmp_path, monkeypatch):
-    bad = _mutated(record, RULE_MUTATIONS[rule])
+    mutate = RULE_MUTATIONS[rule]
+    bad = _mutated(record, mutate)
+    schema = run_record_schema()
+    assert Draft7Validator(schema).is_valid(bad) == (rule in NUMERIC_RULES)
     monkeypatch.setattr(experiment, "execute_point", lambda point, noise: bad)
     cfg = {"schema_version": 1, "name": "rules", "lattice": {"kind": "cycle", "N": 4},
            "walk": {"variant": "search", "steps": 1}}
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(jsonschema.ValidationError) as written:
         run_experiment(cfg, output_dir=tmp_path / "run")
     assert not (tmp_path / "run").exists()
+    if rule in NUMERIC_RULES:
+        assert list(written.value.path) == [0, *mutate.path]
 
     (tmp_path / "read").mkdir()
     (tmp_path / "read" / "bad.json").write_text(json.dumps(bad))
@@ -238,42 +261,118 @@ def test_each_rule_is_enforced_on_write_and_on_read(rule, record, tmp_path, monk
         # to the loader, an object without a payload is not a run record
         assert load_records(tmp_path / "read") == []
         return
-    with pytest.raises(ValueError, match="bad.json is not a valid run record"):
+    with pytest.raises(ValueError, match="bad.json is not a valid run record") as read:
         load_records(tmp_path / "read")
+    if rule in NUMERIC_RULES:
+        assert f"bad.json is not a valid run record: {'/'.join(map(str, mutate.path))}: " \
+            in str(read.value)
 
 
-def _leaf_mutations(node, path=()):
-    """Single-field mutations of ``node``: each field set to values of other
-    types and ranges, each object key dropped, and one key added to each
-    object.  A list's items share a schema, so only its first is mutated."""
+#: Values each field is set to: other types and ranges, and the numbers at
+#: the edges of draft-07's types, of the numeric rules' bounds and of the
+#: float range (JSON integers have no bound).
+_VALUES = (None, True, False, -1, 0, 1.5, 1.0000002, "0", "a" * 64, [], {},
+           2.0, 2**70, 10**400, -0.0, 1.0000001, 5e-324)
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _leaf_mutations(node, values=_VALUES, path=()):
+    """Single-field mutations of ``node``: each field set to each of
+    ``values``, each object key dropped, and one key added to each object.
+    A list's items share a schema, so only its first is mutated."""
     if isinstance(node, dict):
         yield _set((*path, "extra"), 0)
         for key, child in node.items():
             yield _drop((*path, key))
-            yield from _leaf_mutations(child, (*path, key))
+            yield from _leaf_mutations(child, values, (*path, key))
     elif isinstance(node, list) and node:
-        yield from _leaf_mutations(node[0], (*path, 0))
+        yield from _leaf_mutations(node[0], values, (*path, 0))
     if path:
-        for value in (None, True, -1, 0, 1.5, 1.0000002, "0", "a" * 64, [], {}):
+        for value in values:
             yield _set(path, value)
 
 
-def test_draft7_and_2020_12_verdicts_agree(record):
-    schema = run_record_schema()
-    draft7 = validator_for(schema)(schema)
-    old = _as_2020_12(schema)
-    assert validator_for(old) is Draft202012Validator
-    Draft202012Validator.check_schema(old)
-    draft2020 = Draft202012Validator(old)
+FULL_V1_SCHEMA = Path(__file__).parent / "data" / "run_record_v1_full.schema.json"
 
+
+def _verdicts_by_dialect():
+    """(combined, full) verdict functions, read as draft-07 and as 2020-12:
+    the shipped schema then the numeric check, and the full v1 schema."""
+    shipped, full = run_record_schema(), json.loads(FULL_V1_SCHEMA.read_text())
+    for dialect, convert in [(Draft7Validator, dict), (Draft202012Validator, _as_2020_12)]:
+        structure, old = convert(shipped), convert(full)
+        assert validator_for(structure) is validator_for(old) is dialect
+        dialect.check_schema(structure)
+        structure, old = dialect(structure), dialect(old)
+
+        def combined(rec, structure=structure):
+            try:
+                structure.validate(rec)
+                check_record_numbers(rec)
+            except jsonschema.ValidationError:
+                return False
+            return True
+
+        yield combined, old.is_valid
+
+
+def test_draft7_and_2020_12_verdicts_agree(record):
+    # the shipped schema plus the numeric check, against the full v1 schema
     corpus = [record] + [_mutated(record, m) for m in RULE_MUTATIONS.values()]
     corpus += [_mutated(record, m) for m in _leaf_mutations(record)]
-    verdicts = [(draft7.is_valid(r), draft2020.is_valid(r)) for r in corpus]
-    assert verdicts[0] == (True, True)
-    assert all(v == (False, False) for v in verdicts[1:1 + len(RULE_MUTATIONS)])
-    assert [a for a, _ in verdicts] == [b for _, b in verdicts]
-    accepted = sum(a for a, _ in verdicts)
-    assert 0 < accepted < len(corpus)  # the corpus has both verdicts
+    seen = []
+    for combined, full in _verdicts_by_dialect():
+        verdicts = [combined(r) for r in corpus]
+        assert verdicts == [full(r) for r in corpus]
+        seen.append(verdicts)
+    verdicts, verdicts_2020_12 = seen
+    assert verdicts == verdicts_2020_12
+    assert verdicts[0]
+    assert not any(verdicts[1:1 + len(RULE_MUTATIONS)])
+    assert 0 < sum(verdicts) < len(corpus)  # the corpus has both verdicts
+
+
+def _has_non_finite(node) -> bool:
+    if isinstance(node, float):
+        return not math.isfinite(node)
+    if isinstance(node, dict):
+        node = list(node.values())
+    return isinstance(node, list) and any(map(_has_non_finite, node))
+
+
+def test_non_finite_numbers_are_the_one_designed_difference(record):
+    # the full v1 schema let NaN past every bound, and Infinity past
+    # leakage's and the series'; the numeric check reads the payload's runs
+    # and metrics, and rejects both there
+    corpus = [_mutated(record, m) for m in _leaf_mutations(record, _NON_FINITE)]
+    checked = [_has_non_finite([r["payload"].get("runs"), r["payload"].get("metrics")])
+               if isinstance(r.get("payload"), dict) else False for r in corpus]
+    for combined, full in _verdicts_by_dialect():
+        assert not any(combined(r) for r, c in zip(corpus, checked) if c)
+        assert [combined(r) for r, c in zip(corpus, checked) if not c] == \
+            [full(r) for r, c in zip(corpus, checked) if not c]
+        assert sum(full(r) for r, c in zip(corpus, checked) if c) > 0
+
+
+#: Where the schema meets the record's numbers, which only
+#: ``check_record_numbers`` checks: a per-number subschema here would
+#: bring back the cost of checking them one by one.
+_NUMBER_SUBSCHEMAS = [
+    ("definitions", "distribution", "properties", "probabilities"),
+    ("definitions", "distribution", "properties", "shots"),
+    ("definitions", "distribution", "properties", "counts"),
+    ("definitions", "step_record", "properties", "leakage"),
+    ("definitions", "metric_series", "properties", "values"),
+    ("properties", "payload", "properties", "metrics", "properties", "scalars"),
+]
+
+
+@pytest.mark.parametrize("where", _NUMBER_SUBSCHEMAS, ids=lambda w: "/".join(w[-3::2]))
+def test_record_schema_checks_no_number(where):
+    sub = functools.reduce(operator.getitem, where, run_record_schema())
+    assert set(sub) <= {"type", "description"}
+    types = sub.get("type", [])
+    assert {"number", "integer"}.isdisjoint([types] if isinstance(types, str) else types)
 
 
 def test_config_verdicts_agree_with_2020_12():
