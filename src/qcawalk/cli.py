@@ -112,6 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command.  The one place an exception becomes an exit code
     and a stderr message; one not mapped here is a bug, and tracebacks."""
+    # a config's name is printed as read; under the C locale stdout's
+    # handler cannot encode non-ASCII, so escape it as stderr does
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -29,6 +29,8 @@ import jsonschema
 import numpy as np
 from jsonschema import Draft7Validator
 from jsonschema.validators import validator_for
+from referencing import Registry
+from referencing.jsonschema import DRAFT7
 
 from . import __version__
 from .lattice import Lattice, tessellations_for
@@ -79,7 +81,7 @@ class OutputDirError(OSError):
 
 def _load_schema(name: str) -> dict:
     ref = resources.files("qcawalk").joinpath("schemas", name)
-    return json.loads(ref.read_text())
+    return json.loads(ref.read_text(encoding="utf-8"))
 
 
 def config_schema() -> dict:
@@ -206,7 +208,7 @@ def load_config(source) -> dict:
     if isinstance(source, dict):
         raw = source
     else:
-        text = Path(source).read_text()
+        text = Path(source).read_text(encoding="utf-8")
         raw = json.loads(text)
     problems = validate_config(raw)
     if problems:
@@ -406,7 +408,7 @@ def _require_output_dir(outdir: Path) -> None:
 def _make_output_dir(outdir: Path) -> None:
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         raise OutputDirError(f"cannot create output directory {outdir}: {exc}") from exc
 
 
@@ -416,9 +418,9 @@ def _atomic_write(path: Path, text: str) -> None:
     naming ``path``, and leaves no temp file."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # or a name the file system cannot encode
         if tmp.is_file():
             tmp.unlink()
         raise OutputDirError(f"cannot write {path}: {exc}") from exc
@@ -431,11 +433,15 @@ def run_experiment(source, output_dir=None, workers: int | None = None) -> list:
     to ``workers`` (default: the QCAWALK_WORKERS env var, else 1); outputs
     are independent of the worker count.  An output directory that cannot
     be made raises :class:`OutputDirError` before calibration and before
-    any point runs.  Every record is validated before any is written: by
-    ``jsonschema.validate`` against :func:`run_record_schema`, one call per
-    record, then by :func:`check_record_numbers`.  An invalid one raises
-    ``jsonschema.ValidationError`` (its path led by the record's index)
-    with nothing written.
+    any point runs.  Every record is validated before any is written: the
+    list of them by one ``jsonschema.validate`` call against
+    :func:`run_record_schema` under draft-07, then each by
+    :func:`check_record_numbers`.  An invalid one raises
+    ``jsonschema.ValidationError``, its path led by the record's index,
+    with nothing written.  When several records break the schema, the
+    error is ``best_match``'s pick among all their errors: the shallowest
+    path, ties to the earliest record, so it may name a later record than
+    the first invalid one.
     """
     cfg = load_config(source)
     points = resolve_points(cfg)
@@ -452,13 +458,16 @@ def run_experiment(source, output_dir=None, workers: int | None = None) -> list:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(lambda p: execute_point(p, noise), points))
 
-    # One call per record: the list under an array wrapper, where the
-    # record schema's $id makes it an embedded resource, measured 2-3 ms
-    # slower per call.
+    # One call for the whole run, so the metaschema checks only this small
+    # wrapper.  The record schema is reached through the registry: embedded
+    # in the wrapper, its $id makes it an embedded resource, and the walk
+    # measured 60-85% slower.
     schema = run_record_schema()
+    jsonschema.validate(
+        records, {"$schema": schema["$schema"], "type": "array", "items": {"$ref": schema["$id"]}},
+        registry=Registry().with_resource(schema["$id"], DRAFT7.create_resource(schema)))
     for i, record in enumerate(records):
         try:
-            jsonschema.validate(record, schema)
             check_record_numbers(record)
         except jsonschema.ValidationError as exc:
             exc.path.appendleft(i)
@@ -476,13 +485,15 @@ def run_experiment(source, output_dir=None, workers: int | None = None) -> list:
 
 
 def _record_text(record: dict) -> str:
-    """A record's file text; a non-finite number raises ``ValueError``,
-    since it has no JSON form."""
-    return json.dumps(record, sort_keys=True, indent=1, allow_nan=False) + "\n"
+    """A record's file text: one line of compact JSON, so ``json`` uses its
+    C encoder (it has none for ``indent``).  A non-finite number raises
+    ``ValueError``, since it has no JSON form."""
+    return json.dumps(record, sort_keys=True, allow_nan=False) + "\n"
 
 
 def payload_text(record: dict) -> str:
-    """Canonical bytes of the deterministic part of a record."""
+    """Canonical bytes of the deterministic part of a record, indented
+    (a record file is one line)."""
     return json.dumps(record["payload"], sort_keys=True, indent=1, allow_nan=False) + "\n"
 
 
@@ -506,7 +517,7 @@ def load_records(directory) -> list:
     records = []
     for p in paths:
         try:
-            data = json.loads(p.read_text())
+            data = json.loads(p.read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError([str(exc)], config=False) from exc
         except ValueError as exc:  # not text, or not JSON

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -24,6 +27,7 @@ from qcawalk.experiment import (
 
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def minimal_config(**overrides):
@@ -224,27 +228,51 @@ class TestRunExperiment:
         rb = json.loads(Path(b[0]).read_text())
         assert payload_text(ra) == payload_text(rb)
 
-    @pytest.mark.parametrize("spoil, where", [
-        (lambda payload: payload.pop("metrics"), ["payload"]),
+    def test_record_file_is_one_line_of_the_validated_record(self, tmp_path, monkeypatch):
+        import qcawalk.experiment as experiment
+
+        validated = []
+        real = jsonschema.validate
+
+        def spy(instance, schema, *args, **kwargs):
+            validated.extend(instance)
+            return real(instance, schema, *args, **kwargs)
+
+        monkeypatch.setattr(experiment.jsonschema, "validate", spy)
+        paths = run_experiment(minimal_config(sweep={"sizes": [4, 6]}), output_dir=tmp_path)
+        assert len(paths) == len(validated) == 2
+        for path, record in zip(paths, validated):
+            text = path.read_text(encoding="utf-8")
+            assert text.endswith("\n") and text.count("\n") == 1
+            assert json.loads(text) == record
+            assert payload_text(json.loads(text)) == payload_text(record)
+
+    @pytest.mark.parametrize("spoils", [
+        {1: (lambda payload: payload.pop("metrics"), ["payload"])},
         # a non-finite number has no JSON form; it is refused before any
         # record is written, not by the writer after point 0's record
-        (lambda payload: payload["runs"]["statevector"]["per_step"][2].update(leakage=math.nan),
-         ["payload", "runs", "statevector", "per_step", 2, "leakage"]),
-    ], ids=["missing_metrics", "nan_leakage"])
-    def test_records_validated_before_any_is_written(self, tmp_path, monkeypatch, spoil, where):
+        {1: (lambda payload: payload["runs"]["statevector"]["per_step"][2].update(
+            leakage=math.nan), ["payload", "runs", "statevector", "per_step", 2, "leakage"])},
+        # one validation call sees both faults; either may be the one raised
+        {0: (lambda payload: payload["runs"]["statevector"]["per_step"][2].pop("exact"),
+             ["payload", "runs", "statevector", "per_step", 2]),
+         2: (lambda payload: payload.pop("metrics"), ["payload"])},
+    ], ids=["missing_metrics", "nan_leakage", "two_records_at_two_depths"])
+    def test_records_validated_before_any_is_written(self, tmp_path, monkeypatch, spoils):
         import qcawalk.experiment as experiment
 
         def execute(point, noise):
             record = execute_point(point, noise)
-            if point["point_index"] == 1:
-                spoil(record["payload"])
+            if point["point_index"] in spoils:
+                spoils[point["point_index"]][0](record["payload"])
             return record
 
         monkeypatch.setattr(experiment, "execute_point", execute)
         out = tmp_path / "out"
         with pytest.raises(jsonschema.ValidationError) as info:
             run_experiment(minimal_config(sweep={"sizes": [4, 6, 8]}), output_dir=out)
-        assert list(info.value.absolute_path) == [1, *where]
+        index, *where = info.value.absolute_path
+        assert index in spoils and where == spoils[index][1]
         assert list(tmp_path.rglob("*.json")) == []
 
     def test_sweep_produces_one_record_per_size(self, tmp_path):
@@ -549,6 +577,46 @@ class TestCli:
         problems = [line for line in captured.err.splitlines() if "name: " in line]
         assert len(problems) == 1 and "does not match" in problems[0]
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @staticmethod
+    def _c_locale_cli(tmp_path, *argv):
+        # a child under the C locale with neither UTF-8 mode nor locale
+        # coercion: its locale and file-system encodings are ASCII
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+        env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=str(SRC))
+        return subprocess.run([sys.executable, "-m", "qcawalk.cli", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, timeout=120)
+
+    def test_utf8_config_read_under_c_locale(self, tmp_path):
+        # JSON is UTF-8 whatever the locale
+        path = tmp_path / "config.json"
+        path.write_bytes(json.dumps(minimal_config(name="café-量子"), ensure_ascii=False)
+                         .encode("utf-8"))
+        proc = self._c_locale_cli(tmp_path, "validate", str(path))
+        assert proc.returncode == EXIT_OK, proc.stderr.decode(errors="replace")
+        assert proc.stdout.startswith(f"{path}: valid (name=".encode())
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="the C locale's file-system encoding is ASCII on Linux")
+    @pytest.mark.parametrize("where", ["name", "directory"])
+    def test_output_path_not_encodable_exit_code(self, tmp_path, where):
+        # under the C locale the file system cannot encode "café", in a
+        # record's name or in the output directory: one error line, and no
+        # record or temp file
+        out = tmp_path / "out"
+        cfg = minimal_config(name="café") if where == "name" else minimal_config(
+            output={"directory": str(out / "café"), "formats": ["json"]})
+        path = tmp_path / "config.json"
+        path.write_bytes(json.dumps(cfg, ensure_ascii=False).encode("utf-8"))
+        proc = self._c_locale_cli(tmp_path, "run", str(path),
+                                  *(["--output-dir", str(out)] if where == "name" else []))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stdout == b""
+        lines = proc.stderr.decode("ascii").splitlines()
+        action = "write" if where == "name" else "create output directory"
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot {action} {out}/caf")
+        assert list(tmp_path.rglob("*.json")) == [path]
+        assert not list(tmp_path.rglob("*.tmp"))
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("text", [None, "{not json", b"\xff{}"],

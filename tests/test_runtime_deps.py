@@ -1,6 +1,7 @@
-"""The runtime needs only numpy and jsonschema: neither importing the CLI
-nor any of its commands loads scipy, which only the tests use.  Nor does a
-one-worker run load ``concurrent.futures``, which only a thread pool needs."""
+"""The runtime needs only numpy and jsonschema (with its referencing):
+neither importing the CLI nor any of its commands loads scipy, which only
+the tests use.  Nor does a one-worker run load ``concurrent.futures``,
+which only a thread pool needs."""
 
 import json
 import os

@@ -398,17 +398,27 @@ def test_config_verdicts_agree_with_2020_12():
 
 
 def test_run_validates_each_record_under_draft7(tmp_path, monkeypatch):
-    # the bench traces this call as the record-validation layer
-    seen = []
+    # the bench traces this call as the record-validation layer: one call
+    # per run, over the list of its records
+    calls = []
     real = jsonschema.validate
 
     def spy(instance, schema, *args, **kwargs):
-        seen.append(schema)
+        calls.append((instance, schema, kwargs))
         return real(instance, schema, *args, **kwargs)
 
     monkeypatch.setattr(experiment.jsonschema, "validate", spy)
     run_experiment({"schema_version": 1, "name": "spy", "lattice": {"kind": "cycle", "N": 4},
                     "walk": {"variant": "walk", "steps": 1}, "sweep": {"sizes": [4, 6]}},
                    output_dir=tmp_path)
-    assert len(seen) == 2
-    assert all(validator_for(s) is Draft7Validator for s in seen)
+    (instance, schema, kwargs), = calls
+    assert [r["payload"]["config"]["lattice"]["N"] for r in instance] == [4, 6]
+    assert validator_for(schema) is Draft7Validator
+
+    # the call reaches the shipped record schema
+    bad = [instance[0], {**instance[1], "extra": 0}]
+    with pytest.raises(jsonschema.ValidationError) as info:
+        real(bad, schema, **kwargs)
+    assert list(info.value.path) == [1]
+    assert info.value.validator == "additionalProperties"
+    assert info.value.schema == run_record_schema()
